@@ -69,25 +69,16 @@ REGRESSION_TOLERANCE = DEFAULT_TOLERANCE  # fail beyond this p50 growth
 NOISE_FLOOR_MS = 200.0
 
 
-def _cold_experiment(experiment_id: str,
-                     engine: str = None) -> Callable[[], None]:
+def _cold_experiment(experiment_id: str) -> Callable[[], None]:
     """The same workload the pytest benches time: one full (quick=False)
-    experiment pipeline, starting from a cold solver cache.  ``engine``
-    pins the CONGEST round loop for the duration of the bench (default:
-    the process default)."""
+    experiment pipeline, starting from a cold solver cache."""
     def run() -> None:
         from repro import solvers
-        from repro.congest.model import configure_engine
         from repro.experiments.runner import run_experiment
 
         solvers.clear_cache()
-        previous = configure_engine(engine) if engine else None
-        try:
-            record = run_experiment(experiment_id, quick=False)
-            assert record.passed, record
-        finally:
-            if previous is not None:
-                configure_engine(previous)
+        record = run_experiment(experiment_id, quick=False)
+        assert record.passed, record
     return run
 
 
@@ -260,12 +251,11 @@ def _graph_wire() -> Callable[[], None]:
     return run
 
 
-def _simulator_flood(engine: str = None) -> Callable[[], None]:
+def _simulator_flood() -> Callable[[], None]:
     """Pure engine throughput: flood-min-id on a fixed random graph.
 
     No exact solver involved, so this isolates the CONGEST round loop —
-    the bench the CI smoke job gates on.  ``engine`` selects the round
-    loop under test.
+    the bench the CI smoke job gates on.
     """
     def run() -> None:
         import random
@@ -276,7 +266,7 @@ def _simulator_flood(engine: str = None) -> Callable[[], None]:
 
         g = random_graph(64, 0.15, random.Random(0xBE))
         sim = CongestSimulator(g)
-        sim.run(FloodMinId, engine=engine)
+        sim.run(FloodMinId)
         assert sim.rounds >= 1
     return run
 
@@ -349,17 +339,13 @@ def _trace_emit(fmt: str) -> Callable[[], None]:
 BENCHES: Dict[str, Callable[[], None]] = {
     # the two headline benches of the perf acceptance criteria
     "bench_congest_maxcut": _cold_experiment("E-T2.9-congest-maxcut"),
-    # the same pipeline on the struct-of-arrays round loop
-    "bench_congest_maxcut_vectorized":
-        _cold_experiment("E-T2.9-congest-maxcut", engine="vectorized"),
     "bench_kmds": _cold_experiment("E-F6-T4.4-T4.5-kmds"),
     # the remaining simulator-heavy experiment benches
     "bench_universal_upper_bound": _cold_experiment("E-universal-upper-bound"),
     "bench_congest_local_separation":
         _cold_experiment("E-congest-local-separation"),
-    # pure simulator microbenches per engine (CI regression gate)
+    # pure simulator microbench (CI regression gate)
     "simulator_flood": _simulator_flood(),
-    "simulator_flood_vectorized": _simulator_flood(engine="vectorized"),
     # delta-build sweep vs the pre-delta scratch path (same workload)
     "bench_family_sweep": _family_sweep(scratch=False),
     "bench_family_sweep_scratch": _family_sweep(scratch=True),
@@ -379,8 +365,7 @@ BENCHES: Dict[str, Callable[[], None]] = {
     "bench_trace_binary": _trace_emit("binary"),
 }
 
-QUICK_BENCHES = ("simulator_flood", "simulator_flood_vectorized",
-                 "bench_family_sweep", "bench_congest_maxcut_vectorized",
+QUICK_BENCHES = ("simulator_flood", "bench_family_sweep",
                  "bench_family_sweep_resumed",
                  "bench_family_sweep_grid_warm",
                  "bench_family_sweep_grid_batched", "bench_graph_wire")

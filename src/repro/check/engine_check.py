@@ -1,23 +1,19 @@
-"""Candidate-engine vs reference-loop differential check.
+"""Fast-engine vs reference-loop differential check.
 
-The CONGEST simulator ships three round loops (see
+The CONGEST simulator ships two round loops (see
 :meth:`repro.congest.model.CongestSimulator.run`): the active-set fast
-engine, the struct-of-arrays vectorized engine, and the straight-line
-reference loop both were derived from.  This check runs representative
-algorithms through each candidate against the reference and demands
-*observable identity*: the same outputs, ``rounds``,
+engine used in production and the straight-line reference loop it was
+derived from.  This check runs representative algorithms through both
+and demands *observable identity*: the same outputs, ``rounds``,
 ``total_messages``, ``total_bits``, ``max_message_bits``, the same
 exception (including :class:`BandwidthExceeded` partial-counter
 semantics — counters include every message checked up to and including
 the offending one), and — in traced mode — the exact same event stream.
 
-Each scenario runs traced and untraced on every engine.  The untraced
-runs matter because they exercise each candidate's no-sink code path —
-the fast engine's ``_check_fast`` (no event construction, no outbox
-copy, memoized ``message_bits``) and the vectorized engine's deferred
-per-round counter flush — which the traced runs bypass.  The vectorized
-candidate additionally runs with its numpy hook disabled, pinning the
-pure-python flush fallback to the same observable behaviour.
+Each scenario runs traced and untraced on both loops.  The untraced
+runs matter because they exercise the fast engine's no-sink code path —
+``_check_fast`` (no event construction, no outbox copy, memoized
+``message_bits``) — which the traced runs bypass.
 """
 
 from __future__ import annotations
@@ -91,20 +87,18 @@ def _snapshot(graph: Graph, factory: Callable, inputs: Optional[Dict],
     }
 
 
-def _diff(ref: Dict[str, Any], cand: Dict[str, Any],
-          name: str = "candidate") -> Optional[str]:
+def _diff(ref: Dict[str, Any], cand: Dict[str, Any]) -> Optional[str]:
     for field in ("outputs", "error", "rounds", "total_messages",
                   "total_bits", "max_message_bits"):
         if ref[field] != cand[field]:
-            return (f"{field}: reference={ref[field]!r} "
-                    f"{name}={cand[field]!r}")
+            return f"{field}: reference={ref[field]!r} fast={cand[field]!r}"
     if ref["events"] is not None:
         if len(ref["events"]) != len(cand["events"]):
             return (f"event stream length: reference={len(ref['events'])} "
-                    f"{name}={len(cand['events'])}")
+                    f"fast={len(cand['events'])}")
         for i, (a, b) in enumerate(zip(ref["events"], cand["events"])):
             if a != b:
-                return f"event {i}: reference={a!r} {name}={b!r}"
+                return f"event {i}: reference={a!r} fast={b!r}"
     return None
 
 
@@ -125,36 +119,18 @@ def _scenarios(graph: Graph) -> List[Tuple[str, Callable, Optional[Dict]]]:
 
 
 def check_engine_equivalence(graph: Graph) -> Optional[str]:
-    """Every candidate engine must be observably identical to the
-    reference loop.
+    """The fast engine must be observably identical to the reference
+    loop.
 
     Returns ``None`` on agreement, else a message naming the scenario,
-    engine, mode, and first diverging field/event.  The vectorized
-    engine is additionally checked with its numpy hook disabled, so the
-    pure-python counter-flush fallback is pinned too.
+    mode, and first diverging field/event.
     """
-    from repro.congest import model as congest_model
-
     for name, factory, inputs in _scenarios(graph):
         for traced in (False, True):
             ref = _snapshot(graph, factory, inputs, "reference", traced)
-            for engine in ("fast", "vectorized"):
-                cand = _snapshot(graph, factory, inputs, engine, traced)
-                diff = _diff(ref, cand, engine)
-                if diff is not None:
-                    mode = "traced" if traced else "untraced"
-                    return (f"engine divergence [{name}, {engine}, "
-                            f"{mode}]: {diff}")
-            saved_np = congest_model._np
-            congest_model._np = None
-            try:
-                cand = _snapshot(graph, factory, inputs, "vectorized",
-                                 traced)
-            finally:
-                congest_model._np = saved_np
-            diff = _diff(ref, cand, "vectorized[no-numpy]")
+            cand = _snapshot(graph, factory, inputs, "fast", traced)
+            diff = _diff(ref, cand)
             if diff is not None:
                 mode = "traced" if traced else "untraced"
-                return (f"engine divergence [{name}, vectorized"
-                        f"[no-numpy], {mode}]: {diff}")
+                return f"engine divergence [{name}, fast, {mode}]: {diff}"
     return None

@@ -266,9 +266,9 @@ def _build_checks() -> List[Check]:
                          and (c.family == "paper" or c.graph.n <= 10)
                          and c.graph.is_connected()),
               shrinkable=False),
-        # -- candidate engines (fast, vectorized) vs reference loop ------
+        # -- fast engine vs reference loop --------------------------------
         # graph-generic (works on disconnected inputs too); capped so the
-        # traced+untraced runs per engine per scenario stay cheap on
+        # traced+untraced runs per loop per scenario stay cheap on
         # paper-family instances
         Check("congest:engine-equivalence", "congest", _engine_equivalence,
               lambda c: 1 <= c.graph.n <= 32, shrinkable=False),

@@ -21,8 +21,7 @@ check [--seed S] [--cases N] [--family F] [--deep] [--jobs N]
                       reproducers (see repro.check)
 report trace TRACE [--run N] [--cut UIDS] [--edges N]
                       render a simulator trace (binary or JSONL,
-                      auto-detected) into a round-by-round summary;
-                      `report TRACE` is the legacy spelling
+                      auto-detected) into a round-by-round summary
 report bench [FILE]   p50-per-SHA bench trajectory with deltas and
                       regression flags (default: BENCH_simulator.json)
 report fuzz DIR       summarize a `check --report-dir` artifact dir
@@ -258,7 +257,6 @@ def cmd_experiments(args: argparse.Namespace) -> None:
                       timeout=args.timeout,
                       retries=args.retries,
                       trace_format=args.trace_format,
-                      engine=args.engine,
                       warm=not args.no_warm_pool)
     print(format_markdown(records))
     failed = [r.experiment_id for r in records if not r.passed]
@@ -376,11 +374,8 @@ def cmd_report(args: argparse.Namespace) -> None:
     elif what == "convert":
         _report_convert(args)
     else:
-        # legacy spelling: `repro report <trace-file>`
-        if args.path is not None:
-            raise SystemExit(f"unknown report view {what!r}; expected "
-                             "trace, bench, fuzz, pool, or convert")
-        _report_trace(what, args)
+        raise SystemExit(f"unknown report view {what!r}; expected "
+                         "trace, bench, fuzz, pool, or convert")
 
 
 def main(argv: Optional[list] = None) -> None:
@@ -470,12 +465,6 @@ def main(argv: Optional[list] = None) -> None:
                    help="use throwaway cold worker pools instead of the "
                         "persistent warm pool for --jobs/--sweep-jobs "
                         "fan-out")
-    p.add_argument("--engine", choices=("fast", "reference", "vectorized"),
-                   default=None,
-                   help="CONGEST round-loop engine for every simulator "
-                        "(default: the process default, \"fast\"); all "
-                        "engines are observably identical — see "
-                        "repro check congest:engine-equivalence")
 
     sub.add_parser("paper", help="theorem-by-theorem coverage index")
 
@@ -519,12 +508,9 @@ def main(argv: Optional[list] = None) -> None:
                     "`report pool` prints the warm worker pool's "
                     "cumulative counters (incl. batched-kernel state "
                     "hits/misses); `report convert SRC DST` converts a "
-                    "trace between formats.  `report FILE` (no view "
-                    "keyword) is the legacy spelling of `report trace "
-                    "FILE`.")
+                    "trace between formats.")
     p.add_argument("what", metavar="VIEW",
-                   help="trace | bench | fuzz | pool | convert, or "
-                        "directly a trace path (legacy)")
+                   help="trace | bench | fuzz | pool | convert")
     p.add_argument("path", nargs="?", default=None,
                    help="trace file / bench history / fuzz report dir / "
                         "conversion source, per the view")

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import os
-from array import array
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple, Union
 
 from repro.graphs import DiGraph, Graph, Vertex, label_sort_key
@@ -33,39 +32,6 @@ Message = Any
 #: Identity sentinel for the broadcast fast path in ``_check_fast``
 #: (``None`` is a legal message, so a private object is required).
 _NO_MESSAGE = object()
-
-try:  # numpy accelerates the vectorized engine's per-round counter
-    import numpy as _np  # flushes; everything works without it
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
-
-#: Messages-per-round below which the vectorized engine's counter flush
-#: uses the pure-python sweep even when numpy is importable (array
-#: round-trip overhead beats the win on tiny rounds).  Tests monkeypatch
-#: ``_np = None`` to pin the fallback path.
-_VEC_NUMPY_MIN = 64
-
-#: The recognised round-loop engines, in documentation order.
-ENGINES = ("fast", "reference", "vectorized")
-
-_DEFAULT_ENGINE = "fast"
-
-
-def default_engine() -> str:
-    """The engine :meth:`CongestSimulator.run` uses when none is given."""
-    return _DEFAULT_ENGINE
-
-
-def configure_engine(engine: str) -> str:
-    """Set the process-wide default round-loop engine; returns the
-    previous default so callers can restore it (the CLI ``--engine``
-    flag and the parallel experiment workers route through this)."""
-    global _DEFAULT_ENGINE
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}")
-    previous = _DEFAULT_ENGINE
-    _DEFAULT_ENGINE = engine
-    return previous
 
 
 class BandwidthExceeded(Exception):
@@ -280,28 +246,22 @@ class CongestSimulator:
         algorithm_factory: Callable[[], NodeAlgorithm],
         inputs: Optional[Dict[Vertex, Any]] = None,
         max_rounds: int = 100000,
-        engine: Optional[str] = None,
+        engine: str = "fast",
     ) -> Dict[Vertex, Any]:
         """Execute until every vertex halts; return outputs by label.
 
         Counters are reset on entry, so ``sim.rounds`` etc. always
         describe the most recent run.
 
-        ``engine`` selects the round loop: ``"fast"`` runs the
-        active-set scheduler, ``"vectorized"`` the struct-of-arrays loop
-        with batched counter accounting, and ``"reference"`` the
-        straight-line loop both were derived from; ``None`` (the
-        default) resolves to the process-wide default set by
-        :func:`configure_engine` (initially ``"fast"``).  All three are
-        observably identical — same outputs, counters, error selection,
-        and trace event stream — and the ``congest_engine_equivalence``
-        check in :mod:`repro.check` enforces this; ``"reference"``
-        exists as that check's oracle and as executable documentation of
-        the semantics.
+        ``engine`` selects the round loop: ``"fast"`` (the default) runs
+        the active-set scheduler, ``"reference"`` the straight-line loop
+        it was derived from.  The two are observably identical — same
+        outputs, counters, error selection, and trace event stream — and
+        the ``congest:engine-equivalence`` check in :mod:`repro.check`
+        enforces this; ``"reference"`` exists as that check's oracle and
+        as executable documentation of the semantics.
         """
-        if engine is None:
-            engine = _DEFAULT_ENGINE
-        if engine not in ENGINES:
+        if engine not in ("fast", "reference"):
             raise ValueError(f"unknown engine {engine!r}")
         self.rounds = 0
         self.total_messages = 0
@@ -334,8 +294,6 @@ class CongestSimulator:
         try:
             if engine == "fast":
                 self._loop_fast(contexts, algos, max_rounds, sink)
-            elif engine == "vectorized":
-                self._loop_vectorized(contexts, algos, max_rounds, sink)
             else:
                 self._loop_reference(contexts, algos, max_rounds, sink)
             if sink is not None:
@@ -422,195 +380,6 @@ class CongestSimulator:
                            messages=self.total_messages - msgs_before,
                            bits=self.total_bits - bits_before,
                            halted=n - len(active))
-
-    def _loop_vectorized(
-        self,
-        contexts: Dict[int, NodeContext],
-        algos: Dict[int, NodeAlgorithm],
-        max_rounds: int,
-        sink: Optional["Tracer"],
-    ) -> None:
-        """Struct-of-arrays round loop (``engine="vectorized"``).
-
-        Outboxes are not kept as per-sender dicts: every checked message
-        is appended to flat per-round buffers — parallel ``array('q')``
-        columns of sender uid, receiver uid, and payload id, plus a
-        payload table deduplicated by object identity so a payload
-        broadcast to ``k`` neighbours is stored and measured once.
-        Counter accounting is batched: per vertex the outgoing batch is
-        validated and appended (:meth:`_ingest_vec`), and once per round
-        the counters are flushed from the buffers (:meth:`_flush_vec`) —
-        a numpy gather/reduce when the round is large enough, else a
-        pure-python sweep.  The flush sits in a ``finally`` so the
-        documented partial-counter semantics survive a mid-round raise:
-        the buffers then hold exactly the messages checked so far, a
-        :class:`BandwidthExceeded` offender included, a non-neighbor
-        ``ValueError`` offender excluded.
-
-        With a sink attached, validation and accounting go through
-        :meth:`_check` per batch instead — the event stream must
-        interleave per message — and the SoA buffers carry delivery
-        only.  Vertex iteration is the fast loop's ascending active
-        list, so halt events and first-error selection are identical.
-        """
-        traced = sink is not None
-        senders = array("q")
-        receivers = array("q")
-        pids = array("q")
-        pbits = array("q")
-        payloads: List[Message] = []
-        pid_of: Dict[int, int] = {}
-
-        # round 0: on_start
-        active: List[int] = []
-        try:
-            for uid, ctx in contexts.items():
-                raw = algos[uid].on_start(ctx)
-                if traced:
-                    self._check(raw, ctx)
-                if raw:
-                    self._ingest_vec(raw, ctx, senders, receivers, pids,
-                                     pbits, payloads, pid_of, traced)
-                if ctx.halted:
-                    if traced:
-                        self._emit("halt", uid=uid)
-                else:
-                    active.append(uid)
-        finally:
-            if not traced:
-                self._flush_vec(pids, pbits)
-
-        n = len(contexts)
-        while active:
-            if self.rounds >= max_rounds:
-                raise RuntimeError(f"exceeded {max_rounds} rounds")
-            self.rounds += 1
-            if traced:
-                self._emit("round_start", active=len(active))
-                msgs_before = self.total_messages
-                bits_before = self.total_bits
-            # Deliver from the previous round's buffers.  Append order
-            # was ascending sender uid with batch dict order within a
-            # sender, so replaying it keys each inbox by ascending
-            # sender exactly as the reference loop builds it.
-            inbox: Dict[int, Dict[int, Message]] = {}
-            for i in range(len(pids)):
-                r = receivers[i]
-                box = inbox.get(r)
-                if box is None:
-                    box = inbox[r] = {}
-                box[senders[i]] = payloads[pids[i]]
-            senders, receivers, pids, pbits = (
-                array("q"), array("q"), array("q"), array("q"))
-            payloads = []
-            pid_of = {}
-            new_active: List[int] = []
-            try:
-                for uid in active:
-                    ctx = contexts[uid]
-                    raw = algos[uid].on_round(ctx, inbox.get(uid) or {})
-                    if traced:
-                        self._check(raw, ctx)
-                    if raw:
-                        self._ingest_vec(raw, ctx, senders, receivers,
-                                         pids, pbits, payloads, pid_of,
-                                         traced)
-                    if ctx.halted:
-                        if traced:
-                            self._emit("halt", uid=uid)
-                    else:
-                        new_active.append(uid)
-            finally:
-                if not traced:
-                    self._flush_vec(pids, pbits)
-            active = new_active
-            if traced:
-                self._emit("round_end",
-                           messages=self.total_messages - msgs_before,
-                           bits=self.total_bits - bits_before,
-                           halted=n - len(active))
-
-    def _ingest_vec(
-        self,
-        raw: Dict[int, Message],
-        ctx: NodeContext,
-        senders: array,
-        receivers: array,
-        pids: array,
-        pbits: array,
-        payloads: List[Message],
-        pid_of: Dict[int, int],
-        traced: bool,
-    ) -> None:
-        """Validate one outgoing batch and append it to the round's SoA
-        buffers (see :meth:`_loop_vectorized`).
-
-        The payload table is per round, so every identity key in
-        ``pid_of`` refers to an object kept alive by ``payloads`` — a
-        recycled ``id()`` can never alias a dead entry.  Any payload
-        over the bandwidth raises at its *first* occurrence, so
-        memoized pids never need re-checking.  In traced mode
-        :meth:`_check` already validated and counted the batch; only
-        the appends remain.
-        """
-        uid = ctx.uid
-        neighbor_set = ctx.neighbor_set
-        # C-level subset check; the per-message membership walk only
-        # runs when it fails (to find the first offender in order).
-        all_ok = traced or raw.keys() <= neighbor_set
-        bandwidth = self.bandwidth
-        for receiver, msg in raw.items():
-            if not all_ok and receiver not in neighbor_set:
-                raise ValueError(
-                    f"vertex {uid} sending to non-neighbor {receiver}")
-            pid = pid_of.get(id(msg))
-            if pid is None:
-                bits = cached_message_bits(msg)
-                pid = len(payloads)
-                pid_of[id(msg)] = pid
-                payloads.append(msg)
-                pbits.append(bits)
-                senders.append(uid)
-                receivers.append(receiver)
-                pids.append(pid)
-                if not traced and bits > bandwidth:
-                    raise BandwidthExceeded(
-                        f"{bits}-bit message exceeds bandwidth "
-                        f"{self.bandwidth}")
-            else:
-                senders.append(uid)
-                receivers.append(receiver)
-                pids.append(pid)
-
-    def _flush_vec(self, pids: array, pbits: array) -> None:
-        """Fold one round's SoA buffers into the public counters.
-
-        ``total_bits``/``max_message_bits`` are a gather of per-payload
-        bit sizes over the message column — ``np.frombuffer`` views the
-        ``array('q')`` buffers zero-copy and reduces in C — with a
-        pure-python sweep below ``_VEC_NUMPY_MIN`` messages or when
-        numpy is unavailable.
-        """
-        k = len(pids)
-        if not k:
-            return
-        self.total_messages += k
-        if _np is not None and k >= _VEC_NUMPY_MIN:
-            per_msg = _np.frombuffer(pbits, dtype=_np.int64)[
-                _np.frombuffer(pids, dtype=_np.int64)]
-            self.total_bits += int(per_msg.sum())
-            mx = int(per_msg.max())
-        else:
-            total = 0
-            mx = 0
-            for p in pids:
-                b = pbits[p]
-                total += b
-                if b > mx:
-                    mx = b
-            self.total_bits += total
-        if mx > self.max_message_bits:
-            self.max_message_bits = mx
 
     def _loop_reference(
         self,

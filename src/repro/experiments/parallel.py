@@ -66,8 +66,7 @@ def _mp_context():
 
 def _worker(experiment_id: str, quick: bool, trace_dir: Optional[str],
             profile: bool, trace_format: str, cache_enabled: bool,
-            cache_dir: Optional[str],
-            engine: Optional[str] = None) -> ExperimentRecord:
+            cache_dir: Optional[str]) -> ExperimentRecord:
     """Process-pool entry point: run one experiment, never raise.
 
     Ordinary exceptions become FAIL records here so only genuine worker
@@ -78,7 +77,7 @@ def _worker(experiment_id: str, quick: bool, trace_dir: Optional[str],
     try:
         return run_experiment(experiment_id, quick=quick,
                               trace_dir=trace_dir, profile=profile,
-                              trace_format=trace_format, engine=engine)
+                              trace_format=trace_format)
     except Exception:
         return ExperimentRecord(
             experiment_id=experiment_id,
@@ -142,8 +141,7 @@ def _run_isolated(experiment_id: str, quick: bool, trace_dir: Optional[str],
                   profile: bool, trace_format: str,
                   cache_cfg: Tuple[bool, Optional[str]],
                   timeout: Optional[float], retries: int, ctx,
-                  first_error: Optional[BaseException],
-                  engine: Optional[str] = None) -> ExperimentRecord:
+                  first_error: Optional[BaseException]) -> ExperimentRecord:
     """Re-run one pool-breaking job alone, once per allowed retry."""
     detail = (f"worker process died ({first_error!r})"
               if first_error is not None else "worker process died")
@@ -151,8 +149,7 @@ def _run_isolated(experiment_id: str, quick: bool, trace_dir: Optional[str],
         executor = futures.ProcessPoolExecutor(max_workers=1, mp_context=ctx)
         try:
             fut = executor.submit(_worker, experiment_id, quick, trace_dir,
-                                  profile, trace_format, *cache_cfg,
-                                  engine=engine)
+                                  profile, trace_format, *cache_cfg)
             try:
                 return fut.result(timeout=timeout)
             except futures.TimeoutError:
@@ -175,16 +172,14 @@ def run_parallel(ids: Sequence[str],
                  retries: int = 1,
                  trace_dir: Optional[str] = None,
                  profile: bool = False,
-                 trace_format: str = "binary",
-                 engine: Optional[str] = None) -> List[ExperimentRecord]:
+                 trace_format: str = "binary") -> List[ExperimentRecord]:
     """Run ``ids`` over ``jobs`` worker processes; records in ``ids`` order.
 
     ``timeout`` is per-experiment wall clock in seconds (``None`` = no
     limit).  ``retries`` bounds how often a job whose worker *died* is
     re-attempted in isolation before it is recorded as a CRASH FAIL.
     Jobs that merely shared a pool with a dying worker are re-run
-    without burning their own retries.  ``engine`` pins the CONGEST
-    round loop inside every worker.
+    without burning their own retries.
     """
     order = list(ids)
     for eid in order:
@@ -214,7 +209,7 @@ def run_parallel(ids: Sequence[str],
                     try:
                         fut = executor.submit(_worker, eid, quick, trace_dir,
                                               profile, trace_format,
-                                              *cache_cfg, engine=engine)
+                                              *cache_cfg)
                     except Exception:
                         pending.appendleft(eid)
                         broken = True
@@ -265,6 +260,5 @@ def run_parallel(ids: Sequence[str],
         for eid, exc in suspects:
             results[eid] = _run_isolated(eid, quick, trace_dir, profile,
                                          trace_format, cache_cfg, timeout,
-                                         retries, ctx, first_error=exc,
-                                         engine=engine)
+                                         retries, ctx, first_error=exc)
     return [results[eid] for eid in order]

@@ -64,20 +64,7 @@ def experiment(experiment_id: str) -> Callable[[ExperimentFn], ExperimentFn]:
 def run_experiment(experiment_id: str, quick: bool = True,
                    trace_dir: Optional[str] = None,
                    profile: bool = False,
-                   trace_format: str = "binary",
-                   engine: Optional[str] = None) -> ExperimentRecord:
-    if engine is not None:
-        # pin the CONGEST round loop for every simulator the experiment
-        # constructs (they consult the process default), restoring the
-        # previous default afterwards
-        from repro.congest.model import configure_engine
-        previous = configure_engine(engine)
-        try:
-            return run_experiment(experiment_id, quick=quick,
-                                  trace_dir=trace_dir, profile=profile,
-                                  trace_format=trace_format)
-        finally:
-            configure_engine(previous)
+                   trace_format: str = "binary") -> ExperimentRecord:
     fn = EXPERIMENTS[experiment_id]
     if trace_dir is None and not profile:
         return fn(quick=quick)
@@ -117,7 +104,6 @@ def run_all(quick: bool = True,
             timeout: Optional[float] = None,
             retries: int = 1,
             trace_format: str = "binary",
-            engine: Optional[str] = None,
             warm: bool = True) -> List[ExperimentRecord]:
     """Run experiments and return their records in deterministic order.
 
@@ -127,8 +113,7 @@ def run_all(quick: bool = True,
     (``solver_profile`` / ``solver_cache`` under ``profile=True``).
     ``jobs > 1`` fans out over worker processes with per-experiment
     ``timeout`` seconds and ``retries`` bounded retries on worker death
-    (see :mod:`repro.experiments.parallel`).  ``engine`` pins the
-    CONGEST round loop for every simulator (in workers too).
+    (see :mod:`repro.experiments.parallel`).
     """
     ids = only if only is not None else sorted(EXPERIMENTS)
     if jobs and jobs > 1:
@@ -139,17 +124,15 @@ def run_all(quick: bool = True,
             records = warm_pool.run_experiments(
                 ids, quick=quick, jobs=jobs, timeout=timeout,
                 retries=retries, trace_dir=trace_dir, profile=profile,
-                trace_format=trace_format, engine=engine)
+                trace_format=trace_format)
             if records is not None:
                 return records
         from repro.experiments.parallel import run_parallel
         return run_parallel(ids, quick=quick, jobs=jobs, timeout=timeout,
                             retries=retries, trace_dir=trace_dir,
-                            profile=profile, trace_format=trace_format,
-                            engine=engine)
+                            profile=profile, trace_format=trace_format)
     return [run_experiment(eid, quick=quick, trace_dir=trace_dir,
-                           profile=profile, trace_format=trace_format,
-                           engine=engine)
+                           profile=profile, trace_format=trace_format)
             for eid in ids]
 
 

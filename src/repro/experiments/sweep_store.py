@@ -34,7 +34,8 @@ Layout and concurrency
 One directory per family key (named by its digest) under the store
 root (default ``~/.cache/repro/sweeps/``), one JSON file per decided
 pair plus a human-readable ``meta.json``.  Writes go through
-``mkstemp`` + ``os.replace`` — the PR 2 disk-cache pattern — so
+:func:`repro.solvers.cache.atomic_write_json` (``mkstemp`` +
+``os.replace``, shared with the solver cache's disk tier), so
 concurrent fork workers draining shards of the same grid can write the
 same key simultaneously: readers see a complete old or complete new
 entry, never a torn one, and equal workloads write equal values so
@@ -49,11 +50,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Set, Tuple
 
-from repro.solvers.cache import default_cache_dir, sweep_stale_tmp
+from repro.solvers.cache import (
+    atomic_write_json,
+    default_cache_dir,
+    sweep_stale_tmp,
+)
 
 Bits = Tuple[int, ...]
 Pair = Tuple[Bits, Bits]
@@ -202,21 +206,7 @@ class SweepStore:
         payload = {"family": fkey.family,
                    "skeleton_hash": fkey.skeleton_hash,
                    "k_bits": fkey.k_bits}
-        self._atomic_write(fdir, path, payload)
-
-    @staticmethod
-    def _atomic_write(fdir: str, path: str, payload: Dict[str, Any]) -> None:
-        fd, tmp = tempfile.mkstemp(dir=fdir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write_json(path, payload)
 
     def store(self, fkey: FamilyKey, x: Sequence[int], y: Sequence[int],
               decision: bool) -> None:
@@ -228,8 +218,8 @@ class SweepStore:
         try:
             os.makedirs(fdir, exist_ok=True)
             self._write_meta(fkey, fdir)
-            self._atomic_write(
-                fdir, os.path.join(fdir, self._pair_name(x, y)), payload)
+            atomic_write_json(
+                os.path.join(fdir, self._pair_name(x, y)), payload)
         except OSError:
             pass
 

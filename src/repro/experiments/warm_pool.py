@@ -546,8 +546,8 @@ class WarmPool:
     # -- experiment fan-out --------------------------------------------
     def run(self, ids: Sequence[str], quick: bool, jobs: int,
             timeout: Optional[float], retries: int,
-            trace_dir: Optional[str], profile: bool, trace_format: str,
-            engine: Optional[str]) -> Optional[List[Any]]:
+            trace_dir: Optional[str], profile: bool,
+            trace_format: str) -> Optional[List[Any]]:
         """Run experiments across warm lanes; records in ``ids`` order.
 
         Same record semantics as :func:`~repro.experiments.parallel.
@@ -584,7 +584,7 @@ class WarmPool:
                 try:
                     fut = lane.executor.submit(
                         _worker, eid, quick, trace_dir, profile,
-                        trace_format, *cache_cfg, engine=engine)
+                        trace_format, *cache_cfg)
                 except Exception:
                     pending.appendleft(eid)
                     try:
@@ -650,7 +650,7 @@ class WarmPool:
                 results[eid] = _run_isolated(
                     eid, quick, trace_dir, profile, trace_format,
                     cache_cfg, timeout, max(1, retries), self._ctx,
-                    first_error=None, engine=engine)
+                    first_error=None)
         return [results[eid] for eid in order]
 
 
@@ -723,8 +723,7 @@ def pool_decisions(family, pairs: Sequence[Tuple[Bits, Bits]], jobs: int,
 def run_experiments(ids: Sequence[str], quick: bool = True, jobs: int = 2,
                     timeout: Optional[float] = None, retries: int = 1,
                     trace_dir: Optional[str] = None, profile: bool = False,
-                    trace_format: str = "binary",
-                    engine: Optional[str] = None) -> Optional[List[Any]]:
+                    trace_format: str = "binary") -> Optional[List[Any]]:
     """Warm-pool twin of :func:`~repro.experiments.parallel.run_parallel`
     — ``None`` means fall back to the cold runner."""
     if not _warmable():
@@ -734,4 +733,4 @@ def run_experiments(ids: Sequence[str], quick: bool = True, jobs: int = 2,
     except Exception:
         return None
     return pool.run(ids, quick, jobs, timeout, retries, trace_dir,
-                    profile, trace_format, engine)
+                    profile, trace_format)

@@ -223,7 +223,11 @@ def mvc_three_halves_protocol(inst: PartitionedInstance,
     # player covers everything touching its side (cut edges included)
     cover = list(min_vertex_cover(inst.side_graph(small_side)))
     big = Graph()
-    big.add_vertices(big_side | inst.cut_vertices())
+    # canonical order: which optimum min_vertex_cover returns depends on
+    # vertex insertion order, so set order would make the cover (and the
+    # reported ratio) depend on PYTHONHASHSEED
+    big.add_vertices(sorted(big_side | inst.cut_vertices(),
+                            key=label_sort_key))
     for u, v in inst.internal_edges(big_side) + inst.cut_edges():
         big.add_edge(u, v)
     big_cover = min_vertex_cover(big)

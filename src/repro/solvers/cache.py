@@ -171,6 +171,26 @@ def sweep_stale_tmp(directory: str,
     return removed
 
 
+def atomic_write_json(path: str, payload: Any) -> None:
+    """Write ``payload`` as JSON to ``path`` atomically: dump to a
+    ``mkstemp`` sibling, then ``os.replace`` it into place, so readers
+    see a complete old or complete new file, never a torn one.  The temp
+    file is unlinked on failure; a killed writer leaves only a ``*.tmp``
+    for :func:`sweep_stale_tmp`.  ``OSError`` propagates to the caller.
+    """
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 @dataclass
 class CacheStats:
     """Per-solver hit/miss counters (``disk_hits`` ⊆ ``hits``)."""
@@ -267,17 +287,7 @@ class SolverCache:
         payload = {"solver": name, "key": canonical, "value": encoded}
         try:
             os.makedirs(self.cache_dir, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    json.dump(payload, fh)
-                os.replace(tmp, self._path(digest))
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            atomic_write_json(self._path(digest), payload)
         except OSError:
             pass  # an unwritable disk tier degrades to memory-only
 

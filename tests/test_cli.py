@@ -101,11 +101,3 @@ class TestBenchHistoryErrors:
         bad.write_text("[]")
         assert rec.main(["--quick", "--file", str(bad)]) == 1
         assert "wrong shape" in capsys.readouterr().err
-
-
-def test_experiments_engine_flag(capsys):
-    main(["experiments", "--only", "E-T1.1-simulation",
-          "--engine", "vectorized"])
-    out = capsys.readouterr().out
-    assert "E-T1.1-simulation" in out
-    assert "PASS" in out

@@ -1,12 +1,12 @@
-"""Property tests: the fast and vectorized CONGEST engines are
-observably identical to the reference loop.
+"""Property tests: the fast CONGEST engine is observably identical to
+the reference loop.
 
 The heavy lifting lives in :func:`repro.check.engine_check.
 check_engine_equivalence` (also registered in ``repro check``); here it
 is driven over the seeded fuzz families, plus direct assertions on the
 corners the ISSUE calls out — counter equality and the
 ``BandwidthExceeded`` / non-neighbor ``ValueError`` partial-counter
-contracts on every engine, traced and untraced.
+contracts on both loops, traced and untraced.
 """
 
 import pytest
@@ -14,20 +14,18 @@ import pytest
 from repro.check.engine_check import check_engine_equivalence
 from repro.check.fuzz import FAMILIES, make_case
 from repro.congest.model import (
-    ENGINES,
     BandwidthExceeded,
     CongestSimulator,
     NodeAlgorithm,
     cached_message_bits,
-    configure_engine,
-    default_engine,
     message_bits,
 )
 from repro.graphs import Graph, path_graph, random_graph
 
 SEED = 0xEE
 
-CANDIDATES = ("fast", "vectorized")
+CANDIDATES = ("fast",)
+ENGINES = ("fast", "reference")
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -117,40 +115,13 @@ class TestBandwidthPartialCounters:
         assert rounds == 1
         assert messages == 11
 
-    def test_vectorized_numpy_fallback_counters(self, monkeypatch):
-        from repro.congest import model
-
-        g = path_graph(5)
-        expected = _run_counters(g, "reference")
-        monkeypatch.setattr(model, "_np", None)
-        assert _run_counters(g, "vectorized") == expected
-
 
 class TestEngineApi:
     def test_unknown_engine_rejected(self):
         sim = CongestSimulator(path_graph(3))
-        with pytest.raises(ValueError):
-            sim.run(_Overflow, engine="turbo")
-
-    def test_configure_engine_sets_run_default(self):
-        from repro.congest.algorithms.basic import FloodMinId
-
-        assert default_engine() == "fast"
-        previous = configure_engine("vectorized")
-        try:
-            assert previous == "fast"
-            assert default_engine() == "vectorized"
-            sim = CongestSimulator(path_graph(4))
-            out = sim.run(FloodMinId)  # engine=None -> module default
-            assert out == {v: 0 for v in range(4)}
-        finally:
-            configure_engine(previous)
-        assert default_engine() == "fast"
-
-    def test_configure_engine_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            configure_engine("turbo")
-        assert default_engine() == "fast"
+        for name in ("turbo", "vectorized", None):
+            with pytest.raises(ValueError):
+                sim.run(_Overflow, engine=name)
 
     @pytest.mark.parametrize("engine", CANDIDATES)
     def test_counters_match_on_normal_run(self, engine):

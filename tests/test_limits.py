@@ -131,6 +131,31 @@ class TestCoverProtocols:
             assert len(set(cover)) <= \
                 1.5 * min_vertex_cover_size(inst.graph) + 1e-9
 
+    def test_protocol_limits_row_independent_of_hash_seed(self):
+        # the experiment row (mvc_3/2_ratio included) must not depend on
+        # set iteration order; run it under two PYTHONHASHSEED values
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "from repro.experiments import run_experiment\n"
+            "print(run_experiment('E-C5.4-C5.9-protocol-limits').as_row())\n"
+        )
+        src = os.path.abspath(
+            os.path.join(os.path.dirname(__file__), "..", "src"))
+        rows = []
+        for seed in ("0", "203"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (src, env.get("PYTHONPATH", "")) if p)
+            proc = subprocess.run(
+                [sys.executable, "-c", script], env=env,
+                capture_output=True, text=True, check=True)
+            rows.append(proc.stdout)
+        assert "mvc_3/2_ratio=1.083" in rows[0]
+        assert rows[0] == rows[1]
+
     def test_mvc_ptas(self, rng):
         for eps in (0.4, 1.0):
             inst = random_partitioned(10, 0.35, rng)

@@ -357,7 +357,7 @@ class TestReportCli:
     def test_report_smoke(self, tmp_path, capsys):
         from repro.cli import main
 
-        main(["report", str(self._write_trace(tmp_path))])
+        main(["report", "trace", str(self._write_trace(tmp_path))])
         out = capsys.readouterr().out
         assert "CONGEST trace report" in out
         assert "BfsFromRoot" in out
@@ -365,7 +365,8 @@ class TestReportCli:
     def test_report_with_cut(self, tmp_path, capsys):
         from repro.cli import main
 
-        main(["report", str(self._write_trace(tmp_path)), "--cut", "0"])
+        main(["report", "trace", str(self._write_trace(tmp_path)),
+              "--cut", "0"])
         out = capsys.readouterr().out
         assert "cut bits" in out
 
@@ -373,14 +374,20 @@ class TestReportCli:
         from repro.cli import main
 
         with pytest.raises(SystemExit):
-            main(["report", str(tmp_path / "nope.jsonl")])
+            main(["report", "trace", str(tmp_path / "nope.jsonl")])
 
     def test_report_rejects_bad_cut(self, tmp_path):
         from repro.cli import main
 
         with pytest.raises(SystemExit):
-            main(["report", str(self._write_trace(tmp_path)),
+            main(["report", "trace", str(self._write_trace(tmp_path)),
                   "--cut", "a,b"])
+
+    def test_report_requires_view_keyword(self, tmp_path):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit, match="unknown report view"):
+            main(["report", str(self._write_trace(tmp_path))])
 
 
 class TestTraceEventSerialization:

@@ -344,12 +344,6 @@ class TestStudioCli:
         assert "CONGEST trace report" in out
         assert "cut bits" in out
 
-    def test_report_legacy_spelling_binary(self, capsys):
-        from repro.cli import main
-
-        main(["report", GOLDEN_RTB])
-        assert "BfsFromRoot" in capsys.readouterr().out
-
     def test_report_trace_run_flag(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -328,3 +328,14 @@ class TestStaleTmpCleanup:
         from repro.solvers.cache import sweep_stale_tmp
 
         assert sweep_stale_tmp(str(tmp_path / "nope")) == 0
+
+    def test_failed_atomic_write_keeps_old_file_and_no_tmp(self, tmp_path):
+        from repro.solvers.cache import atomic_write_json
+
+        path = str(tmp_path / "entry.json")
+        atomic_write_json(path, {"v": 1})
+        with pytest.raises(TypeError):
+            atomic_write_json(path, {"v": object()})  # not JSON-encodable
+        with open(path, encoding="utf-8") as fh:
+            assert json.load(fh) == {"v": 1}
+        assert not list(tmp_path.glob("*.tmp"))

@@ -59,10 +59,18 @@ class CrashOnceInWorkers(MdsFamily):
         self.flag_path = flag_path
 
     def predicate(self, graph):
-        if os.getpid() != PARENT_PID and not os.path.exists(self.flag_path):
-            with open(self.flag_path, "w") as fh:
-                fh.write(str(os.getpid()))
-            os._exit(17)
+        if os.getpid() != PARENT_PID:
+            # O_EXCL makes the claim atomic, so exactly one lane dies
+            # even when both reach the trigger pair at once
+            try:
+                fd = os.open(self.flag_path,
+                             os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:
+                pass
+            else:
+                os.write(fd, str(os.getpid()).encode())
+                os.close(fd)
+                os._exit(17)
         return super().predicate(graph)
 
 
