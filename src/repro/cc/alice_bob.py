@@ -20,8 +20,7 @@ from typing import Any, Callable, Dict, Iterable, Optional, Set, Tuple
 
 from repro.congest.model import CongestSimulator, NodeAlgorithm
 from repro.graphs import Graph, Vertex
-from repro.obs.metrics import CutBitCounter
-from repro.obs.trace import MultiTracer, Tracer
+from repro.obs.trace import Tracer
 
 
 @dataclass
@@ -35,7 +34,7 @@ class TwoPartySimulation:
     bandwidth: int
     outputs: Dict[Vertex, Any] = field(repr=False, default_factory=dict)
     #: bits crossing the cut in each round (round 0 = ``on_start``),
-    #: from the trace-level :class:`repro.obs.metrics.CutBitCounter`.
+    #: counted by the simulator as each message is sent.
     cut_bits_by_round: Dict[int, int] = field(repr=False, default_factory=dict)
 
     @property
@@ -70,12 +69,15 @@ def simulate_two_party(
     LOCAL model, and any other value a custom per-edge bound — so the
     Theorem 1.1 accounting can be measured under every model.
 
-    The cut bits are counted twice, independently: once by the legacy
-    per-message ``observer`` callback and once by a trace-level
-    :class:`CutBitCounter`.  The two totals are asserted equal, so the
-    Theorem 1.1 accounting is cross-checked on every simulation.  An
-    extra ``tracer`` (e.g. a ``JsonlTracer``) receives the full event
-    stream alongside the counter.
+    The cut bits are counted twice, independently, by the simulator
+    itself (see :class:`CongestSimulator`): once as each message passes
+    the bandwidth check and once from the precomputed cut edges as each
+    outbox is delivered.  The two totals are asserted equal, so the
+    Theorem 1.1 accounting is cross-checked on every simulation.  Neither
+    count needs the event stream, so an untraced run stays on the
+    simulator's fast path; an explicit ``tracer`` (e.g. a
+    ``JsonlTracer``) receives the full event stream, from which
+    :class:`repro.obs.metrics.CutBitCounter` recounts the same numbers.
     """
     va_set: Set[Vertex] = set(va)
     vb_set = set(graph.vertices()) - va_set
@@ -87,43 +89,24 @@ def simulate_two_party(
     sim = CongestSimulator(graph, bandwidth=bandwidth,
                            bandwidth_factor=bandwidth_factor,
                            tracer=tracer)
-    alice_uids = {sim.uid_of[v] for v in va_set}
-    cut_counter = CutBitCounter(alice_uids)
-    # layer the cut counter on top of whatever tracer was resolved
-    # (explicit argument or the ambient trace_to_directory tracer)
-    saved_tracer, saved_observer = sim.tracer, sim.observer
-    sinks = [cut_counter] + ([sim.tracer] if sim.tracer is not None else [])
-    sim.tracer = MultiTracer(sinks)
-    side_of_uid = {sim.uid_of[v]: (v in va_set) for v in graph.vertices()}
-    counter = {"bits": 0, "messages": 0}
-
-    def observer(sender: int, receiver: int, bits: int) -> None:
-        if side_of_uid[sender] != side_of_uid[receiver]:
-            counter["bits"] += bits
-            counter["messages"] += 1
-
-    sim.observer = observer
-    try:
-        outputs = sim.run(algorithm_factory, inputs=inputs,
-                          max_rounds=max_rounds)
-    finally:
-        # leave the simulator as constructed: a caller reusing `sim` for
-        # another run must not inherit this run's cut counter/observer
-        sim.tracer, sim.observer = saved_tracer, saved_observer
-    if (counter["bits"], counter["messages"]) != (
-            cut_counter.cut_bits, cut_counter.cut_messages):
+    sim.cut = {sim.uid_of[v] for v in va_set}
+    outputs = sim.run(algorithm_factory, inputs=inputs,
+                      max_rounds=max_rounds)
+    if (sim.cut_bits, sim.cut_messages) != (
+            sim.delivery_cut_bits, sim.delivery_cut_messages):
         raise AssertionError(
-            "cut accounting mismatch: observer saw "
-            f"{counter['bits']} bits / {counter['messages']} messages, "
-            f"trace saw {cut_counter.cut_bits} / {cut_counter.cut_messages}")
+            "cut accounting mismatch: send side counted "
+            f"{sim.cut_bits} bits / {sim.cut_messages} messages, "
+            f"delivery side {sim.delivery_cut_bits} / "
+            f"{sim.delivery_cut_messages}")
     return TwoPartySimulation(
         rounds=sim.rounds,
-        cut_bits=counter["bits"],
-        cut_messages=counter["messages"],
+        cut_bits=sim.cut_bits,
+        cut_messages=sim.cut_messages,
         ecut_size=len(ecut),
         bandwidth=sim.bandwidth,
         outputs=outputs,
-        cut_bits_by_round=dict(sorted(cut_counter.bits_by_round.items())),
+        cut_bits_by_round=dict(sim.cut_bits_by_round),
     )
 
 

@@ -14,6 +14,14 @@ Each scenario runs traced and untraced on both loops.  The untraced
 runs matter because they exercise the fast engine's no-sink code path —
 ``_check_fast`` (no event construction, no outbox copy, memoized
 ``message_bits``) — which the traced runs bypass.
+
+Every run also counts the Theorem 1.1 cut traffic across a fixed
+bipartition (Alice = uids below n/2).  ``cut_bits``, ``cut_messages``
+and ``cut_bits_by_round`` must agree across all four legs.  A completed
+run's delivery-side tally must equal its send-side count.  In traced
+mode, :class:`repro.obs.metrics.CutBitCounter` replayed over the event
+stream must give the in-loop counts too, so the trace-level counter
+stays an independent oracle of the simulator's own accounting.
 """
 
 from __future__ import annotations
@@ -55,6 +63,9 @@ def _collect_scenario():
     return lambda: CollectAndSolve(solver)
 
 
+_CUT_FIELDS = ("cut_bits", "cut_messages", "cut_bits_by_round")
+
+
 def _snapshot(graph: Graph, factory: Callable, inputs: Optional[Dict],
               engine: str, traced: bool) -> Dict[str, Any]:
     from repro.congest.model import CongestSimulator
@@ -69,7 +80,9 @@ def _snapshot(graph: Graph, factory: Callable, inputs: Optional[Dict],
         ambient = default_tracer()
         if ambient is not None:
             sink = MultiTracer([tracer, ambient])
-    sim = CongestSimulator(graph, bandwidth_factor=40, tracer=sink)
+    alice = range((graph.n + 1) // 2)
+    sim = CongestSimulator(graph, bandwidth_factor=40, tracer=sink,
+                           cut=alice)
     outputs: Any = None
     error: Optional[str] = None
     try:
@@ -83,13 +96,41 @@ def _snapshot(graph: Graph, factory: Callable, inputs: Optional[Dict],
         "total_messages": sim.total_messages,
         "total_bits": sim.total_bits,
         "max_message_bits": sim.max_message_bits,
+        "cut_bits": sim.cut_bits,
+        "cut_messages": sim.cut_messages,
+        "cut_bits_by_round": dict(sim.cut_bits_by_round),
+        "cut_audit": _audit_cut(sim, alice, error is None,
+                                tracer.events if traced else None),
         "events": list(tracer.events) if traced else None,
     }
 
 
+def _audit_cut(sim: Any, alice: range, completed: bool,
+               events: Optional[List[Any]]) -> Optional[str]:
+    """The simulator's send-side cut counts against its delivery-side
+    tally (complete only for a completed run) and, given the run's
+    events, against :class:`CutBitCounter` replayed over them."""
+    from repro.obs import CutBitCounter
+
+    in_loop = (sim.cut_bits, sim.cut_messages, sim.cut_bits_by_round)
+    delivered = (sim.delivery_cut_bits, sim.delivery_cut_messages)
+    if completed and delivered != in_loop[:2]:
+        return (f"delivery side counted {delivered[0]} bits / "
+                f"{delivered[1]} messages, send side "
+                f"{in_loop[0]} / {in_loop[1]}")
+    if events is not None:
+        oracle = CutBitCounter(alice).consume(events)
+        replayed = (oracle.cut_bits, oracle.cut_messages,
+                    oracle.bits_by_round)
+        if replayed != in_loop:
+            return (f"CutBitCounter over the trace gave {replayed!r}, "
+                    f"the simulator {in_loop!r}")
+    return None
+
+
 def _diff(ref: Dict[str, Any], cand: Dict[str, Any]) -> Optional[str]:
     for field in ("outputs", "error", "rounds", "total_messages",
-                  "total_bits", "max_message_bits"):
+                  "total_bits", "max_message_bits") + _CUT_FIELDS:
         if ref[field] != cand[field]:
             return f"{field}: reference={ref[field]!r} fast={cand[field]!r}"
     if ref["events"] is not None:
@@ -126,11 +167,23 @@ def check_engine_equivalence(graph: Graph) -> Optional[str]:
     mode, and first diverging field/event.
     """
     for name, factory, inputs in _scenarios(graph):
+        refs = []
         for traced in (False, True):
+            mode = "traced" if traced else "untraced"
             ref = _snapshot(graph, factory, inputs, "reference", traced)
             cand = _snapshot(graph, factory, inputs, "fast", traced)
+            for engine, snap in (("reference", ref), ("fast", cand)):
+                if snap["cut_audit"] is not None:
+                    return (f"cut accounting [{name}, {engine}, {mode}]: "
+                            f"{snap['cut_audit']}")
             diff = _diff(ref, cand)
             if diff is not None:
-                mode = "traced" if traced else "untraced"
                 return f"engine divergence [{name}, fast, {mode}]: {diff}"
+            refs.append(ref)
+        untraced, traced_ref = refs
+        for field in _CUT_FIELDS:
+            if untraced[field] != traced_ref[field]:
+                return (f"cut divergence [{name}, reference]: {field}: "
+                        f"untraced={untraced[field]!r} "
+                        f"traced={traced_ref[field]!r}")
     return None

@@ -204,18 +204,17 @@ class CollectAndSolve(NodeAlgorithm):
         if not self.down_queue:
             return {}
         rec = self.down_queue.pop(0)
-        out: Dict[int, Message] = {}
         if rec[0] == "S":
-            for c in self.children:
-                out[c] = (_T_SOL, rec[1], rec[2])
+            msg = (_T_SOL, rec[1], rec[2])
         else:
-            for c in self.children:
-                out[c] = (_T_EOT, rec[1])
+            msg = (_T_EOT, rec[1])
             if ctx.uid == self.leader:
                 self.got_eot = True
             # after forwarding EOT this vertex is finished
             ctx.halt({"value": self.my_value, "global": self.global_value})
-        return out
+        # one payload object for every child, so the simulator sizes it
+        # once per batch (its broadcast fast path)
+        return {c: msg for c in self.children}
 
 
 def run_collect_and_solve(

@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple, Union
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple, Union,
+)
 
 from repro.graphs import DiGraph, Graph, Vertex, label_sort_key
 
@@ -48,6 +50,15 @@ def message_bits(msg: Message) -> int:
     over-counts a little; the paper's bounds are asymptotic and the
     simulator only needs a consistent, conservative measure.
     """
+    tp = type(msg)
+    # exact-type fast path for the common payloads; subclasses (``bool``,
+    # ``IntEnum``, named tuples) fall through to the ``isinstance`` chain
+    if tp is int:
+        return max(1, msg.bit_length() + 1)
+    if tp is tuple:
+        return sum(message_bits(x) + 2 for x in msg)
+    if tp is str:
+        return 8 * len(msg)
     if msg is None:
         return 1
     if isinstance(msg, bool):
@@ -70,17 +81,21 @@ def message_bits(msg: Message) -> int:
 
 
 #: Bounded memo for :func:`message_bits`.  Keys are chosen so that no two
-#: payloads with *different* bit costs can collide: scalars are keyed by
-#: ``(type, value)`` (so ``True``/``1``/``1.0`` — equal under ``==`` but
-#: differently sized — land in distinct buckets because their types
-#: differ), and tuples are only cached when every element is exactly an
-#: ``int`` (an equal tuple containing a ``bool``, e.g. ``(True, 2)`` vs
-#: ``(1, 2)``, is never eligible for lookup or insertion, so the
-#: collision cannot be observed).  The cache is cleared wholesale when it
-#: reaches ``_BITS_CACHE_MAX`` entries — workloads cycle through a small
-#: vocabulary of payload shapes, so eviction order is irrelevant.
+#: payloads with *different* bit costs can collide: string and byte
+#: scalars are keyed by ``(type, value)``, and tuples are keyed by
+#: themselves only when every element is exactly an ``int``, ``str`` or
+#: ``None``, or a plain tuple of exactly those (one level deep, which
+#: covers the pipelined edge records of
+#: :mod:`repro.congest.algorithms.collect`).  Payloads that compare equal
+#: but cost differently — ``True``/``1``/``1.0``, an ``IntEnum`` member
+#: and its value, ``(True, 2)`` vs ``(1, 2)`` — always contain a
+#: non-exact type, so they are never eligible for lookup or insertion and
+#: the collision cannot be observed.  The cache is cleared wholesale when
+#: it reaches ``_BITS_CACHE_MAX`` entries — workloads cycle through a
+#: small vocabulary of payload shapes, so eviction order is irrelevant.
 _BITS_CACHE: Dict[Any, int] = {}
 _BITS_CACHE_MAX = 4096
+_FLAT_TYPES = frozenset({int, str, type(None)})
 
 
 def cached_message_bits(msg: Message) -> int:
@@ -93,8 +108,14 @@ def cached_message_bits(msg: Message) -> int:
     tp = type(msg)
     if tp is tuple:
         for x in msg:
-            if type(x) is not int:
+            tx = type(x)
+            if tx in _FLAT_TYPES:
+                continue
+            if tx is not tuple:
                 return message_bits(msg)
+            for y in x:
+                if type(y) not in _FLAT_TYPES:
+                    return message_bits(msg)
         key: Any = msg
     elif tp is str or tp is bytes:
         key = (tp, msg)
@@ -171,8 +192,19 @@ class CongestSimulator:
     ``max_message_bits``) are **per run**: :meth:`run` resets them on
     entry, so a reused simulator reports statistics for its latest run
     only.  Pass ``tracer=`` (see :mod:`repro.obs.trace`) to capture the
-    full structured event stream; the legacy ``observer`` callback is
-    kept working as an adapter layered on the same stream.
+    full structured event stream.
+
+    Pass ``cut=`` (or assign :attr:`cut`) the set of Alice's uids to
+    count the Theorem 1.1 traffic across that bipartition.  The message
+    check itself keeps ``cut_bits``, ``cut_messages`` and
+    ``cut_bits_by_round``, so both round loops count them, traced or
+    untraced, and a message counts on the round it is sent (the round of
+    its ``message`` event).  ``delivery_cut_bits`` and
+    ``delivery_cut_messages`` count the same traffic independently: from
+    the precomputed cut edges, as each round's outbox is delivered, plus
+    one sweep over the outbox left undelivered when the run ends.  On a
+    completed run the two tallies must agree.  All cut counters are per
+    run, like the others.
     """
 
     def __init__(
@@ -181,6 +213,7 @@ class CongestSimulator:
         bandwidth: Optional[float] = None,
         bandwidth_factor: int = 8,
         tracer: Optional[Any] = None,
+        cut: Optional[Iterable[int]] = None,
     ) -> None:
         """``bandwidth=None`` selects the standard CONGEST
         ``bandwidth_factor·log2 n`` bits; ``math.inf`` gives the LOCAL
@@ -190,7 +223,9 @@ class CongestSimulator:
         ``NullTracer()`` to force tracing off.  A ``str``/path tracer
         opens a file tracer at that path via
         :func:`repro.obs.trace.open_tracer` (format inferred from the
-        extension: ``.jsonl`` → JSON lines, else compact binary)."""
+        extension: ``.jsonl`` → JSON lines, else compact binary).
+        ``cut`` is Alice's side of a bipartition, as simulator uids (see
+        :attr:`cut`)."""
         self.graph = graph
         base = graph.to_undirected() if isinstance(graph, DiGraph) else graph
         self._base = base
@@ -204,6 +239,14 @@ class CongestSimulator:
         self.total_messages = 0
         self.total_bits = 0
         self.max_message_bits = 0
+        self.cut_bits = 0
+        self.cut_messages = 0
+        #: bits crossing the cut per round (round 0 = ``on_start``);
+        #: only rounds with cut traffic appear, in ascending order
+        self.cut_bits_by_round: Dict[int, int] = {}
+        self.delivery_cut_bits = 0
+        self.delivery_cut_messages = 0
+        self.cut = cut
         if tracer is None:
             from repro.obs.trace import default_tracer
             tracer = default_tracer()
@@ -211,31 +254,42 @@ class CongestSimulator:
             from repro.obs.trace import open_tracer
             tracer = open_tracer(tracer)
         self.tracer = tracer
-        #: the active event sink during :meth:`run` (tracer + observer
-        #: adapter), or ``None`` when tracing is fully disabled.
+        #: the active event sink during :meth:`run`, or ``None`` when
+        #: tracing is disabled (the hot path then skips event
+        #: construction entirely).
         self._sink: Optional["Tracer"] = None
-        #: optional callback ``(sender uid, receiver uid, bits)`` invoked on
-        #: every message; used by the Theorem 1.1 two-party simulation.
-        #: Internally implemented as an :class:`ObserverTracer` riding the
-        #: event stream.
-        self.observer: Optional[Callable[[int, int, int], None]] = None
 
-    def _compose_sink(self) -> Optional["Tracer"]:
-        """Combine the explicit tracer and the legacy observer into one
-        sink; ``None`` when neither wants events (the hot path then skips
-        event construction entirely)."""
-        sinks = []
-        if self.tracer is not None and getattr(self.tracer, "enabled", True):
-            sinks.append(self.tracer)
-        if self.observer is not None:
-            from repro.obs.trace import ObserverTracer
-            sinks.append(ObserverTracer(self.observer))
-        if not sinks:
-            return None
-        if len(sinks) == 1:
-            return sinks[0]
-        from repro.obs.trace import MultiTracer
-        return MultiTracer(sinks)
+    @property
+    def cut(self) -> Optional[FrozenSet[int]]:
+        """Alice's uids, or ``None`` when no cut is counted.  A message
+        crosses the cut iff exactly one endpoint is Alice's."""
+        return self._alice
+
+    @cut.setter
+    def cut(self, alice_uids: Optional[Iterable[int]]) -> None:
+        if alice_uids is None:
+            self._alice = None
+            #: per-uid side (``True`` = Alice), read by the message check
+            self._side: Optional[List[bool]] = None
+            #: uid -> the neighbour uids across the cut, read on delivery
+            self._cut_adj: Dict[int, Tuple[int, ...]] = {}
+            return
+        alice = frozenset(alice_uids)
+        stray = sorted((u for u in alice
+                        if not (type(u) is int and 0 <= u < self.n)), key=repr)
+        if stray:
+            raise ValueError(f"cut uids {stray} outside 0..{self.n - 1}")
+        side = [uid in alice for uid in range(self.n)]
+        across: Dict[int, List[int]] = {}
+        uid_of = self.uid_of
+        for u, v in self._base.edges():
+            a, b = uid_of[u], uid_of[v]
+            if side[a] != side[b]:
+                across.setdefault(a, []).append(b)
+                across.setdefault(b, []).append(a)
+        self._alice = alice
+        self._side = side
+        self._cut_adj = {u: tuple(sorted(ws)) for u, ws in across.items()}
 
     def _emit(self, kind: str, **data: Any) -> None:
         from repro.obs.trace import TraceEvent
@@ -267,6 +321,11 @@ class CongestSimulator:
         self.total_messages = 0
         self.total_bits = 0
         self.max_message_bits = 0
+        self.cut_bits = 0
+        self.cut_messages = 0
+        self.cut_bits_by_round = {}
+        self.delivery_cut_bits = 0
+        self.delivery_cut_messages = 0
         inputs = inputs or {}
         base = self._base
         contexts: Dict[int, NodeContext] = {}
@@ -285,7 +344,10 @@ class CongestSimulator:
                 weights, base.vertex_weight(label))
             algos[uid] = algorithm_factory()
 
-        self._sink = sink = self._compose_sink()
+        tracer = self.tracer
+        sink = tracer if tracer is not None and \
+            getattr(tracer, "enabled", True) else None
+        self._sink = sink
         if sink is not None:
             algo_name = type(next(iter(algos.values()))).__name__ \
                 if algos else "?"
@@ -341,6 +403,7 @@ class CongestSimulator:
                 active.append(uid)
 
         n = len(contexts)
+        tally = self._tally_delivery if self._cut_adj else None
         while active:
             if self.rounds >= max_rounds:
                 raise RuntimeError(f"exceeded {max_rounds} rounds")
@@ -349,6 +412,8 @@ class CongestSimulator:
                 self._emit("round_start", active=len(active))
                 msgs_before = self.total_messages
                 bits_before = self.total_bits
+            if tally is not None:
+                tally(outbox)
             # Deliver.  Senders appear in ascending uid order, so each
             # receiver's inbox is keyed by ascending sender uid exactly
             # as the reference loop builds it.
@@ -380,6 +445,8 @@ class CongestSimulator:
                            messages=self.total_messages - msgs_before,
                            bits=self.total_bits - bits_before,
                            halted=n - len(active))
+        if tally is not None:
+            tally(outbox)
 
     def _loop_reference(
         self,
@@ -399,6 +466,7 @@ class CongestSimulator:
                 self._emit("halt", uid=uid)
 
         halted_total = sum(1 for ctx in contexts.values() if ctx.halted)
+        tally = self._tally_delivery if self._cut_adj else None
         while not all(ctx.halted for ctx in contexts.values()):
             if self.rounds >= max_rounds:
                 raise RuntimeError(f"exceeded {max_rounds} rounds")
@@ -408,6 +476,8 @@ class CongestSimulator:
                            active=len(contexts) - halted_total)
                 msgs_before = self.total_messages
                 bits_before = self.total_bits
+            if tally is not None:
+                tally(outbox.items())
             inbox: Dict[int, Dict[int, Message]] = {uid: {} for uid in contexts}
             for sender, msgs in outbox.items():
                 for receiver, msg in msgs.items():
@@ -428,6 +498,32 @@ class CongestSimulator:
                            messages=self.total_messages - msgs_before,
                            bits=self.total_bits - bits_before,
                            halted=halted_total)
+        if tally is not None:
+            tally(outbox.items())
+
+    def _tally_delivery(
+        self, outbox: Iterable[Tuple[int, Dict[int, Message]]],
+    ) -> None:
+        """Delivery-side cut tally over one outbox: for each sender,
+        look up its cut neighbours and size what it sent them with the
+        uncached :func:`message_bits`.  Shares nothing with the send-side
+        count in :meth:`_count_cut` but the cut itself."""
+        cut_adj = self._cut_adj
+        for sender, msgs in outbox:
+            across = cut_adj.get(sender)
+            if across is None:
+                continue
+            for receiver in across:
+                if receiver in msgs:
+                    self.delivery_cut_bits += message_bits(msgs[receiver])
+                    self.delivery_cut_messages += 1
+
+    def _count_cut(self, bits: int) -> None:
+        """Send-side cut count of one message, in the current round."""
+        self.cut_bits += bits
+        self.cut_messages += 1
+        by_round = self.cut_bits_by_round
+        by_round[self.rounds] = by_round.get(self.rounds, 0) + bits
 
     def _check(self, msgs: Dict[int, Message], ctx: NodeContext) -> Dict[int, Message]:
         # A vertex may halt and still deliver the messages it returned in
@@ -440,8 +536,13 @@ class CongestSimulator:
         # is raised the counters therefore include every message checked
         # so far — the offending one included — and exclude the rest of
         # the rejected batch.  A simulator that raised mid-run reports
-        # partial counts, not the counts of a completed run.
+        # partial counts, not the counts of a completed run.  The
+        # send-side cut counters (``cut_bits``, ``cut_messages``,
+        # ``cut_bits_by_round``) follow the same rule; the delivery-side
+        # tally is only complete for a completed run.
         sink = self._sink
+        side = self._side
+        my_side = side[ctx.uid] if side is not None else None
         for receiver, msg in msgs.items():
             if receiver not in ctx.neighbor_set:
                 raise ValueError(
@@ -450,6 +551,8 @@ class CongestSimulator:
             self.total_messages += 1
             self.total_bits += bits
             self.max_message_bits = max(self.max_message_bits, bits)
+            if side is not None and side[receiver] != my_side:
+                self._count_cut(bits)
             ok = bits <= self.bandwidth
             if sink is not None:
                 self._emit("message", sender=ctx.uid, receiver=receiver,
@@ -468,9 +571,13 @@ class CongestSimulator:
         # raise, preserving the partial-counter semantics documented
         # above: on failure they include every message checked so far —
         # for :class:`BandwidthExceeded` the offending message included,
-        # for the non-neighbor :class:`ValueError` excluded.
+        # for the non-neighbor :class:`ValueError` excluded.  Cut
+        # messages are rare, so they go straight to :meth:`_count_cut`
+        # as they are checked, which gives the same partial counts.
         if not msgs:
             return msgs
+        side = self._side
+        my_side = side[ctx.uid] if side is not None else None
         neighbor_set = ctx.neighbor_set
         bandwidth = self.bandwidth
         batch_messages = 0
@@ -497,6 +604,8 @@ class CongestSimulator:
             batch_bits += bits
             if bits > batch_max:
                 batch_max = bits
+            if side is not None and side[receiver] != my_side:
+                self._count_cut(bits)
             if bits > bandwidth:
                 self.total_messages += batch_messages
                 self.total_bits += batch_bits

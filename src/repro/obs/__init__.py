@@ -27,7 +27,6 @@ from repro.obs.trace import (
     JsonlTracer,
     MultiTracer,
     NullTracer,
-    ObserverTracer,
     RecordingTracer,
     TraceEvent,
     Tracer,
@@ -83,7 +82,6 @@ __all__ = [
     "JsonlTracer",
     "BinaryTracer",
     "MultiTracer",
-    "ObserverTracer",
     "TraceFormatError",
     "default_tracer",
     "open_tracer",

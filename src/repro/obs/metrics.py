@@ -176,7 +176,10 @@ class CutBitCounter(TracerBase):
 
     ``alice_uids`` is one side of the cut (simulator uids); a message
     counts iff exactly one endpoint is in it.  ``cut_bits`` then equals
-    the communication Theorem 1.1 charges the two-party protocol.
+    the communication Theorem 1.1 charges the two-party protocol.  The
+    simulator keeps the same counts online (``CongestSimulator(cut=...)``);
+    this replay over the event stream is their independent oracle in
+    ``repro check`` and the offline count for recorded traces.
     """
 
     def __init__(self, alice_uids: Iterable[int]) -> None:

@@ -32,7 +32,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
-    Any, Callable, Dict, IO, Iterable, Iterator, List, Optional, Sequence,
+    Any, Dict, IO, Iterable, Iterator, List, Optional, Sequence,
 )
 
 try:  # Protocol is typing-only sugar; runtime never isinstance-checks it
@@ -181,20 +181,6 @@ class MultiTracer(TracerBase):
     def close(self) -> None:
         for t in self.tracers:
             t.close()
-
-
-class ObserverTracer(TracerBase):
-    """Adapter presenting the legacy ``CongestSimulator.observer``
-    callback ``(sender uid, receiver uid, bits)`` as a tracer, so the
-    old interface rides on the event stream."""
-
-    def __init__(self, callback: Callable[[int, int, int], None]) -> None:
-        self.callback = callback
-
-    def emit(self, event: TraceEvent) -> None:
-        if event.kind == "message":
-            d = event.data
-            self.callback(d["sender"], d["receiver"], d["bits"])
 
 
 def open_tracer(path: Any, fmt: Optional[str] = None) -> "TracerBase":

@@ -104,6 +104,32 @@ class TestTwoPartySimulation:
         assert sim.cut_bits > 0
         assert sim.ecut_size == len(fam.cut_edges())
 
+    def test_collect_and_solve_cut_bits_pinned(self):
+        # Theorem 1.1 accounting of a pipelined collect-and-solve run,
+        # pinned to the values the trace-level CutBitCounter recorded
+        # before the simulator counted the cut itself
+        from repro.congest.algorithms.collect import CollectAndSolve
+
+        fam = MdsFamily(2)
+        g = fam.build((0, 1, 0, 1), (0, 0, 1, 1))
+
+        def solver(n, edge_records, vertex_records):
+            return len(edge_records), {u: u % 3 == 0 for u in range(n)}
+
+        sim = simulate_two_party(g, fam.alice_vertices(),
+                                 lambda: CollectAndSolve(solver))
+        assert (sim.rounds, sim.cut_bits, sim.cut_messages,
+                sim.ecut_size) == (79, 1275, 82, 4)
+        assert sim.cut_bits_by_round == {
+            0: 73, 1: 29, 2: 13, 3: 13, 4: 12, 5: 12, 20: 7, 22: 9, 23: 9,
+            24: 20, 25: 10, 40: 16, 41: 9, 42: 36, 43: 35, 44: 35, 45: 36,
+            46: 33, 47: 33, 48: 34, 49: 35, 50: 35, 51: 33, 52: 33, 53: 34,
+            54: 9, 55: 13, 56: 14, 57: 14, 58: 15, 59: 28, 60: 29, 61: 29,
+            62: 31, 63: 31, 64: 31, 65: 31, 66: 32, 67: 32, 68: 32, 69: 32,
+            70: 33, 71: 33, 72: 33, 73: 33, 74: 31, 75: 17, 76: 17, 77: 17,
+            78: 14}
+        assert list(sim.cut_bits_by_round) == sorted(sim.cut_bits_by_round)
+
     def test_rejects_trivial_partition(self, rng):
         fam = MdsFamily(4)
         x, y = random_input_pairs(16, 2, rng)[0]

@@ -93,8 +93,8 @@ class TestSimulatorAccounting:
         assert sim.total_bits == 20      # each int 1 costs 2 bits
         assert all(v == 2 for v in outputs.values())
 
-    def test_observer_sees_all_messages(self):
-        seen = []
+    def test_message_events_and_cut_counters_see_all_messages(self):
+        from repro.obs import RecordingTracer
 
         class Ping(NodeAlgorithm):
             def on_start(self, ctx):
@@ -104,11 +104,19 @@ class TestSimulatorAccounting:
                 ctx.halt()
                 return {}
 
+        # the middle vertex alone on Alice's side: every edge is cut
         g = path_graph(3)
-        sim = CongestSimulator(g)
-        sim.observer = lambda s, r, b: seen.append((s, r, b))
-        sim.run(Ping)
-        assert len(seen) == sim.total_messages
+        rec = RecordingTracer()
+        traced = CongestSimulator(g, tracer=rec, cut={1})
+        traced.run(Ping)
+        assert len(rec.events_of("message")) == traced.total_messages == 4
+        untraced = CongestSimulator(g, cut={1})
+        untraced.run(Ping)
+        for sim in (traced, untraced):
+            assert sim.cut_messages == sim.total_messages == 4
+            assert sim.cut_bits == sim.total_bits
+            assert sim.delivery_cut_messages == sim.cut_messages
+            assert sim.delivery_cut_bits == sim.cut_bits
 
 
 class TestBandwidthCounterSemantics:
@@ -155,6 +163,102 @@ class TestBandwidthCounterSemantics:
 
         with pytest.raises(ValueError, match="non-neighbor"):
             CongestSimulator(path_graph(4)).run(Rogue)
+
+
+class _Shout(NodeAlgorithm):
+    """Every vertex floods ``1`` at start, then the max uid sends an
+    oversized payload to its first neighbour in round 1."""
+
+    def on_start(self, ctx):
+        return {w: 1 for w in ctx.neighbors}
+
+    def on_round(self, ctx, messages):
+        if ctx.uid == ctx.n - 1:
+            return {ctx.neighbors[0]: 2 ** 40}  # 42 bits
+        ctx.halt()
+        return {}
+
+
+class TestCutCounters:
+    """``CongestSimulator(cut=...)`` counts Theorem 1.1 traffic inside
+    the message check, on both loops, traced or untraced."""
+
+    ENGINES = ("fast", "reference")
+
+    def _sim(self, g, traced, **kw):
+        from repro.obs import NullTracer, RecordingTracer
+
+        tracer = RecordingTracer() if traced else NullTracer()
+        return CongestSimulator(g, tracer=tracer, **kw)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_reused_simulator_resets_cut_counters(self, engine):
+        from repro.congest.algorithms.basic import FloodMinId
+
+        sim = CongestSimulator(path_graph(4), cut={0, 1})
+        sim.run(FloodMinId, engine=engine)
+        first = (sim.cut_bits, sim.cut_messages,
+                 dict(sim.cut_bits_by_round), sim.delivery_cut_bits,
+                 sim.delivery_cut_messages)
+        assert first[0] > 0 and first[1] > 0
+        sim.run(FloodMinId, engine=engine)
+        assert (sim.cut_bits, sim.cut_messages,
+                dict(sim.cut_bits_by_round), sim.delivery_cut_bits,
+                sim.delivery_cut_messages) == first
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("traced", (False, True))
+    def test_partial_counts_on_bandwidth_exceeded(self, engine, traced):
+        from repro.congest.model import BandwidthExceeded, message_bits
+
+        # uids 0-1-2-3 on a path, Alice = {2, 3}: the flood crosses the
+        # cut edge 1-2 once each way, then uid 3's oversized message to
+        # uid 2 stays on Alice's side: counted in the totals, not the cut
+        g = path_graph(4)
+        sim = self._sim(g, traced, bandwidth=8, cut={2, 3})
+        with pytest.raises(BandwidthExceeded):
+            sim.run(_Shout, engine=engine)
+        assert sim.total_messages == 7
+        assert (sim.cut_bits, sim.cut_messages) == (4, 2)
+        assert sim.cut_bits_by_round == {0: 4}
+
+        # Alice = {3}: the offending message crosses the cut, and the
+        # partial counts include it, in the round it was sent
+        sim = self._sim(g, traced, bandwidth=8, cut={3})
+        with pytest.raises(BandwidthExceeded):
+            sim.run(_Shout, engine=engine)
+        big = message_bits(2 ** 40)
+        assert (sim.cut_bits, sim.cut_messages) == (4 + big, 3)
+        assert sim.cut_bits_by_round == {0: 4, 1: big}
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_undelivered_outbox_reaches_delivery_side(self, engine):
+        class Farewell(NodeAlgorithm):
+            # every vertex sends once and halts in the same round, so
+            # nothing it sends is ever delivered
+            def on_round(self, ctx, messages):
+                ctx.halt()
+                return {w: ctx.uid for w in ctx.neighbors}
+
+        sim = CongestSimulator(path_graph(4), cut={0, 1})
+        sim.run(Farewell, engine=engine)
+        # uid 1 sends 1 (2 bits) and uid 2 sends 2 (3 bits) across 1-2
+        assert (sim.cut_bits, sim.cut_messages) == (5, 2)
+        assert sim.cut_bits_by_round == {1: 5}
+        assert (sim.delivery_cut_bits, sim.delivery_cut_messages) == (5, 2)
+
+    def test_cut_uids_validated(self):
+        with pytest.raises(ValueError, match="outside"):
+            CongestSimulator(path_graph(3), cut={0, 3})
+
+    def test_no_cut_counts_nothing(self):
+        from repro.congest.algorithms.basic import FloodMinId
+
+        sim = CongestSimulator(path_graph(4))
+        sim.run(FloodMinId)
+        assert sim.cut is None
+        assert (sim.cut_bits, sim.cut_messages, sim.cut_bits_by_round) \
+            == (0, 0, {})
 
 
 class TestTwoPartyBandwidth:
@@ -224,5 +328,5 @@ class TestTwoPartyBandwidth:
                                     tracer=tracer)
         kinds = {e.kind for e in tracer.events}
         assert "message" in kinds and "run_end" in kinds
-        # the cut accounting cross-check ran (observer vs trace counter)
+        # the cut accounting cross-check ran (send vs delivery side)
         assert result.cut_bits == sum(result.cut_bits_by_round.values())

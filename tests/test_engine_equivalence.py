@@ -145,14 +145,44 @@ class TestMessageBitsCache:
     @pytest.mark.parametrize("payload", [
         None, True, False, 0, 1, -17, 2 ** 40, 1.5, "abc", b"\x00\x01",
         (), (1, 2, 3), (0, -5), (1, "a"), (True, 2), ((1, 2), 3),
+        (3, ("E", 1, 2, None)), (3, ("E", 1, True)), (3, (1, (2,))),
         [1, 2], {1: "x"}, frozenset({1, 2}),
     ])
     def test_cached_matches_uncached(self, payload):
         assert cached_message_bits(payload) == message_bits(payload)
 
     def test_lookalike_payloads_not_conflated(self):
-        # these pairs compare equal but have different bit costs; the
-        # cache keying must keep them apart (or uncached)
-        for a, b in [(1, True), (1, 1.0), ((1, 2), (True, 2))]:
-            assert cached_message_bits(a) == message_bits(a)
-            assert cached_message_bits(b) == message_bits(b)
+        import enum
+
+        from repro.congest import model
+
+        class Tag(enum.IntEnum):
+            REC = 3
+
+        # these pairs compare equal (or nearly) but may cost differently;
+        # the cache keying must keep them apart (or uncached), whichever
+        # one is measured first
+        pairs = [
+            (1, True), (1, 1.0), ((1, 2), (True, 2)),
+            ((3, ("E", 1, 1)), (3, ("E", 1, True))),
+            ((3, ("E", 1)), (3, ("E", 1.0))),
+            ((3, (1, (2,))), (3, (1, (True,)))),
+            ((3, ("E", 1, 2, None)), (Tag.REC, ("E", 1, 2, None))),
+        ]
+        for pair in pairs:
+            for a, b in (pair, pair[::-1]):
+                model._BITS_CACHE.clear()
+                assert cached_message_bits(a) == message_bits(a)
+                assert cached_message_bits(b) == message_bits(b)
+
+    def test_pipelined_records_are_memoized(self):
+        from repro.congest import model
+
+        model._BITS_CACHE.clear()
+        rec = (3, ("E", 4, 7, None))
+        assert cached_message_bits(rec) == message_bits(rec)
+        assert model._BITS_CACHE[rec] == message_bits(rec)
+        # two levels of nesting stay on the recursive path
+        deep = (3, (1, (2,)))
+        assert cached_message_bits(deep) == message_bits(deep)
+        assert deep not in model._BITS_CACHE

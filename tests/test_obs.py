@@ -113,16 +113,23 @@ class TestTracerBehaviour:
         mt = MultiTracer([NullTracer(), NullTracer()])
         assert not mt.enabled
 
-    def test_legacy_observer_rides_event_stream(self):
-        seen = []
+    def test_cut_counters_ride_message_events(self):
         rec = RecordingTracer()
         g = path_graph(3)
-        sim = CongestSimulator(g, tracer=rec)
-        sim.observer = lambda s, r, b: seen.append((s, r, b))
+        alice = {0}
+        sim = CongestSimulator(g, tracer=rec, cut=alice)
         sim.run(BfsFromRoot, inputs={v: 0 for v in g.vertices()})
-        assert seen == [(e.data["sender"], e.data["receiver"], e.data["bits"])
-                        for e in rec.events_of("message")]
-        assert len(seen) == sim.total_messages
+        messages = rec.events_of("message")
+        assert len(messages) == sim.total_messages
+        crossing = [e for e in messages
+                    if (e.data["sender"] in alice)
+                    != (e.data["receiver"] in alice)]
+        assert sim.cut_messages == len(crossing) > 0
+        assert sim.cut_bits == sum(e.data["bits"] for e in crossing)
+        by_round = {}
+        for e in crossing:
+            by_round[e.round] = by_round.get(e.round, 0) + e.data["bits"]
+        assert sim.cut_bits_by_round == by_round
 
     def test_bandwidth_violation_traced_before_raise(self):
         class Shout(NodeAlgorithm):
