@@ -1,19 +1,23 @@
 """Fast-engine vs reference-loop differential check.
 
 The CONGEST simulator ships two round loops (see
-:meth:`repro.congest.model.CongestSimulator.run`): the active-set fast
-engine used in production and the straight-line reference loop it was
-derived from.  This check runs representative algorithms through both
-and demands *observable identity*: the same outputs, ``rounds``,
-``total_messages``, ``total_bits``, ``max_message_bits``, the same
-exception (including :class:`BandwidthExceeded` partial-counter
-semantics — counters include every message checked up to and including
-the offending one), and — in traced mode — the exact same event stream.
+:meth:`repro.congest.model.CongestSimulator.run`): the wake-on-message
+fast engine used in production and the straight-line reference loop it
+was derived from.  The fast engine skips sleeping vertices; the
+reference loop calls them anyway and fails the run if one acts.  This
+check runs representative algorithms — every algorithm that sleeps
+among them — through both and demands *observable identity*: the same
+outputs, ``rounds``, ``total_messages``, ``total_bits``,
+``max_message_bits``, the same exception (including
+:class:`BandwidthExceeded` partial-counter semantics — counters include
+every message checked up to and including the offending one), and — in
+traced mode — the exact same event stream.  ``node_rounds`` is left
+out: the two loops call different vertices by design.
 
 Each scenario runs traced and untraced on both loops.  The untraced
 runs matter because they exercise the fast engine's no-sink code path —
-``_check_fast`` (no event construction, no outbox copy, memoized
-``message_bits``) — which the traced runs bypass.
+``_check_fast`` (no event construction, no outbox copy) — which the
+traced runs bypass.
 
 Every run also counts the Theorem 1.1 cut traffic across a fixed
 bipartition (Alice = uids below n/2).  ``cut_bits``, ``cut_messages``
@@ -53,14 +57,21 @@ def _overflow_algorithm():
 
 def _collect_scenario():
     """Collect-and-solve with a trivial deterministic solver: exercises
-    the tuple-heavy edge-record broadcasts (the message-bits cache and
-    the broadcast identity memo)."""
+    the tuple-heavy edge-record broadcasts (the inline tuple sizing and
+    the broadcast identity memo) and every kind of sleep."""
     from repro.congest.algorithms.collect import CollectAndSolve
 
     def solver(n: int, edge_records, vertex_records):
         return len(edge_records), {u: u % 2 == 0 for u in range(n)}
 
     return lambda: CollectAndSolve(solver)
+
+
+def _aggregate_scenario():
+    """Convergecast-broadcast of a sum: sleeps like collect-and-solve."""
+    from repro.congest.algorithms.aggregate import SUM, ConvergecastBroadcast
+
+    return lambda: ConvergecastBroadcast(*SUM)
 
 
 _CUT_FIELDS = ("cut_bits", "cut_messages", "cut_bits_by_round")
@@ -129,7 +140,8 @@ def _audit_cut(sim: Any, alice: range, completed: bool,
 
 
 def _diff(ref: Dict[str, Any], cand: Dict[str, Any]) -> Optional[str]:
-    for field in ("outputs", "error", "rounds", "total_messages",
+    # the error first: a failed run has no outputs to compare
+    for field in ("error", "outputs", "rounds", "total_messages",
                   "total_bits", "max_message_bits") + _CUT_FIELDS:
         if ref[field] != cand[field]:
             return f"{field}: reference={ref[field]!r} fast={cand[field]!r}"
@@ -156,6 +168,8 @@ def _scenarios(graph: Graph) -> List[Tuple[str, Callable, Optional[Dict]]]:
             ("bandwidth-overflow", _overflow_algorithm(), None))
     if graph.n >= 2 and graph.is_connected():
         scenarios.append(("collect-and-solve", _collect_scenario(), None))
+        scenarios.append(("convergecast-broadcast", _aggregate_scenario(),
+                          {v: 1 for v in graph.vertices()}))
     return scenarios
 
 

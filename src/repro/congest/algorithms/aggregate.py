@@ -38,7 +38,6 @@ class ConvergecastBroadcast(NodeAlgorithm):
     def __init__(self, identity: Any, combine: Callable[[Any, Any], Any]) -> None:
         self.identity = identity
         self.combine = combine
-        self.round_no = 0
         self.best = None
         self.leader: Optional[int] = None
         self.parent: Optional[int] = None
@@ -50,11 +49,35 @@ class ConvergecastBroadcast(NodeAlgorithm):
 
     def on_start(self, ctx: NodeContext) -> Dict[int, Message]:
         self.best = ctx.uid
+        ctx.sleep(until=ctx.n)
         return {w: (_T_FLOOD, self.best) for w in ctx.neighbors}
 
     def on_round(self, ctx: NodeContext, messages: Dict[int, Message]) -> Dict[int, Message]:
-        self.round_no += 1
-        n, r = ctx.n, self.round_no
+        # sleeps like CollectAndSolve: until the next phase boundary (n,
+        # 2n, 2n + 1), then, in the convergecast, until a message comes
+        # unless this vertex owes its report (or, at the leader, the
+        # result)
+        out = self._step(ctx, messages)
+        n, r = ctx.n, ctx.round
+        if r < n:
+            ctx.sleep(until=n)
+        elif r < 2 * n:
+            ctx.sleep(until=2 * n)
+        elif r == 2 * n:
+            ctx.sleep(until=2 * n + 1)
+        elif not self._owes_report(ctx):
+            ctx.sleep()
+        return out
+
+    def _owes_report(self, ctx: NodeContext) -> bool:
+        if not set(self.reports) >= self.children:
+            return False
+        if ctx.uid == self.leader:
+            return True
+        return not self.sent_up and self.parent is not None
+
+    def _step(self, ctx: NodeContext, messages: Dict[int, Message]) -> Dict[int, Message]:
+        n, r = ctx.n, ctx.round
         if r <= n:
             improved = False
             for __, (tag, val) in messages.items():

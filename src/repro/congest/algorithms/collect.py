@@ -56,7 +56,6 @@ class CollectAndSolve(NodeAlgorithm):
         self.edge_filter = edge_filter
         self.include_vertex_weights = include_vertex_weights
         self.seed = seed
-        self.round_no = 0
         self.leader: Optional[int] = None
         self.parent: Optional[int] = None
         self.depth: Optional[int] = None
@@ -74,19 +73,35 @@ class CollectAndSolve(NodeAlgorithm):
     # ------------------------------------------------------------------
     def on_start(self, ctx: NodeContext) -> Dict[int, Message]:
         self.best = ctx.uid
+        ctx.sleep(until=ctx.n)
         return {w: (_T_FLOOD, self.best) for w in ctx.neighbors}
 
     def on_round(self, ctx: NodeContext, messages: Dict[int, Message]) -> Dict[int, Message]:
-        self.round_no += 1
+        # Between phase boundaries only a message can give a vertex
+        # something to do, so it sleeps until the next boundary: round
+        # n ends the flood, 2n the BFS, 2n + 1 announces children.
         n = ctx.n
-        r = self.round_no
+        r = ctx.round
         if r <= n:
-            return self._flood(ctx, messages, final=(r == n))
-        if r <= 2 * n:
-            return self._bfs(ctx, messages, final=(r == 2 * n))
-        if r == 2 * n + 1:
-            return self._announce_child(ctx, messages)
-        return self._pipeline(ctx, messages)
+            out = self._flood(ctx, messages, final=(r == n))
+            ctx.sleep(until=n if r < n else 2 * n)
+        elif r <= 2 * n:
+            out = self._bfs(ctx, messages, final=(r == 2 * n))
+            ctx.sleep(until=2 * n if r < 2 * n else 2 * n + 1)
+        else:
+            if r == 2 * n + 1:
+                out = self._announce_child(ctx, messages)
+            else:
+                out = self._pipeline(ctx, messages)
+            if not (self.queue or self.down_queue or self._owes_done()):
+                ctx.sleep()
+        return out
+
+    def _owes_done(self) -> bool:
+        """Every child reported done, but this vertex has not yet sent
+        its own ``UPDONE`` (or, at the leader, solved)."""
+        return not self.sent_done and \
+            self.children_done >= set(self.children)
 
     # -- phase A: leader election ---------------------------------------
     def _flood(self, ctx: NodeContext, messages: Dict[int, Message], final: bool) -> Dict[int, Message]:
@@ -159,7 +174,7 @@ class CollectAndSolve(NodeAlgorithm):
         if is_leader and not self.sent_done:
             # absorb arriving records directly
             self._absorb_own(ctx)
-            if self.children_done >= set(self.children) and not self.queue:
+            if self._owes_done() and not self.queue:
                 self.sent_done = True
                 gvalue, values = self.solver(ctx.n, self.edge_records,
                                              self.vertex_records)
@@ -195,7 +210,7 @@ class CollectAndSolve(NodeAlgorithm):
         if self.queue:
             rec = self.queue.pop()
             return {self.parent: (_T_REC, rec)}
-        if not self.sent_done and self.children_done >= set(self.children):
+        if self._owes_done():
             self.sent_done = True
             return {self.parent: (_T_UPDONE, 0)}
         return {}

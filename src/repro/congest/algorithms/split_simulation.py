@@ -35,7 +35,6 @@ class _TripleHost(NodeAlgorithm):
 
     def __init__(self, inner_factory: Callable[[], NodeAlgorithm]) -> None:
         self.inner_factory = inner_factory
-        self.parity = 0
         self.copies: Dict[str, "_CopyState"] = {}
         self.pending_local: Dict[int, Dict[int, Message]] = {}
 
@@ -65,16 +64,18 @@ class _TripleHost(NodeAlgorithm):
         for payload in messages.values():
             for sender_p, receiver_p, msg in payload:
                 self.pending_local.setdefault(receiver_p, {})[sender_p] = msg
-        self.parity ^= 1
-        if self.parity == 1:
+        if ctx.round % 2 == 1:
             # odd real round: second delivery slot, no simulated step yet
             return self._flush(ctx, second_slot=True)
-        # even real round: one full simulated round has been delivered
+        # even real round 2k: simulated round k has been delivered.  The
+        # host steps every copy in every simulated round and ignores
+        # their sleep, which the sleep contract allows.
         all_halted = True
         for state in self.copies.values():
             if state.ctx.halted:
                 continue
             inbox = self.pending_local.pop(state.ctx.uid, {})
+            state.ctx.round = ctx.round // 2
             state.outbox = state.algo.on_round(state.ctx, inbox)
             all_halted = all_halted and state.ctx.halted
         if all_halted and not any(s.outbox for s in self.copies.values()):

@@ -22,6 +22,7 @@ Design notes
 from __future__ import annotations
 
 import math
+import operator
 import os
 from typing import (
     Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple, Union,
@@ -51,14 +52,36 @@ def message_bits(msg: Message) -> int:
     simulator only needs a consistent, conservative measure.
     """
     tp = type(msg)
-    # exact-type fast path for the common payloads; subclasses (``bool``,
-    # ``IntEnum``, named tuples) fall through to the ``isinstance`` chain
+    # exact-type fast path for the common payloads: plain ints, strings
+    # and tuples, with flat ``int``/``bool``/``None``/``str`` tuple items
+    # sized inline.  Everything else — subclasses such as ``IntEnum`` or
+    # named tuples included — takes :func:`generic_message_bits`.
     if tp is int:
-        return max(1, msg.bit_length() + 1)
+        return msg.bit_length() + 1
     if tp is tuple:
-        return sum(message_bits(x) + 2 for x in msg)
+        bits = 0
+        for x in msg:
+            tx = type(x)
+            if tx is int:
+                bits += x.bit_length() + 3
+            elif tx is bool or x is None:
+                bits += 3
+            elif tx is str:
+                bits += 8 * len(x) + 2
+            else:
+                bits += message_bits(x) + 2
+        return bits
     if tp is str:
         return 8 * len(msg)
+    return generic_message_bits(msg)
+
+
+def generic_message_bits(msg: Message) -> int:
+    """:func:`message_bits` by the plain ``isinstance`` chain alone.
+
+    The delivery-side cut tally sizes messages with this, so it shares
+    no code with the fast path of the send-side count it checks.
+    """
     if msg is None:
         return 1
     if isinstance(msg, bool):
@@ -72,61 +95,13 @@ def message_bits(msg: Message) -> int:
     if isinstance(msg, (bytes, bytearray)):
         return 8 * len(msg)
     if isinstance(msg, (tuple, list)):
-        return sum(message_bits(x) + 2 for x in msg)
+        return sum(generic_message_bits(x) + 2 for x in msg)
     if isinstance(msg, dict):
-        return sum(message_bits(k) + message_bits(v) + 4 for k, v in msg.items())
+        return sum(generic_message_bits(k) + generic_message_bits(v) + 4
+                   for k, v in msg.items())
     if isinstance(msg, (set, frozenset)):
-        return sum(message_bits(x) + 2 for x in msg)
+        return sum(generic_message_bits(x) + 2 for x in msg)
     raise TypeError(f"unsupported message type {type(msg)!r}")
-
-
-#: Bounded memo for :func:`message_bits`.  Keys are chosen so that no two
-#: payloads with *different* bit costs can collide: string and byte
-#: scalars are keyed by ``(type, value)``, and tuples are keyed by
-#: themselves only when every element is exactly an ``int``, ``str`` or
-#: ``None``, or a plain tuple of exactly those (one level deep, which
-#: covers the pipelined edge records of
-#: :mod:`repro.congest.algorithms.collect`).  Payloads that compare equal
-#: but cost differently — ``True``/``1``/``1.0``, an ``IntEnum`` member
-#: and its value, ``(True, 2)`` vs ``(1, 2)`` — always contain a
-#: non-exact type, so they are never eligible for lookup or insertion and
-#: the collision cannot be observed.  The cache is cleared wholesale when
-#: it reaches ``_BITS_CACHE_MAX`` entries — workloads cycle through a
-#: small vocabulary of payload shapes, so eviction order is irrelevant.
-_BITS_CACHE: Dict[Any, int] = {}
-_BITS_CACHE_MAX = 4096
-_FLAT_TYPES = frozenset({int, str, type(None)})
-
-
-def cached_message_bits(msg: Message) -> int:
-    """:func:`message_bits` with memoization for common hashable payloads.
-
-    Falls back to the plain recursive computation for payload shapes the
-    safe key scheme (see ``_BITS_CACHE``) does not cover.  Always returns
-    exactly ``message_bits(msg)``.
-    """
-    tp = type(msg)
-    if tp is tuple:
-        for x in msg:
-            tx = type(x)
-            if tx in _FLAT_TYPES:
-                continue
-            if tx is not tuple:
-                return message_bits(msg)
-            for y in x:
-                if type(y) not in _FLAT_TYPES:
-                    return message_bits(msg)
-        key: Any = msg
-    elif tp is str or tp is bytes:
-        key = (tp, msg)
-    else:
-        return message_bits(msg)
-    bits = _BITS_CACHE.get(key)
-    if bits is None:
-        if len(_BITS_CACHE) >= _BITS_CACHE_MAX:
-            _BITS_CACHE.clear()
-        bits = _BITS_CACHE[key] = message_bits(msg)
-    return bits
 
 
 def default_bandwidth(n: int, c: int = 8) -> int:
@@ -146,6 +121,8 @@ class NodeContext:
         simulator's per-message destination check uses this)
     n : number of vertices (standard CONGEST assumption)
     input : per-vertex input (problem specific)
+    round : the current round, set by the simulator before every call
+        (0 in ``on_start``)
     """
 
     def __init__(self, label: Vertex, uid: int, neighbors: Tuple[int, ...],
@@ -162,10 +139,31 @@ class NodeContext:
         self.vertex_weight = vertex_weight
         self.output: Any = None
         self.halted = False
+        self.round = 0
+        #: the pending :meth:`sleep`: ``None`` while awake, else the
+        #: round that wakes the vertex (``math.inf``: only a message)
+        self._wake: Optional[float] = None
 
     def halt(self, output: Any = None) -> None:
         self.output = output
         self.halted = True
+
+    def sleep(self, until: Optional[int] = None) -> None:
+        """Promise to do nothing until a message is delivered to this
+        vertex, or until round ``until`` starts, whichever comes first.
+
+        ``until`` must be a round after the current one.  The promise
+        covers every round in between: see :class:`NodeAlgorithm`.
+        """
+        if until is None:
+            self._wake = math.inf
+            return
+        until = operator.index(until)
+        if until <= self.round:
+            raise ValueError(
+                f"vertex {self.uid}: sleep(until={until}) in round "
+                f"{self.round} is not in the future")
+        self._wake = until
 
 
 class NodeAlgorithm:
@@ -176,6 +174,15 @@ class NodeAlgorithm:
     Both return a dict ``{neighbor uid: message}``; omitted neighbours get
     nothing.  Call ``ctx.halt(output)`` to stop; a halted vertex neither
     sends nor processes further messages.
+
+    Sleep contract: a call may end with ``ctx.sleep(until)``, a promise
+    that until a message arrives or round ``until`` starts, a call with
+    an empty inbox would send nothing, halt nothing and change nothing
+    that matters later.  The fast round loop then skips this vertex in
+    those rounds; the reference loop calls it anyway and raises if it
+    sends or halts.  Read the round from ``ctx.round``, never from a
+    count of calls.  An algorithm that never sleeps is called in every
+    round until it halts.
     """
 
     def on_start(self, ctx: NodeContext) -> Dict[int, Message]:
@@ -189,9 +196,11 @@ class CongestSimulator:
     """Run a :class:`NodeAlgorithm` over a graph, enforcing bandwidth.
 
     The counters (``rounds``, ``total_messages``, ``total_bits``,
-    ``max_message_bits``) are **per run**: :meth:`run` resets them on
-    entry, so a reused simulator reports statistics for its latest run
-    only.  Pass ``tracer=`` (see :mod:`repro.obs.trace`) to capture the
+    ``max_message_bits``, ``node_rounds``) are **per run**: :meth:`run`
+    resets them on entry, so a reused simulator reports statistics for
+    its latest run only.  ``node_rounds`` counts ``on_round`` calls; it
+    is the one counter the two round loops do not share, since the fast
+    loop skips sleeping vertices and the reference loop calls them all.  Pass ``tracer=`` (see :mod:`repro.obs.trace`) to capture the
     full structured event stream.
 
     Pass ``cut=`` (or assign :attr:`cut`) the set of Alice's uids to
@@ -239,6 +248,7 @@ class CongestSimulator:
         self.total_messages = 0
         self.total_bits = 0
         self.max_message_bits = 0
+        self.node_rounds = 0
         self.cut_bits = 0
         self.cut_messages = 0
         #: bits crossing the cut per round (round 0 = ``on_start``);
@@ -308,9 +318,11 @@ class CongestSimulator:
         describe the most recent run.
 
         ``engine`` selects the round loop: ``"fast"`` (the default) runs
-        the active-set scheduler, ``"reference"`` the straight-line loop
-        it was derived from.  The two are observably identical — same
-        outputs, counters, error selection, and trace event stream — and
+        the wake-on-message scheduler, ``"reference"`` the straight-line
+        loop it was derived from, which calls every vertex every round
+        and checks each :meth:`NodeContext.sleep` promise.  The two are
+        observably identical — same outputs, counters (bar
+        ``node_rounds``), error selection, and trace event stream — and
         the ``congest:engine-equivalence`` check in :mod:`repro.check`
         enforces this; ``"reference"`` exists as that check's oracle and
         as executable documentation of the semantics.
@@ -321,6 +333,7 @@ class CongestSimulator:
         self.total_messages = 0
         self.total_bits = 0
         self.max_message_bits = 0
+        self.node_rounds = 0
         self.cut_bits = 0
         self.cut_messages = 0
         self.cut_bits_by_round = {}
@@ -376,40 +389,52 @@ class CongestSimulator:
         max_rounds: int,
         sink: Optional["Tracer"],
     ) -> None:
-        """Active-set round loop.
+        """Wake-on-message round loop.
 
-        Instead of scanning every context each round, it keeps the list
-        of non-halted uids (ascending, matching the reference loop's
-        iteration order so halt/message events and first-error selection
-        are identical), stores only non-empty outboxes, and allocates
+        Each round it calls only the vertices that receive a message,
+        whose :meth:`NodeContext.sleep` deadline has come, or that did
+        not sleep, in ascending uid order (the reference loop's order,
+        so halt/message events and first-error selection are
+        identical).  It stores only non-empty outboxes and allocates
         inbox dicts only for uids that actually receive something.  With
         tracing off (``sink is None``) message accounting goes through
         :meth:`_check_fast`, which skips event construction and the
-        defensive outbox copy and memoizes :func:`message_bits`.
+        defensive outbox copy.
         """
         check = self._check if sink is not None else self._check_fast
+        inf = math.inf
         # round 0: on_start.  Every vertex participates, and a vertex
         # that halts here still gets its messages delivered next round.
         outbox: List[Tuple[int, Dict[int, Message]]] = []
-        active: List[int] = []
+        awake: List[int] = []
+        #: round -> uids whose sleep ends then (stale entries, for
+        #: vertices woken earlier by a message, are filtered on use)
+        wakeups: Dict[int, List[int]] = {}
+        live = 0
         for uid, ctx in contexts.items():
-            msgs = check(algos[uid].on_start(ctx), ctx)
+            msgs = algos[uid].on_start(ctx)
             if msgs:
-                outbox.append((uid, msgs))
+                outbox.append((uid, check(msgs, ctx)))
             if ctx.halted:
                 if sink is not None:
                     self._emit("halt", uid=uid)
-            else:
-                active.append(uid)
+                continue
+            live += 1
+            wake = ctx._wake
+            if wake is None:
+                awake.append(uid)
+            elif wake != inf:
+                wakeups.setdefault(wake, []).append(uid)
 
         n = len(contexts)
         tally = self._tally_delivery if self._cut_adj else None
-        while active:
+        while live:
             if self.rounds >= max_rounds:
                 raise RuntimeError(f"exceeded {max_rounds} rounds")
             self.rounds += 1
+            r = self.rounds
             if sink is not None:
-                self._emit("round_start", active=len(active))
+                self._emit("round_start", active=live)
                 msgs_before = self.total_messages
                 bits_before = self.total_bits
             if tally is not None:
@@ -425,26 +450,43 @@ class CongestSimulator:
                         box = inbox[receiver] = {}
                     box[sender] = msg
             outbox = []
-            new_active: List[int] = []
-            for uid in active:
+            due = wakeups.pop(r, None)
+            if inbox or due:
+                called = set(awake)
+                called.update(inbox)
+                if due:
+                    called.update(u for u in due if contexts[u]._wake == r)
+                order: Iterable[int] = sorted(called)
+            else:
+                order = awake
+            awake = []
+            for uid in order:
                 ctx = contexts[uid]
+                if ctx.halted:  # a halted vertex's inbox is dropped
+                    continue
+                ctx.round = r
+                ctx._wake = None
+                self.node_rounds += 1
                 # Non-receivers get a fresh empty dict (algorithms own
                 # and may mutate their inbox).
-                msgs = check(
-                    algos[uid].on_round(ctx, inbox.get(uid) or {}), ctx)
+                msgs = algos[uid].on_round(ctx, inbox.get(uid) or {})
                 if msgs:
-                    outbox.append((uid, msgs))
+                    outbox.append((uid, check(msgs, ctx)))
                 if ctx.halted:
+                    live -= 1
                     if sink is not None:
                         self._emit("halt", uid=uid)
-                else:
-                    new_active.append(uid)
-            active = new_active
+                    continue
+                wake = ctx._wake
+                if wake is None:
+                    awake.append(uid)
+                elif wake != inf:
+                    wakeups.setdefault(wake, []).append(uid)
             if sink is not None:
                 self._emit("round_end",
                            messages=self.total_messages - msgs_before,
                            bits=self.total_bits - bits_before,
-                           halted=n - len(active))
+                           halted=n - live)
         if tally is not None:
             tally(outbox)
 
@@ -457,7 +499,13 @@ class CongestSimulator:
     ) -> None:
         """The straight-line round loop the fast engine is checked
         against: scans every context each round and allocates an inbox
-        per vertex, trading speed for obviousness."""
+        per vertex, trading speed for obviousness.
+
+        It calls sleeping vertices too.  A vertex is asleep in round
+        ``r`` when its last real call ended in ``ctx.sleep(until)``, no
+        message has reached it since, and ``r < until``; such a call
+        must send nothing and must not halt, else the promise was false
+        and the run fails.  Its sleep stands whatever the call does."""
         # round 0: on_start
         outbox: Dict[int, Dict[int, Message]] = {}
         for uid, ctx in contexts.items():
@@ -471,6 +519,7 @@ class CongestSimulator:
             if self.rounds >= max_rounds:
                 raise RuntimeError(f"exceeded {max_rounds} rounds")
             self.rounds += 1
+            r = self.rounds
             if sink is not None:
                 self._emit("round_start",
                            active=len(contexts) - halted_total)
@@ -484,9 +533,23 @@ class CongestSimulator:
                     inbox[receiver][sender] = msg
             outbox = {}
             for uid, ctx in contexts.items():
+                outbox[uid] = {}
                 if ctx.halted:
-                    outbox[uid] = {}
                     continue
+                ctx.round = r
+                self.node_rounds += 1
+                wake = ctx._wake
+                if wake is not None and not inbox[uid] and r < wake:
+                    sent = algos[uid].on_round(ctx, inbox[uid])
+                    if sent or ctx.halted:
+                        acted = "halted" if ctx.halted else \
+                            f"sent to {sorted(sent)}"
+                        raise RuntimeError(
+                            f"vertex {uid} {acted} in round {r} while "
+                            f"asleep")
+                    ctx._wake = wake
+                    continue
+                ctx._wake = None
                 outbox[uid] = self._check(
                     algos[uid].on_round(ctx, inbox[uid]), ctx)
                 if ctx.halted:
@@ -505,8 +568,8 @@ class CongestSimulator:
         self, outbox: Iterable[Tuple[int, Dict[int, Message]]],
     ) -> None:
         """Delivery-side cut tally over one outbox: for each sender,
-        look up its cut neighbours and size what it sent them with the
-        uncached :func:`message_bits`.  Shares nothing with the send-side
+        look up its cut neighbours and size what it sent them with
+        :func:`generic_message_bits`.  Shares nothing with the send-side
         count in :meth:`_count_cut` but the cut itself."""
         cut_adj = self._cut_adj
         for sender, msgs in outbox:
@@ -515,7 +578,8 @@ class CongestSimulator:
                 continue
             for receiver in across:
                 if receiver in msgs:
-                    self.delivery_cut_bits += message_bits(msgs[receiver])
+                    self.delivery_cut_bits += generic_message_bits(
+                        msgs[receiver])
                     self.delivery_cut_messages += 1
 
     def _count_cut(self, bits: int) -> None:
@@ -574,8 +638,6 @@ class CongestSimulator:
         # for the non-neighbor :class:`ValueError` excluded.  Cut
         # messages are rare, so they go straight to :meth:`_count_cut`
         # as they are checked, which gives the same partial counts.
-        if not msgs:
-            return msgs
         side = self._side
         my_side = side[ctx.uid] if side is not None else None
         neighbor_set = ctx.neighbor_set
@@ -597,7 +659,7 @@ class CongestSimulator:
                 # several neighbors is measured once
                 bits = last_bits
             else:
-                bits = cached_message_bits(msg)
+                bits = message_bits(msg)
                 last_msg = msg
                 last_bits = bits
             batch_messages += 1

@@ -348,6 +348,25 @@ def triangle_detection_protocol(inst: PartitionedInstance,
 # ----------------------------------------------------------------------
 # Claim 3.6: solving DISJ through a bounded-degree MaxIS algorithm
 # ----------------------------------------------------------------------
+def collected_graph(graph: Graph,
+                    edge_records: Sequence[Tuple[int, int, Any]]) -> Graph:
+    """The graph the collect-and-solve leader learned, rebuilt over
+    ``graph``'s labels (simulator uid ``i`` is the ``i``-th label in
+    :func:`label_sort_key` order).
+
+    A correct collection gives a graph with ``graph``'s
+    ``content_hash``, so the leader's exact solve hits the solver cache
+    entry of a caller that already solved ``graph``; a wrong one hashes
+    differently and is solved for real.
+    """
+    labels = sorted(graph.vertices(), key=label_sort_key)
+    g = Graph()
+    g.add_vertices(labels)
+    for u, v, __ in edge_records:
+        g.add_edge(labels[u], labels[v])
+    return g
+
+
 def solve_disjointness_via_bounded_degree_maxis(
     construction, x: Sequence[int], y: Sequence[int],
 ) -> Tuple[bool, int, int]:
@@ -369,13 +388,9 @@ def solve_disjointness_via_bounded_degree_maxis(
     def solver(n, edge_records, vertex_records):
         from repro.solvers.mis import independence_number
 
-        g = Graph()
-        g.add_vertices(range(n))
-        for u, v, __ in edge_records:
-            g.add_edge(u, v)
         # the leader only needs the independence number (local
         # computation is free; branch-and-reduce keeps it practical)
-        alpha = independence_number(g)
+        alpha = independence_number(collected_graph(gprime, edge_records))
         return alpha, {u: False for u in range(n)}
 
     sim = simulate_two_party(

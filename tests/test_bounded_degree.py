@@ -150,6 +150,23 @@ class TestFullConstruction:
         assert answer == disjointness(x, y)
         assert bits > 0 and rounds > 0
 
+    def test_claim_36_leader_graph_hashes_like_instance(self, bd, rng):
+        """The leader rebuilds G′ over its own labels, so its α solve
+        hits the solver-cache entry of a caller that solved G′."""
+        from repro.congest.algorithms.collect import run_collect_and_solve
+        from repro.limits.protocols import collected_graph
+
+        x, y = random_input_pairs(4, 1, rng)[0]
+        inst = bd.build(x, y)
+        rebuilt = []
+
+        def solver(n, edge_records, vertex_records):
+            rebuilt.append(collected_graph(inst.graph, edge_records))
+            return None, {}
+
+        run_collect_and_solve(inst.graph, solver)
+        assert rebuilt[0].content_hash() == inst.graph.content_hash()
+
 
 class TestReductions33And34:
     def test_mds_reduction_structure(self):

@@ -17,7 +17,7 @@ from repro.congest.model import (
     BandwidthExceeded,
     CongestSimulator,
     NodeAlgorithm,
-    cached_message_bits,
+    generic_message_bits,
     message_bits,
 )
 from repro.graphs import Graph, path_graph, random_graph
@@ -142,6 +142,12 @@ class TestEngineApi:
 
 
 class TestMessageBitsCache:
+    """The inline exact-type fast path of :func:`message_bits` must cost
+    every payload exactly as the generic ``isinstance`` chain does.  The
+    class and its first two test names date from the bounded memo that
+    the fast path replaced; the cases are the memo's, look-alikes
+    included."""
+
     @pytest.mark.parametrize("payload", [
         None, True, False, 0, 1, -17, 2 ** 40, 1.5, "abc", b"\x00\x01",
         (), (1, 2, 3), (0, -5), (1, "a"), (True, 2), ((1, 2), 3),
@@ -149,19 +155,17 @@ class TestMessageBitsCache:
         [1, 2], {1: "x"}, frozenset({1, 2}),
     ])
     def test_cached_matches_uncached(self, payload):
-        assert cached_message_bits(payload) == message_bits(payload)
+        assert message_bits(payload) == generic_message_bits(payload)
 
     def test_lookalike_payloads_not_conflated(self):
         import enum
-
-        from repro.congest import model
 
         class Tag(enum.IntEnum):
             REC = 3
 
         # these pairs compare equal (or nearly) but may cost differently;
-        # the cache keying must keep them apart (or uncached), whichever
-        # one is measured first
+        # the exact-type checks must send each to its own cost, in
+        # whichever order they are measured
         pairs = [
             (1, True), (1, 1.0), ((1, 2), (True, 2)),
             ((3, ("E", 1, 1)), (3, ("E", 1, True))),
@@ -171,18 +175,15 @@ class TestMessageBitsCache:
         ]
         for pair in pairs:
             for a, b in (pair, pair[::-1]):
-                model._BITS_CACHE.clear()
-                assert cached_message_bits(a) == message_bits(a)
-                assert cached_message_bits(b) == message_bits(b)
+                assert message_bits(a) == generic_message_bits(a)
+                assert message_bits(b) == generic_message_bits(b)
+        assert message_bits((1, True)) != message_bits((1, 1))
+        assert message_bits(Tag.REC) == generic_message_bits(3) == 3
 
-    def test_pipelined_records_are_memoized(self):
-        from repro.congest import model
-
-        model._BITS_CACHE.clear()
-        rec = (3, ("E", 4, 7, None))
-        assert cached_message_bits(rec) == message_bits(rec)
-        assert model._BITS_CACHE[rec] == message_bits(rec)
-        # two levels of nesting stay on the recursive path
-        deep = (3, (1, (2,)))
-        assert cached_message_bits(deep) == message_bits(deep)
-        assert deep not in model._BITS_CACHE
+    def test_pipelined_records_match_generic_chain(self):
+        # the collect-and-solve record, downcast and EOT shapes, plus
+        # two levels of nesting
+        for payload in [(3, ("E", 4, 7, None)), (3, ("V", 4, 2)),
+                        (5, 17, False), (6, 12), (3, (1, (2,))),
+                        (0, 2 ** 70), (-1, "")]:
+            assert message_bits(payload) == generic_message_bits(payload)
