@@ -217,6 +217,13 @@ def _build_checks() -> List[Check]:
                 c.graph, [t for t in c.terminals if t in c.graph]),
             _terminals_ok(_small(10)), exact=False),
         _ref_check(
+            "ref:node-weighted-steiner",
+            lambda c: s().min_node_weighted_steiner_cost(
+                c.graph, [t for t in c.terminals if t in c.graph]),
+            lambda c: ref.ref_node_weighted_steiner_cost(
+                c.graph, [t for t in c.terminals if t in c.graph]),
+            _terminals_ok(_small(10)), exact=False),
+        _ref_check(
             "ref:twoecss",
             lambda c: s().min_two_ecss_edges(c.graph),
             lambda c: ref.ref_min_two_ecss_edges(c.graph),

@@ -253,6 +253,38 @@ def ref_steiner_tree_cost(graph: Graph, terminals: Sequence[Vertex]) -> float:
     return best
 
 
+def _reaches_all(graph: Graph, vs: Set[Vertex],
+                 terms: Sequence[Vertex]) -> bool:
+    """Whether every terminal is reachable from the first inside G[vs]."""
+    seen = {terms[0]}
+    queue = [terms[0]]
+    while queue:
+        u = queue.pop()
+        for w in graph.neighbors(u):
+            if w in vs and w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return all(t in seen for t in terms)
+
+
+def ref_node_weighted_steiner_cost(graph: Graph,
+                                   terminals: Sequence[Vertex]) -> float:
+    """Minimum vertex weight of a terminal-connecting vertex set: over
+    every non-terminal subset S, the weight of terminals ∪ S if the
+    terminals lie in one component of G[terminals ∪ S]."""
+    terms = list(dict.fromkeys(terminals))
+    if not terms:
+        return 0.0
+    others = [v for v in graph.vertices() if v not in set(terms)]
+    best = _INF
+    for r in range(len(others) + 1):
+        for subset in combinations(others, r):
+            vs = set(terms) | set(subset)
+            if _reaches_all(graph, vs, terms):
+                best = min(best, sum(graph.vertex_weight(v) for v in vs))
+    return best
+
+
 # ----------------------------------------------------------------------
 # 2-edge-connected spanning subgraphs
 # ----------------------------------------------------------------------

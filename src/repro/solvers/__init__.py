@@ -52,6 +52,7 @@ from repro.solvers.steiner import (
     steiner_tree,
     steiner_tree_cost,
     is_steiner_tree,
+    min_node_weighted_steiner_cost,
 )
 from repro.solvers.twoecss import (
     is_two_edge_connected,
@@ -110,6 +111,7 @@ __all__ = [
     "steiner_tree",
     "steiner_tree_cost",
     "is_steiner_tree",
+    "min_node_weighted_steiner_cost",
     "is_two_edge_connected",
     "min_two_ecss_edges",
     "has_two_ecss_with_edges",

@@ -220,13 +220,15 @@ class ThresholdCutBatchKernel:
     edge weights (everything stays far below 2^53 in float64).
 
     Raises :class:`ValueError` when the instance is out of range
-    (non-integral weights, blocks beyond ``2^20``) and ``ImportError``
-    without numpy — callers degrade to the per-pair path.
+    (non-integral weights, blocks beyond ``2^20`` or their product
+    beyond ``2^22``) and ``ImportError`` without numpy — callers degrade
+    to the per-pair path.
     """
 
     monotone = False  # 0-bits add row edges, 1-bits add N-weight
 
     _MAX_BLOCK_BITS = 20
+    _MAX_TOTAL_BITS = 22  # 32 MiB per 2^(b+h) table; k=2 max-cut is 20
 
     def __init__(self, skeleton, delta_vertices: Sequence[Vertex],
                  target: float,
@@ -248,6 +250,9 @@ class ThresholdCutBatchKernel:
         b, h = len(low), len(high)
         if b > self._MAX_BLOCK_BITS or h > self._MAX_BLOCK_BITS:
             raise ValueError(f"blocks 2^{b} x 2^{h} too large to enumerate")
+        if b + h > self._MAX_TOTAL_BITS:
+            # Q below is a dense 2^h x 2^b float64 matrix
+            raise ValueError(f"cross table 2^{b} x 2^{h} too large")
         pos: Dict[Vertex, int] = {}
         for i, v in enumerate(low):
             pos[v] = i

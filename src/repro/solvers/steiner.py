@@ -14,6 +14,7 @@ from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.graphs import Graph, Vertex
+from repro.solvers._bitmask import BitGraph, iter_bits
 from repro.solvers.cache import cached
 from repro.obs.profile import profiled
 
@@ -138,6 +139,21 @@ def steiner_tree(graph: Graph, terminals: Sequence[Vertex]) -> Tuple[float, List
     raise RuntimeError("failed to recover an optimal Steiner tree")
 
 
+def _reach(adj: List[int], allowed: int, start: int) -> int:
+    """Vertices reachable from the mask ``start`` inside ``allowed``,
+    one whole BFS frontier per step."""
+    seen = frontier = start
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & allowed & ~seen
+        seen |= frontier
+    return seen
+
+
 @profiled
 @cached
 def min_node_weighted_steiner_cost(graph: Graph, terminals: Sequence[Vertex],
@@ -147,34 +163,47 @@ def min_node_weighted_steiner_cost(graph: Graph, terminals: Sequence[Vertex],
 
     Zero-weight vertices are free and always available; the enumeration
     ranges over the positive-weight vertices (≤ ``limit_candidates``).
+    Subset costs are tabulated once by doubling and the subsets scanned
+    in cost order; the first whose vertices (with the free ones and the
+    terminals) connect every terminal is optimal, so the scan stops
+    there.  Connectivity is a bitmask BFS over :class:`BitGraph`.
     """
     terminals = list(dict.fromkeys(terminals))
     if not terminals:
         return 0.0
-    free = [v for v in graph.vertices() if graph.vertex_weight(v) == 0]
-    paid = [v for v in graph.vertices() if graph.vertex_weight(v) > 0]
+    bg = BitGraph(graph)
+    weights = bg.weights
+    paid = [i for i in range(bg.n) if weights[i] > 0]
     if len(paid) > limit_candidates:
         raise ValueError("too many positive-weight vertices to enumerate")
-    base_cost = sum(graph.vertex_weight(t) for t in terminals
-                    if graph.vertex_weight(t) > 0)
-    paid_optional = [v for v in paid if v not in set(terminals)]
-    best = _INF
-    from itertools import combinations as _comb
-
-    for size in range(0, len(paid_optional) + 1):
-        for subset in _comb(paid_optional, size):
-            cost = base_cost + sum(graph.vertex_weight(v) for v in subset)
-            if cost >= best:
-                continue
-            keep = set(free) | set(subset) | set(terminals)
-            sub = graph.induced_subgraph(keep)
-            comp_of = {}
-            for ci, comp in enumerate(sub.connected_components()):
-                for v in comp:
-                    comp_of[v] = ci
-            if len({comp_of[t] for t in terminals}) == 1:
-                best = cost
-    return best
+    terms = bg.mask_of(terminals)
+    start = 1 << bg.index[terminals[0]]
+    base_cost = sum(w for w in (weights[bg.index[t]] for t in terminals)
+                    if w > 0)
+    paid_optional = [i for i in paid if not terms >> i & 1]
+    fixed = terms  # always allowed: terminals and zero-weight vertices
+    for i, w in enumerate(weights):
+        if w == 0:
+            fixed |= 1 << i
+    everything = fixed
+    for i in paid_optional:
+        everything |= 1 << i
+    if _reach(bg.adj, everything, start) & terms != terms:
+        return _INF
+    # cost[s] for subset s of paid_optional (bit j = j-th vertex); the int
+    # 0 start and vertex-order doubling reproduce sum() over a combination
+    # exactly, so int weights stay int and float sums are bit-identical
+    cost = [0]
+    for i in paid_optional:
+        w = weights[i]
+        cost += [c + w for c in cost]
+    for s in sorted(range(len(cost)), key=cost.__getitem__):
+        allowed = fixed
+        for j in iter_bits(s):
+            allowed |= 1 << paid_optional[j]
+        if _reach(bg.adj, allowed, start) & terms == terms:
+            return base_cost + cost[s]
+    raise AssertionError("unreachable: the full subset connects")
 
 
 @profiled

@@ -156,3 +156,19 @@ def test_verify_iff_batch_flag():
     assert (batched.true_instances, batched.false_instances) \
         == (plain.true_instances, plain.false_instances)
     assert batched.checked == plain.checked == len(pairs)
+
+
+def test_maxcut_kernel_declines_oversized_cross_table():
+    """At k=4 the cut-landscape table would be 2^18 x 2^18 float64
+    (512 GiB); the factory must decline before numpy allocates it."""
+    import tracemalloc
+
+    fam = MaxCutFamily(4)
+    skeleton = fam.skeleton()
+    tracemalloc.start()
+    try:
+        assert fam.make_batch_kernel(skeleton) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

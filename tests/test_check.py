@@ -231,6 +231,21 @@ class TestRunCheck:
         assert not report.ok
         assert any(f.check == "ref:maxcut" for f in report.failures)
 
+    def test_planted_node_weighted_steiner_mutation_is_caught(
+            self, monkeypatch):
+        real = solvers.min_node_weighted_steiner_cost
+
+        def mutant(graph, terminals, **kw):
+            return real(graph, terminals[1:], **kw)  # drops a terminal
+
+        monkeypatch.setattr(solvers, "min_node_weighted_steiner_cost",
+                            mutant)
+        report = run_check(seed=0, cases=4, family="weighted",
+                           do_shrink=False)
+        assert not report.ok
+        assert any(f.check == "ref:node-weighted-steiner"
+                   for f in report.failures)
+
     def test_exception_in_solver_becomes_failure(self, monkeypatch):
         def boom(graph, **kw):
             raise RuntimeError("planted crash")

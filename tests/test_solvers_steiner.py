@@ -1,5 +1,7 @@
 """Steiner tree solver tests (Dreyfus-Wagner and the §4.4 variants)."""
 
+import hashlib
+import random
 from itertools import combinations
 
 import pytest
@@ -31,6 +33,48 @@ def brute_force_steiner_cost(graph, terminals):
             cost = sum(d["weight"] for _u, _v, d in t.edges(data=True))
             best = min(best, cost)
     return best
+
+
+def brute_force_node_weighted_cost(graph, terminals):
+    """Reference: every subset of the positive-weight non-terminals, in
+    size order, tested by connected components of the induced subgraph.
+    Costs are summed in vertex order, so results are exact, not close."""
+    terminals = list(dict.fromkeys(terminals))
+    if not terminals:
+        return 0.0
+    weight = graph.vertex_weight
+    free = [v for v in graph.vertices() if weight(v) == 0]
+    base = sum(weight(t) for t in terminals if weight(t) > 0)
+    optional = [v for v in graph.vertices()
+                if weight(v) > 0 and v not in terminals]
+    best = float("inf")
+    for r in range(len(optional) + 1):
+        for subset in combinations(optional, r):
+            cost = base + sum(weight(v) for v in subset)
+            if cost >= best:
+                continue
+            sub = graph.induced_subgraph(set(free) | set(subset)
+                                         | set(terminals))
+            comps = sub.connected_components()
+            if any(set(terminals) <= set(c) for c in comps):
+                best = cost
+    return best
+
+
+def _random_node_weighted_instance(rng):
+    n = rng.randint(1, 10)
+    g = random_graph(n, rng.uniform(0.1, 0.7), rng)
+    for v in g.vertices():
+        kind = rng.random()
+        if kind < 0.3:
+            g.set_vertex_weight(v, 0)
+        elif kind < 0.65:
+            g.set_vertex_weight(v, rng.randint(1, 5))
+        else:  # never integral: the solver cache hashes 3 and 3.0 alike
+            g.set_vertex_weight(v, rng.choice([0.1, 0.2, 0.7, 1.3])
+                                * rng.randint(1, 4))
+    terms = rng.sample(g.vertices(), rng.randint(1, min(n, 4)))
+    return g, terms
 
 
 class TestSteinerTreeCost:
@@ -129,6 +173,56 @@ class TestNodeWeightedSteiner:
         g = complete_graph(20)
         with pytest.raises(ValueError):
             min_node_weighted_steiner_cost(g, [0, 1], limit_candidates=5)
+
+    def test_no_terminals(self):
+        assert repr(min_node_weighted_steiner_cost(path_graph(3), [])) \
+            == "0.0"
+
+    def test_missing_terminal(self):
+        with pytest.raises(KeyError):
+            min_node_weighted_steiner_cost(path_graph(3), [0, "absent"])
+
+    def test_disconnected_terminals(self):
+        g = Graph()
+        g.add_edges([(0, 1), (2, 3)])
+        assert min_node_weighted_steiner_cost(g, [0, 3]) == float("inf")
+
+    @pytest.mark.parametrize("weights, want", [((1, 1, 0), "2"),
+                                               ((0.5, 1.5, 0), "2.0")])
+    def test_result_type_follows_weights(self, weights, want):
+        g = path_graph(3)
+        for v, w in zip(g.vertices(), weights):
+            g.set_vertex_weight(v, w)
+        assert repr(min_node_weighted_steiner_cost(g, [0, 2])) == want
+
+    def test_matches_brute_force(self):
+        rng = random.Random(17)
+        infeasible = 0
+        for __ in range(200):
+            g, terms = _random_node_weighted_instance(rng)
+            got = min_node_weighted_steiner_cost(g, terms)
+            want = brute_force_node_weighted_cost(g, terms)
+            assert repr(got) == repr(want), (g.vertices(), g.edges(), terms)
+            infeasible += got == float("inf")
+        assert infeasible > 0
+
+    def test_k2_family_pinned(self):
+        """Every 8th pair of the k=2 Theorem 4.6 grid, hashed: the
+        optimum (value and repr) the subset enumeration has always given."""
+        from repro.core.steiner_approx import NodeWeightedSteinerFamily
+        from repro.covering.designs import build_covering_collection
+
+        fam = NodeWeightedSteinerFamily(
+            build_covering_collection(16, 6, 2, seed=0))
+
+        def bits(v):
+            return tuple((v >> (5 - i)) & 1 for i in range(6))
+
+        optima = [repr(fam.optimum(fam.build(bits(p >> 6), bits(p & 63))))
+                  for p in range(0, 4096, 8)]
+        digest = hashlib.sha256(",".join(optima).encode()).hexdigest()
+        assert digest == ("4cc6a5b42defed53bf1abb7726c274aa"
+                          "1e87a1b2537f7d7ead886982c05f77ac")
 
 
 class TestDirectedSteinerReachability:
