@@ -6,8 +6,10 @@ campaign then trusts restored entries without re-solving them.  This
 check pins that trust on seeded families: decisions written through the
 store, decisions restored by a *fresh* family instance, and
 from-scratch reference decisions (``build_scratch``, no memo, no store)
-must all agree — and a corrupted entry must degrade to a recompute that
-still agrees, never to a wrong answer or a crash.
+must all agree.  Torn and malformed log lines must be skipped, and a
+pair whose stored lines disagree must be re-solved — a damaged store
+degrades to a recompute that still agrees, never to a wrong answer or a
+crash.
 
 The same pairs are also pushed through the persistent warm worker pool
 (``jobs=2``): pool-decided sweeps must match scratch bit-for-bit, and
@@ -86,20 +88,50 @@ def check_sweep_store(seed: int, index: int) -> Optional[str]:
         finally:
             shutil.rmtree(warm_tmp, ignore_errors=True)
 
-        # corrupt one stored entry: must recompute, not crash or lie
-        fdir = store.family_dir(family_key(fresh))
-        entries = sorted(f for f in os.listdir(fdir)
-                         if f.endswith(".json") and f != "meta.json")
-        with open(os.path.join(fdir, entries[0]), "w",
-                  encoding="utf-8") as fh:
-            fh.write('{"x": "01')  # truncated mid-write
-        third = sweep(make(2), pairs, store=store)
+        # damage the logs: torn and malformed lines must be skipped, and
+        # a pair whose lines disagree must be re-solved, never served
+        fkey = family_key(fresh)
+        fdir = store.family_dir(fkey)
+        keys = list(dict.fromkeys((tuple(x), tuple(y)) for x, y in pairs))
+        truth = dict(zip(((tuple(x), tuple(y)) for x, y in pairs), scratch))
+
+        def line(key, decision):
+            bits = ["".join(map(str, b)) for b in key]
+            return f"{bits[0]}:{bits[1]}:{int(decision)}"
+
+        # each junk line would flip a stored decision if it were read
+        bad = line(keys[-1], not truth[keys[-1]])
+        log = sorted(f for f in os.listdir(fdir) if f.endswith(".log"))[0]
+        with open(os.path.join(fdir, log), "a", encoding="utf-8") as fh:
+            for junk in (bad + "0", bad + ":1", bad[1:], "0" + bad):
+                fh.write(junk + "\n")
+            fh.write(bad)  # torn: no trailing newline
+        third = sweep(make(2), pairs, store=SweepStore(tmp))
         if third.decisions != scratch:
-            return (f"{make.__name__}: decisions after entry corruption "
-                    f"{third.decisions} != scratch decisions {scratch}")
+            return (f"{make.__name__}: decisions after torn and malformed "
+                    f"log lines {third.decisions} != scratch decisions "
+                    f"{scratch}")
         if third.solved + third.store_hits != third.unique_pairs:
-            return (f"{make.__name__}: corrupt-entry sweep counters "
+            return (f"{make.__name__}: torn-line sweep counters "
                     f"inconsistent: {third}")
+        if third.solved != 0:
+            return (f"{make.__name__}: a torn or malformed log line was "
+                    f"read as a decision, {third.solved} pairs re-solved")
+
+        with open(os.path.join(fdir, "conflict.log"), "w",
+                  encoding="utf-8") as fh:
+            fh.write(line(keys[0], not truth[keys[0]]) + "\n")
+        if keys[0] in SweepStore(tmp).load_pairs(fkey):
+            return (f"{make.__name__}: pair {keys[0]} with conflicting "
+                    f"log lines was served")
+        fourth = sweep(make(2), pairs, store=SweepStore(tmp))
+        if fourth.decisions != scratch:
+            return (f"{make.__name__}: decisions after a conflicting log "
+                    f"line {fourth.decisions} != scratch decisions "
+                    f"{scratch}")
+        if fourth.solved != 1 or fourth.store_hits != len(keys) - 1:
+            return (f"{make.__name__}: the conflicting pair must be the "
+                    f"only one re-solved, got {fourth}")
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     return None

@@ -30,9 +30,10 @@ the caller falls back to the serial loop.  Fan-out is an optimisation,
 never a correctness concern.
 
 When a :class:`repro.experiments.sweep_store.SweepStore` is passed,
-every worker persists each decision the moment it is made (atomic
-per-entry writes, safe under concurrent forks), so a campaign killed
-mid-grid resumes from the last completed pair instead of from zero.
+every worker persists each decision the moment it is made (one
+append to a log of the worker's own, so concurrent forks never share a
+file), so a campaign killed mid-grid resumes from the last completed
+pair instead of from zero.
 """
 
 from __future__ import annotations
@@ -105,9 +106,7 @@ def _decide_shard(payload: Tuple[bytes, List[Tuple[Bits, Bits]],
     store = fkey = None
     if store_root is not None and fkey_tuple is not None:
         from repro.experiments.sweep_store import FamilyKey, SweepStore
-        # workers skip the stale-tmp sweep: the parent already did it,
-        # and a fleet of forks rescanning per shard is pure overhead
-        store = SweepStore(store_root, sweep_stale=False)
+        store = SweepStore(store_root)
         fkey = FamilyKey(*fkey_tuple)
     return _decide_serial(family, shard, store=store, fkey=fkey, batch=batch)
 

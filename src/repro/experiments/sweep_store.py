@@ -32,35 +32,43 @@ skeleton.
 Layout and concurrency
 ----------------------
 One directory per family key (named by its digest) under the store
-root (default ``~/.cache/repro/sweeps/``), one JSON file per decided
-pair plus a human-readable ``meta.json``.  Writes go through
-:func:`repro.solvers.cache.atomic_write_json` (``mkstemp`` +
-``os.replace``, shared with the solver cache's disk tier), so
-concurrent fork workers draining shards of the same grid can write the
-same key simultaneously: readers see a complete old or complete new
-entry, never a torn one, and equal workloads write equal values so
-last-write-wins is benign.  A killed writer leaves only a ``*.tmp``
-file, which startup sweeping removes once it is stale; a corrupt or
-truncated entry is dropped (and deleted best-effort) so it degrades to
-a recompute, never a crash.
+root (default ``~/.cache/repro/sweeps/``), holding a human-readable
+``meta.json`` (written once through
+:func:`repro.solvers.cache.atomic_write_json`) and append-only decision
+logs.  Each decision is one line ``<x bits>:<y bits>:<0|1>`` appended
+by a single ``os.write`` to the writer's own log,
+``<pid>-<token>.log``, where the token is drawn once per
+:class:`SweepStore` instance.  Every write opens the log with
+``O_APPEND`` and closes it again, so no descriptor is held and a fork
+child (same token, new pid) lands in a file of its own without any
+bookkeeping; concurrent fork workers and processes therefore never
+share a file.  A decision reaches the kernel the moment it is made (no
+fsync), so a killed campaign keeps every completed pair; a writer
+killed mid-``write`` can leave at most a torn last line.
+
+:meth:`SweepStore.load_pairs` reads every log once and skips a torn
+trailing line (no newline) and any malformed line.  A pair whose lines
+disagree is *not* served: it is re-solved, so a damaged or conflicting
+store degrades to a recompute, never to a wrong answer or a crash.
+Entries of the older one-JSON-file-per-pair layout are not read (they
+cost one recompute); :meth:`SweepStore.clear` removes them with the
+logs.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
+import re
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Set, Tuple
 
-from repro.solvers.cache import (
-    atomic_write_json,
-    default_cache_dir,
-    sweep_stale_tmp,
-)
+from repro.solvers.cache import atomic_write_json, default_cache_dir
 
 Bits = Tuple[int, ...]
 Pair = Tuple[Bits, Bits]
+
+_APPEND = os.O_WRONLY | os.O_CREAT | os.O_APPEND
 
 
 def default_sweep_store_dir() -> str:
@@ -113,80 +121,58 @@ def family_key(family: Any) -> FamilyKey:
 
 class SweepStore:
     """Persistent ``(family key, x, y) → decision`` store (see module
-    docstring for key semantics, layout, and concurrency guarantees).
+    docstring for key semantics, layout, and concurrency guarantees)."""
 
-    ``sweep_stale=True`` (the default) removes stale ``*.tmp`` leftovers
-    of killed writers on startup; shard workers pass ``False`` so a
-    fleet of forks does not rescan the tree once per shard.
-    """
-
-    def __init__(self, root: Optional[str] = None,
-                 sweep_stale: bool = True) -> None:
+    def __init__(self, root: Optional[str] = None) -> None:
         self.root = os.fspath(root) if root else default_sweep_store_dir()
-        self._meta_written: Set[str] = set()
-        if sweep_stale and os.path.isdir(self.root):
-            for name in os.listdir(self.root):
-                fdir = os.path.join(self.root, name)
-                if os.path.isdir(fdir):
-                    sweep_stale_tmp(fdir)
+        # with the pid, names this writer's log; a fork child keeps the
+        # token but not the pid, so it appends to a log of its own
+        self._token = os.urandom(4).hex()
 
     # -- paths ---------------------------------------------------------
     def family_dir(self, fkey: FamilyKey) -> str:
         return os.path.join(self.root, fkey.digest)
 
-    @staticmethod
-    def _pair_name(x: Sequence[int], y: Sequence[int]) -> str:
-        raw = f"{_bits_str(x)}:{_bits_str(y)}"
-        return hashlib.sha256(raw.encode()).hexdigest() + ".json"
-
     # -- read side -----------------------------------------------------
-    def _read_entry(self, path: str, k_bits: int) -> Optional[Tuple[Pair, bool]]:
-        """Decode one entry file; None (and best-effort deletion) for
-        anything corrupt, truncated, or shaped wrong — a damaged store
-        degrades to recomputation, never a crash."""
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            x, y = payload["x"], payload["y"]
-            decision = payload["decision"]
-            if (not isinstance(x, str) or not isinstance(y, str)
-                    or len(x) != k_bits or len(y) != k_bits
-                    or (set(x) | set(y)) - {"0", "1"}
-                    or not isinstance(decision, bool)):
-                raise ValueError("malformed sweep entry")
-        except (OSError, ValueError, KeyError, TypeError):
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            return None
-        return (_bits_tuple(x), _bits_tuple(y)), decision
-
-    def lookup(self, fkey: FamilyKey, x: Sequence[int],
-               y: Sequence[int]) -> Optional[bool]:
-        """The stored decision for one pair, or None when absent."""
-        path = os.path.join(self.family_dir(fkey), self._pair_name(x, y))
-        if not os.path.exists(path):
-            return None
-        entry = self._read_entry(path, fkey.k_bits)
-        return None if entry is None else entry[1]
-
     def load_pairs(self, fkey: FamilyKey) -> Dict[Pair, bool]:
-        """Every stored decision for one family key (one directory
-        scan; corrupt entries are skipped)."""
+        """Every stored decision for one family key: one read of each
+        log.  Torn and malformed lines are skipped, and a pair whose
+        lines disagree is left out, so the sweep re-solves it."""
         fdir = self.family_dir(fkey)
-        out: Dict[Pair, bool] = {}
         try:
             names = os.listdir(fdir)
         except OSError:
-            return out
+            return {}
+        k = fkey.k_bits
+        pattern = re.compile(rb"^([01]{%d}):([01]{%d}):([01])\n" % (k, k),
+                             re.MULTILINE)
+        seen: Dict[Tuple[bytes, bytes], bytes] = {}
+        conflicts: Set[Tuple[bytes, bytes]] = set()
         for fname in names:
-            if not fname.endswith(".json") or fname == "meta.json":
+            if not fname.endswith(".log"):
                 continue
-            entry = self._read_entry(os.path.join(fdir, fname), fkey.k_bits)
-            if entry is not None:
-                out[entry[0]] = entry[1]
-        return out
+            try:
+                with open(os.path.join(fdir, fname), "rb") as fh:
+                    data = fh.read()
+            except OSError:
+                continue
+            # a trailing line without its newline is a torn write
+            data = data[:data.rfind(b"\n") + 1]
+            for x, y, decision in pattern.findall(data):
+                if seen.setdefault((x, y), decision) != decision:
+                    conflicts.add((x, y))
+        # decode each distinct bit string once, not once per pair
+        bits = {s: _bits_tuple(s.decode())
+                for s in {s for key in seen for s in key}}
+        return {(bits[x], bits[y]): decision == b"1"
+                for (x, y), decision in seen.items()
+                if (x, y) not in conflicts}
+
+    def lookup(self, fkey: FamilyKey, x: Sequence[int],
+               y: Sequence[int]) -> Optional[bool]:
+        """The stored decision for one pair, or None when absent or
+        conflicting."""
+        return self.load_pairs(fkey).get((tuple(x), tuple(y)))
 
     def coverage(self, fkey: FamilyKey,
                  pairs: Sequence[Pair]) -> int:
@@ -196,10 +182,8 @@ class SweepStore:
                    if (tuple(x), tuple(y)) in stored)
 
     # -- write side ----------------------------------------------------
-    def _write_meta(self, fkey: FamilyKey, fdir: str) -> None:
-        if fdir in self._meta_written:
-            return
-        self._meta_written.add(fdir)
+    @staticmethod
+    def _write_meta(fkey: FamilyKey, fdir: str) -> None:
         path = os.path.join(fdir, "meta.json")
         if os.path.exists(path):
             return
@@ -210,23 +194,30 @@ class SweepStore:
 
     def store(self, fkey: FamilyKey, x: Sequence[int], y: Sequence[int],
               decision: bool) -> None:
-        """Persist one decision atomically; an unwritable store degrades
-        to memory-only (the sweep memo still holds the decision)."""
+        """Append one decision to this writer's log with a single
+        ``write``; an unwritable store degrades to memory-only (the
+        sweep memo still holds the decision)."""
         fdir = self.family_dir(fkey)
-        payload = {"x": _bits_str(x), "y": _bits_str(y),
-                   "decision": bool(decision)}
+        path = os.path.join(fdir, f"{os.getpid()}-{self._token}.log")
+        line = f"{_bits_str(x)}:{_bits_str(y)}:{int(bool(decision))}\n"
         try:
-            os.makedirs(fdir, exist_ok=True)
-            self._write_meta(fkey, fdir)
-            atomic_write_json(
-                os.path.join(fdir, self._pair_name(x, y)), payload)
+            try:
+                fd = os.open(path, _APPEND, 0o644)
+            except FileNotFoundError:  # the family's first decision
+                os.makedirs(fdir, exist_ok=True)
+                self._write_meta(fkey, fdir)
+                fd = os.open(path, _APPEND, 0o644)
+            try:
+                os.write(fd, line.encode())
+            finally:
+                os.close(fd)
         except OSError:
             pass
 
     # -- maintenance ---------------------------------------------------
     def clear(self, fkey: Optional[FamilyKey] = None) -> None:
-        """Delete every entry (or just one family's), ``*.tmp`` leftovers
-        included."""
+        """Delete every decision (or just one family's): logs, entries
+        of the per-pair JSON layout and ``*.tmp`` leftovers alike."""
         if fkey is not None:
             dirs = [self.family_dir(fkey)]
         else:
@@ -241,7 +232,7 @@ class SweepStore:
             except OSError:
                 continue
             for fname in names:
-                if fname.endswith(".json") or fname.endswith(".tmp"):
+                if fname.endswith((".json", ".tmp", ".log")):
                     try:
                         os.unlink(os.path.join(fdir, fname))
                     except OSError:
@@ -250,4 +241,3 @@ class SweepStore:
                 os.rmdir(fdir)
             except OSError:
                 pass
-        self._meta_written.clear()

@@ -203,8 +203,7 @@ def _warm_shard(digest: str, packed: bytes, store_root: Optional[str],
         from repro.experiments.sweep_store import FamilyKey, SweepStore
         store = _WARM_STORES.get(store_root)
         if store is None:
-            # parent already swept stale tmp files; see _decide_shard
-            store = SweepStore(store_root, sweep_stale=False)
+            store = SweepStore(store_root)
             _WARM_STORES[store_root] = store
         fkey = FamilyKey(*fkey_tuple)
     memo = getattr(family, "_sweep_memo", None)

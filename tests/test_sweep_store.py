@@ -5,6 +5,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import re
 import signal
 import subprocess
 import sys
@@ -40,12 +41,12 @@ def _pairs(fam, n, seed=0xBEEF):
     return random_input_pairs(fam.k_bits, n, random.Random(seed))
 
 
-def _entries(store, fkey):
+def _logs(store, fkey):
     fdir = store.family_dir(fkey)
-    if not os.path.isdir(fdir):
-        return []
-    return sorted(f for f in os.listdir(fdir)
-                  if f.endswith(".json") and f != "meta.json")
+    return sorted(f for f in os.listdir(fdir) if f.endswith(".log"))
+
+
+LINE = re.compile(r"[01]{4}:[01]{4}:[01]\n")
 
 
 # ----------------------------------------------------------------------
@@ -56,12 +57,15 @@ class TestStoreBasics:
         store = SweepStore(str(tmp_path))
         fkey = family_key(MdsFamily(2))
         x, y = (0, 1, 0, 1), (1, 1, 0, 0)
-        assert store.lookup(fkey, x, y) is None
+        assert store.load_pairs(fkey) == {}
         store.store(fkey, x, y, False)
+        assert store.load_pairs(fkey) == {(x, y): False}
+        store.store(fkey, x, y, False)  # an agreeing repeat is served
+        assert store.load_pairs(fkey) == {(x, y): False}
         assert store.lookup(fkey, x, y) is False
-        store.store(fkey, x, y, True)  # last write wins
-        assert store.lookup(fkey, x, y) is True
-        assert store.load_pairs(fkey) == {(x, y): True}
+        store.store(fkey, x, y, True)  # disagreeing lines: not served
+        assert store.load_pairs(fkey) == {}
+        assert store.lookup(fkey, x, y) is None
 
     def test_key_distinguishes_families_not_instances(self):
         assert family_key(MdsFamily(2)) == family_key(MdsFamily(2))
@@ -93,28 +97,75 @@ class TestStoreBasics:
         store.clear()
         assert not os.path.exists(fdir)
 
-    def test_startup_sweeps_stale_tmp_only(self, tmp_path):
+    def test_legacy_json_entry_ignored_and_cleared(self, tmp_path):
+        # the one-JSON-file-per-pair layout is never read: its entries
+        # cost one recompute, and clear() removes them with the logs
+        store = SweepStore(str(tmp_path))
+        fam = MdsFamily(2)
+        fkey = family_key(fam)
+        x, y = (0, 1, 0, 1), (1, 1, 0, 0)
+        fdir = store.family_dir(fkey)
+        os.makedirs(fdir)
+        legacy = os.path.join(fdir, "ab" * 32 + ".json")
+        with open(legacy, "w") as fh:
+            json.dump({"x": "0101", "y": "1100", "decision": True}, fh)
+        assert store.load_pairs(fkey) == {}
+        report = sweep(fam, [(x, y)], store=store)
+        assert report.solved == 1 and report.store_hits == 0
+        assert len(store.load_pairs(fkey)) == 1
+        store.clear(fkey)
+        assert not os.path.exists(fdir)
+
+    def test_torn_trailing_line_ignored(self, tmp_path):
         store = SweepStore(str(tmp_path))
         fkey = family_key(MdsFamily(2))
         store.store(fkey, (0,) * 4, (1,) * 4, True)
-        fdir = store.family_dir(fkey)
-        stale = os.path.join(fdir, "tmpstale.tmp")
-        fresh = os.path.join(fdir, "tmpfresh.tmp")
-        for path in (stale, fresh):
-            with open(path, "w") as fh:
-                fh.write("{")
-        old = os.stat(stale).st_mtime - 7200.0
-        os.utime(stale, (old, old))
-        SweepStore(str(tmp_path))  # startup sweep
-        assert not os.path.exists(stale)
-        assert os.path.exists(fresh)
-        assert _entries(store, fkey)  # real entries untouched
+        log = os.path.join(store.family_dir(fkey), _logs(store, fkey)[0])
+        with open(log, "a") as fh:
+            fh.write("1111:00")  # a killed writer's half line
+        assert store.load_pairs(fkey) == {((0,) * 4, (1,) * 4): True}
+        with open(log, "a") as fh:
+            fh.write("\n1111:0000:1")  # complete-looking, no newline
+        assert store.load_pairs(fkey) == {((0,) * 4, (1,) * 4): True}
+
+    def test_forked_child_appends_to_its_own_log(self, tmp_path):
+        store = SweepStore(str(tmp_path))
+        fkey = family_key(MdsFamily(2))
+        store.store(fkey, (0,) * 4, (0,) * 4, False)
+        ctx = multiprocessing.get_context("fork")
+        child = ctx.Process(target=store.store,
+                            args=(fkey, (1,) * 4, (1,) * 4, True))
+        child.start()
+        child.join(timeout=60)
+        assert child.exitcode == 0
+        logs = _logs(store, fkey)
+        assert {name.split("-")[0] for name in logs} == {
+            str(os.getpid()), str(child.pid)}
+        assert len({name.split("-")[1] for name in logs}) == 1
+        for name in logs:
+            with open(os.path.join(store.family_dir(fkey), name)) as fh:
+                assert len(fh.readlines()) == 1
+        assert store.load_pairs(fkey) == {((0,) * 4, (0,) * 4): False,
+                                          ((1,) * 4, (1,) * 4): True}
 
 
 # ----------------------------------------------------------------------
 # sweep() integration: restore, persist, report counters
 # ----------------------------------------------------------------------
 class TestSweepWithStore:
+    def test_serial_grid_writes_one_log(self, tmp_path):
+        # a guard against per-pair files: one writer, one log
+        store = SweepStore(str(tmp_path))
+        fam = MdsFamily(2)
+        sweep(fam, _grid(fam.k_bits), store=store)
+        fdir = store.family_dir(family_key(fam))
+        names = sorted(os.listdir(fdir))
+        assert len(names) == 2 and names[1] == "meta.json"
+        assert names[0].startswith(f"{os.getpid()}-")
+        with open(os.path.join(fdir, names[0])) as fh:
+            lines = fh.readlines()
+        assert len(lines) == 256 and all(LINE.fullmatch(l) for l in lines)
+
     def test_repeat_sweep_is_pure_restore(self, tmp_path):
         store = SweepStore(str(tmp_path))
         fam = MdsFamily(2)
@@ -150,18 +201,20 @@ class TestSweepWithStore:
         pairs = _pairs(fam, 5)
         first = sweep(fam, pairs, store=store)
         fkey = family_key(fam)
-        fdir = store.family_dir(fkey)
-        names = _entries(store, fkey)
-        # truncated mid-write, wrong shape, not JSON at all
-        for name, junk in zip(names, ('{"x": "01', '{"x": 3, "y": []}',
-                                      "not json")):
-            with open(os.path.join(fdir, name), "w") as fh:
-                fh.write(junk)
-        report = sweep(MdsFamily(2), pairs, store=store)
+        stored = len(store.load_pairs(fkey))
+        log = os.path.join(store.family_dir(fkey), _logs(store, fkey)[0])
+        with open(log) as fh:
+            lines = fh.readlines()
+        # cut short, wrong shape, not a decision at all
+        for i, junk in enumerate(("01", "0101:1:1", "not a line")):
+            lines[i] = junk + "\n"
+        with open(log, "w") as fh:
+            fh.writelines(lines)
+        report = sweep(MdsFamily(2), pairs, store=SweepStore(str(tmp_path)))
         assert report.decisions == first.decisions
-        assert report.solved == 3 and report.store_hits == len(names) - 3
-        # the corrupt files were dropped and rewritten
-        assert len(_entries(store, fkey)) == len(names)
+        assert report.solved == 3 and report.store_hits == stored - 3
+        # the re-solved decisions were appended again
+        assert len(store.load_pairs(fkey)) == stored
         assert sweep(MdsFamily(2), pairs, store=store).store_hits == \
             report.unique_pairs
 
@@ -182,7 +235,7 @@ class TestSweepWithStore:
         pairs = _grid(fam.k_bits)[:64]
         report = sweep(fam, pairs, jobs=2, store=store)
         assert report.solved == 64
-        assert len(_entries(store, family_key(fam))) == 64
+        assert len(store.load_pairs(family_key(fam))) == 64
         resumed = sweep(MdsFamily(2), pairs, store=store)
         assert resumed.store_hits == 64
         assert resumed.decisions == report.decisions
@@ -193,7 +246,8 @@ class TestSweepWithStore:
         pairs = _pairs(fam, 4)
         report = verify_iff(fam, pairs, negate=True, store=store)
         assert report.checked == 4
-        assert _entries(store, family_key(fam))
+        assert len(store.load_pairs(family_key(fam))) == len(
+            {(tuple(x), tuple(y)) for x, y in pairs})
 
     def test_configured_default_store(self, tmp_path):
         from repro.core.family import configure_sweep
@@ -202,7 +256,7 @@ class TestSweepWithStore:
             fam = MdsFamily(2)
             pairs = _pairs(fam, 3)
             sweep(fam, pairs)
-            assert _entries(SweepStore(str(tmp_path)), family_key(fam))
+            assert SweepStore(str(tmp_path)).load_pairs(family_key(fam))
         finally:
             configure_sweep(store_dir=None)
         report = sweep(MdsFamily(2), pairs)  # store off again
@@ -313,31 +367,50 @@ class TestPickleStripsSweepState:
 # concurrency: parallel writers on the same key
 # ----------------------------------------------------------------------
 def _hammer_store(root, fkey_tuple, decision, reps):
-    store = SweepStore(root, sweep_stale=False)
+    store = SweepStore(root)
     fkey = FamilyKey(*fkey_tuple)
     for __ in range(reps):
         store.store(fkey, (0, 1, 0, 1), (1, 0, 1, 0), decision)
 
 
+def _run_writers(root, fkey, decisions):
+    ctx = multiprocessing.get_context("fork")
+    writers = [ctx.Process(target=_hammer_store,
+                           args=(root, fkey.as_tuple(), decision, 50))
+               for decision in decisions]
+    for proc in writers:
+        proc.start()
+    for proc in writers:
+        proc.join(timeout=60)
+        assert proc.exitcode == 0
+
+
 class TestConcurrentWriters:
-    def test_same_key_atomic_last_write_wins(self, tmp_path):
-        fkey = family_key(MdsFamily(2))
-        ctx = multiprocessing.get_context("fork")
-        writers = [
-            ctx.Process(target=_hammer_store,
-                        args=(str(tmp_path), fkey.as_tuple(), bool(i), 50))
-            for i in range(2)
-        ]
-        for proc in writers:
-            proc.start()
-        for proc in writers:
-            proc.join(timeout=60)
-            assert proc.exitcode == 0
+    def test_same_key_conflicting_writers_not_served(self, tmp_path):
+        fam = MdsFamily(2)
+        fkey = family_key(fam)
+        key = ((0, 1, 0, 1), (1, 0, 1, 0))
+        _run_writers(str(tmp_path), fkey, (False, True))
         store = SweepStore(str(tmp_path))
-        # never torn: the entry decodes and carries one writer's value
-        value = store.lookup(fkey, (0, 1, 0, 1), (1, 0, 1, 0))
-        assert value in (True, False)
-        assert len(_entries(store, fkey)) == 1
+        # never torn: every line of both writers' logs decodes
+        logs = _logs(store, fkey)
+        assert len(logs) == 2
+        lines = []
+        for name in logs:
+            with open(os.path.join(store.family_dir(fkey), name)) as fh:
+                lines += fh.readlines()
+        assert len(lines) == 100 and all(LINE.fullmatch(l) for l in lines)
+        # the writers disagree, so the pair is re-solved, not served
+        assert store.load_pairs(fkey) == {}
+        report = sweep(fam, [key], store=store)
+        assert report.solved == 1 and report.store_hits == 0
+        assert report.decisions == [fam.predicate(fam.build_scratch(*key))]
+
+    def test_same_key_agreeing_writers_served(self, tmp_path):
+        fkey = family_key(MdsFamily(2))
+        _run_writers(str(tmp_path), fkey, (True, True))
+        assert SweepStore(str(tmp_path)).load_pairs(fkey) == {
+            ((0, 1, 0, 1), (1, 0, 1, 0)): True}
 
 
 # ----------------------------------------------------------------------
@@ -362,7 +435,8 @@ kb = fam.k_bits
 pairs = [(tuple(int(b) for b in format(i, "0%db" % kb)),
           tuple(int(b) for b in format(j, "0%db" % kb)))
          for i in range(1 << kb) for j in range(1 << kb)]
-sweep(fam, pairs, store=SweepStore({store!r}))
+# batch=False: the batched kernel bypasses the slowed predicate
+sweep(fam, pairs, store=SweepStore({store!r}), batch=False)
 """
 
 
@@ -374,11 +448,11 @@ class TestKillResume:
             [sys.executable, "-c",
              KILL_RESUME_SCRIPT.format(src=SRC, store=store_dir)])
         fkey = family_key(MdsFamily(2))
-        probe = SweepStore(store_dir, sweep_stale=False)
+        probe = SweepStore(store_dir)
         deadline = time.monotonic() + 60
         try:
             while time.monotonic() < deadline:
-                if len(_entries(probe, fkey)) >= 8:
+                if len(probe.load_pairs(fkey)) >= 8:
                     break
                 if proc.poll() is not None:
                     pytest.fail("sweep subprocess finished before the kill")
@@ -392,7 +466,7 @@ class TestKillResume:
 
         stored = SweepStore(store_dir).load_pairs(fkey)
         assert 0 < len(stored) < 256  # genuinely mid-grid
-        # atomic writes: every surviving entry decodes (no torn files)
+        # one write per decision: every surviving line decodes
 
         calls = []
         orig = MdsFamily.predicate
