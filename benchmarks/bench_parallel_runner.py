@@ -3,15 +3,15 @@
 Acceptance gates for the parallel experiment runner, measured as two
 separate regimes so fork cost is never conflated with throughput:
 
-- **cold pool** (``warm=False``): one throwaway pool per call, spin-up
-  included — ``run_all(jobs=4)`` over a CPU-heavy slice must be ≥ 1.5×
-  faster than serial **when 4 cores are available** (single-core CI
+- **cold lanes** (:func:`run_parallel`): fresh lanes per call, spin-up
+  included — ``run_parallel(jobs=4)`` over a CPU-heavy slice must be
+  ≥ 1.5× faster than serial **when 4 cores are available** (single-core CI
   boxes print both timings and only check that the parallel path stays
   correct and roughly no slower than serial plus the pool's fixed
   fork/teardown cost);
-- **warm pool** (the default): a second ``run_all`` against the
-  persistent pool must not re-pay the spin-up its priming call paid,
-  and its records must stay byte-identical to serial;
+- **warm pool** (what ``run_all(jobs>1)`` uses): a second ``run_all``
+  against the persistent pool must not re-pay the spin-up its priming
+  call paid, and its records must stay byte-identical to serial;
 - a repeated exact-solver call must hit the memoization cache and be
   dramatically (≥ 10×) faster than the first call.
 
@@ -25,7 +25,7 @@ import os
 import random
 import time
 
-from repro.experiments import records_equivalent, run_all
+from repro.experiments import records_equivalent, run_all, run_parallel
 from repro.graphs import random_graph
 from repro.solvers import max_cut
 from repro.solvers.cache import CACHE
@@ -57,7 +57,7 @@ def test_parallel_speedup_cold(benchmark):
     serial, t_serial = _timed(run_all, quick=True, only=PARALLEL_SLICE)
 
     def parallel_run():
-        return run_all(quick=True, only=PARALLEL_SLICE, jobs=4, warm=False)
+        return run_parallel(PARALLEL_SLICE, quick=True, jobs=4)
 
     start = time.perf_counter()
     parallel = benchmark.pedantic(parallel_run, rounds=1, iterations=1)

@@ -216,12 +216,11 @@ def _family_sweep_grid_warm() -> Callable[[], None]:
         if not _WARM_POOL_RESET:
             warm_pool.shutdown_pool()
             for __ in range(5):  # priming: fork lanes, saturate memos
-                sweep(HamiltonianCycleFamily(2), pairs, jobs=2, warm=True)
+                sweep(HamiltonianCycleFamily(2), pairs, jobs=2)
             _WARM_POOL_RESET.append(True)
         solvers.clear_cache()  # parent stays cold: warmth lives in the pool
         for __ in range(8):
-            report = sweep(HamiltonianCycleFamily(2), pairs, jobs=2,
-                           warm=True)
+            report = sweep(HamiltonianCycleFamily(2), pairs, jobs=2)
             assert report.solved == report.unique_pairs == len(pairs), \
                 report
         stats = warm_pool.pool_stats()

@@ -12,8 +12,9 @@ Checks reach the production solvers through the ``repro.solvers``
 namespace, so a planted mutation (monkeypatching a solver) is observed;
 the test-suite uses exactly that to prove the harness catches bugs.
 
-Fan-out reuses the PR 2 parallel-runner machinery (fork start method,
-chunked case keys, crash-isolated workers); results are merged in case
+Fan-out runs one chunk of case keys per lane on the lane scheduler
+(:func:`repro.experiments.parallel.drain`), so a worker death becomes a
+``harness`` failure instead of escaping; results are merged in case
 order so parallel output is deterministic.
 """
 
@@ -498,6 +499,37 @@ def _parallel_worker(args: Tuple[int, str, List[Tuple[str, int]], bool, bool,
         return {}, {}, [failure]
 
 
+def _run_chunks(cases: Sequence[Case], jobs: int, seed: int, family: str,
+                deep: bool, do_shrink: bool, trace_dir: Optional[str],
+                trace_format: str,
+                ) -> Optional[List[Tuple[Dict[str, int],
+                                         Dict[str, List[float]],
+                                         List[CheckFailure]]]]:
+    """One chunk of cases per lane, through the lane scheduler; a chunk
+    whose worker died, or whose result could not be collected, becomes
+    a ``harness`` failure.  ``None`` when no worker process can start."""
+    from repro.experiments.parallel import drain, open_lanes
+
+    keys = [(c.family, c.index) for c in cases]
+    size = max(1, (len(keys) + jobs - 1) // jobs)
+    chunks = [keys[i:i + size] for i in range(0, len(keys), size)]
+
+    def fallback(idx: int, kind: str, detail: str):
+        failure = CheckFailure(
+            check="harness", family="-", index=-1, seed=seed,
+            case_name=f"worker chunk {chunks[idx]!r}",
+            detail=f"{kind.upper()} in check worker: {detail}")
+        return {}, {}, [failure]
+
+    with open_lanes(len(chunks)) as lanes:
+        return drain(
+            lanes, range(len(chunks)),
+            lambda lane, no: lane.executor.submit(
+                _parallel_worker, (seed, family, chunks[no], deep, do_shrink,
+                                   trace_dir, trace_format, no)),
+            fallback)
+
+
 def run_check(seed: int = 0, cases: int = 50, family: str = "all",
               deep: bool = False, jobs: int = 1, do_shrink: bool = True,
               report_dir: Optional[str] = None,
@@ -505,9 +537,11 @@ def run_check(seed: int = 0, cases: int = 50, family: str = "all",
               trace_format: str = "binary") -> CheckReport:
     """Run the full differential harness; see the module docstring.
 
-    ``jobs > 1`` fans case chunks over fork-based worker processes (the
-    PR 2 runner's start-method machinery); results are deterministic and
-    ordered regardless of ``jobs``.  ``report_dir`` additionally writes
+    ``jobs > 1`` fans one case chunk per job over the lane scheduler
+    (:func:`repro.experiments.parallel.drain`); a chunk whose worker
+    dies is retried once on a fresh lane and then reported as a
+    ``harness`` failure.  Results are deterministic and ordered
+    regardless of ``jobs``.  ``report_dir`` additionally writes
     ``check-report.json`` and one ``failure-NNN.json`` per failure —
     the artifacts the nightly deep-fuzz job uploads (render them with
     ``repro report fuzz``).  ``trace_dir`` streams every CONGEST
@@ -523,24 +557,14 @@ def run_check(seed: int = 0, cases: int = 50, family: str = "all",
     report = CheckReport(seed=seed, cases=cases, family=family, deep=deep)
     all_cases = generate_cases(seed, cases, family=family, deep=deep)
     report.cases_run = len(all_cases)
-    if jobs == 1 or len(all_cases) <= 1:
+    parts = None
+    if jobs > 1 and len(all_cases) > 1:
+        parts = _run_chunks(all_cases, jobs, seed, family, deep, do_shrink,
+                            trace_dir, trace_format)
+    if parts is None:
         parts = [_run_cases_traced(
             all_cases, do_shrink, trace_dir, trace_format,
             prefix=f"check-seed{seed}")]
-    else:
-        from concurrent import futures
-        from repro.experiments.parallel import _mp_context
-        keys = [(c.family, c.index) for c in all_cases]
-        chunk = max(1, (len(keys) + jobs - 1) // jobs)
-        chunks = [keys[i:i + chunk] for i in range(0, len(keys), chunk)]
-        ctx = _mp_context()
-        with futures.ProcessPoolExecutor(max_workers=jobs,
-                                         mp_context=ctx) as pool:
-            parts = list(pool.map(
-                _parallel_worker,
-                [(seed, family, part, deep, do_shrink,
-                  trace_dir, trace_format, no)
-                 for no, part in enumerate(chunks)]))
     for counts, latencies, failures in parts:
         for name, count in counts.items():
             report.check_counts[name] = \

@@ -11,10 +11,11 @@ pair whose stored lines disagree must be re-solved — a damaged store
 degrades to a recompute that still agrees, never to a wrong answer or a
 crash.
 
-The same pairs are also pushed through the persistent warm worker pool
-(``jobs=2``): pool-decided sweeps must match scratch bit-for-bit, and
-the decisions workers persist to the store must restore identically in
-a later serial sweep — pinning serial ≡ cold-pool ≡ warm-pool.
+The same pairs are also swept with ``jobs=2``, which goes through the
+persistent warm worker pool: pool-decided sweeps must match scratch
+bit-for-bit, and the decisions workers persist to the store must
+restore identically in a later serial sweep — pinning serial ≡
+warm-pool.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def check_sweep_store(seed: int, index: int) -> Optional[str]:
         try:
             warm_store = SweepStore(warm_tmp)
             warm = sweep(make(2), pairs, store=warm_store,
-                         jobs=2 if in_main else 1, warm=True)
+                         jobs=2 if in_main else 1)
             if warm.decisions != scratch:
                 return (f"{make.__name__}: warm-pool decisions "
                         f"{warm.decisions} != scratch decisions {scratch}")

@@ -195,8 +195,6 @@ def cmd_verify(args: argparse.Namespace) -> None:
 
     if args.sweep_jobs:
         configure_sweep(args.sweep_jobs)
-    if args.no_warm_pool:
-        configure_sweep(warm=False)
     if args.no_batch:
         configure_sweep(batch=False)
     fam = _build(args.family, args.k)
@@ -247,8 +245,6 @@ def cmd_experiments(args: argparse.Namespace) -> None:
     configure_cache(enabled=not args.no_cache, cache_dir=cache_dir)
     if args.sweep_jobs:
         configure_sweep(args.sweep_jobs)
-    if args.no_warm_pool:
-        configure_sweep(warm=False)
     records = run_all(quick=not args.full,
                       only=args.only if args.only else None,
                       trace_dir=args.trace_dir,
@@ -256,8 +252,7 @@ def cmd_experiments(args: argparse.Namespace) -> None:
                       jobs=args.jobs,
                       timeout=args.timeout,
                       retries=args.retries,
-                      trace_format=args.trace_format,
-                      warm=not args.no_warm_pool)
+                      trace_format=args.trace_format)
     print(format_markdown(records))
     failed = [r.experiment_id for r in records if not r.passed]
     if failed:
@@ -329,22 +324,6 @@ def _report_fuzz(args: argparse.Namespace) -> None:
         raise SystemExit(str(exc))
 
 
-def _report_pool(args: argparse.Namespace) -> None:
-    """``repro report pool``: the process-wide warm-pool counters —
-    broadcast/payload economics, warm memo hits, and the batched-kernel
-    counters (pairs answered by kernels, kernel-state hits/misses)."""
-    from repro.obs.profile import format_warm_pool_stats, warm_pool_stats
-
-    stats = warm_pool_stats()
-    print(format_warm_pool_stats(stats))
-    for key in sorted(stats):
-        print(f"  {key:>22}: {stats[key]}")
-    if not stats.get("pairs_shipped") and not stats.get("lanes"):
-        print("  (no warm pool has run in this process; the counters "
-              "are cumulative per process, so this view is most useful "
-              "from code that drives sweeps and then reports)")
-
-
 def _report_convert(args: argparse.Namespace) -> None:
     from repro.obs import convert_trace
 
@@ -369,13 +348,11 @@ def cmd_report(args: argparse.Namespace) -> None:
         _report_bench(args)
     elif what == "fuzz":
         _report_fuzz(args)
-    elif what == "pool":
-        _report_pool(args)
     elif what == "convert":
         _report_convert(args)
     else:
         raise SystemExit(f"unknown report view {what!r}; expected "
-                         "trace, bench, fuzz, pool, or convert")
+                         "trace, bench, fuzz, or convert")
 
 
 def main(argv: Optional[list] = None) -> None:
@@ -403,9 +380,6 @@ def main(argv: Optional[list] = None) -> None:
     p.add_argument("--y", dest="ybits", default=None, metavar="BITS")
     p.add_argument("--sweep-jobs", type=int, default=0, metavar="N",
                    help="fan predicate sweeps over N worker processes")
-    p.add_argument("--no-warm-pool", action="store_true",
-                   help="route parallel sweeps through throwaway cold "
-                        "pools instead of the persistent warm pool")
     p.add_argument("--no-batch", action="store_true",
                    help="disable batched decision kernels; every pair "
                         "goes through the per-pair predicate(build(x,y)) "
@@ -461,10 +435,6 @@ def main(argv: Optional[list] = None) -> None:
                    help="fan each family's predicate sweep over N worker "
                         "processes (independent of --jobs; reports are "
                         "byte-identical to serial sweeps)")
-    p.add_argument("--no-warm-pool", action="store_true",
-                   help="use throwaway cold worker pools instead of the "
-                        "persistent warm pool for --jobs/--sweep-jobs "
-                        "fan-out")
 
     sub.add_parser("paper", help="theorem-by-theorem coverage index")
 
@@ -505,12 +475,10 @@ def main(argv: Optional[list] = None) -> None:
                     "bench [FILE]` renders the p50-per-SHA trajectory "
                     "from BENCH_simulator.json; `report fuzz DIR` "
                     "summarizes a `check --report-dir` directory; "
-                    "`report pool` prints the warm worker pool's "
-                    "cumulative counters (incl. batched-kernel state "
-                    "hits/misses); `report convert SRC DST` converts a "
-                    "trace between formats.")
+                    "`report convert SRC DST` converts a trace between "
+                    "formats.")
     p.add_argument("what", metavar="VIEW",
-                   help="trace | bench | fuzz | pool | convert")
+                   help="trace | bench | fuzz | convert")
     p.add_argument("path", nargs="?", default=None,
                    help="trace file / bench history / fuzz report dir / "
                         "conversion source, per the view")

@@ -59,11 +59,6 @@ _UNSET = object()
 _SWEEP_STORE_DIR: Optional[str] = None
 _SWEEP_STORE_CACHE: Dict[str, Any] = {}
 
-#: whether ``jobs > 1`` sweeps go through the persistent warm worker
-#: pool (:mod:`repro.experiments.warm_pool`) before the cold fork
-#: scheduler; set via :func:`configure_sweep` (``--no-sweep-warm``).
-_DEFAULT_SWEEP_WARM = True
-
 #: whether sweeps consult a family's batched decision kernel
 #: (:meth:`DeltaBuildMixin.decide_batch`) for pairs that survive
 #: memo/store dedup; set via :func:`configure_sweep` (``--no-batch``).
@@ -72,24 +67,19 @@ _DEFAULT_SWEEP_BATCH = True
 
 def configure_sweep(jobs: Optional[int] = None,
                     store_dir: Any = _UNSET,
-                    warm: Optional[bool] = None,
                     batch: Optional[bool] = None) -> None:
     """Set sweep defaults: ``jobs`` workers for predicate fan-out
     (``1`` is serial), a persistent result-store directory (``None``
-    disables the store), ``warm`` routing of parallel sweeps through
-    the persistent warm pool, and/or ``batch`` use of batched decision
-    kernels.  Fork-based experiment workers inherit all four
+    disables the store), and/or ``batch`` use of batched decision
+    kernels.  Fork-based experiment workers inherit all three
     settings."""
-    global _DEFAULT_SWEEP_JOBS, _SWEEP_STORE_DIR, _DEFAULT_SWEEP_WARM
-    global _DEFAULT_SWEEP_BATCH
+    global _DEFAULT_SWEEP_JOBS, _SWEEP_STORE_DIR, _DEFAULT_SWEEP_BATCH
     if jobs is not None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         _DEFAULT_SWEEP_JOBS = jobs
     if store_dir is not _UNSET:
         _SWEEP_STORE_DIR = os.fspath(store_dir) if store_dir else None
-    if warm is not None:
-        _DEFAULT_SWEEP_WARM = bool(warm)
     if batch is not None:
         _DEFAULT_SWEEP_BATCH = bool(batch)
 
@@ -569,7 +559,6 @@ def sweep(
     store: Any = None,
     timeout: Optional[float] = None,
     retries: int = 1,
-    warm: Optional[bool] = None,
     batch: Optional[bool] = None,
 ) -> SweepReport:
     """Decide P(G_{x,y}) for a batch of input pairs through the
@@ -592,12 +581,13 @@ def sweep(
     ``jobs > 1`` fans the remaining pairs over the persistent warm
     worker pool (:mod:`repro.experiments.warm_pool` — skeleton
     broadcast once per :class:`~repro.experiments.sweep_store.FamilyKey`,
-    per-pair payloads reduced to the bit strings; disable with
-    ``warm=False`` / ``configure_sweep(warm=False)``), falling back to
-    the cold work-stealing shard queue (:mod:`repro.experiments.sweep`)
-    and then to the serial loop when fan-out is impossible.  All paths
-    share the per-shard ``timeout``/``retries`` crash semantics and
-    return decisions in request order.
+    per-pair payloads reduced to the bit strings).  Where warm fan-out
+    is impossible (this is not the main process, say) it falls back to
+    fresh lanes (:mod:`repro.experiments.sweep`), and then to the serial
+    loop.  Both fan-outs run on the one lane scheduler
+    (:func:`repro.experiments.parallel.drain`), so they share the
+    per-shard ``timeout``/``retries`` crash semantics and return
+    decisions in request order.
 
     ``batch`` (default: the :func:`configure_sweep` setting, on)
     consults the family's batched decision kernel
@@ -608,8 +598,6 @@ def sweep(
     """
     if jobs is None:
         jobs = _DEFAULT_SWEEP_JOBS
-    if warm is None:
-        warm = _DEFAULT_SWEEP_WARM
     if batch is None:
         batch = _DEFAULT_SWEEP_BATCH
     if store is None:
@@ -653,11 +641,10 @@ def sweep(
     timings: Dict[Tuple[Bits, Bits], float] = {}
     counters = {"batched": 0}
     if jobs > 1 and len(todo) > 1:
-        if warm:
-            from repro.experiments.warm_pool import pool_decisions
-            decided = pool_decisions(family, todo, jobs, timeout=timeout,
-                                     retries=retries, store=store, fkey=fkey,
-                                     batch=batch)
+        from repro.experiments.warm_pool import pool_decisions
+        decided = pool_decisions(family, todo, jobs, timeout=timeout,
+                                 retries=retries, store=store, fkey=fkey,
+                                 batch=batch)
         if decided is None:
             from repro.experiments.sweep import parallel_decisions
             decided = parallel_decisions(family, todo, jobs, timeout=timeout,

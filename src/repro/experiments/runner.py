@@ -103,8 +103,7 @@ def run_all(quick: bool = True,
             jobs: int = 1,
             timeout: Optional[float] = None,
             retries: int = 1,
-            trace_format: str = "binary",
-            warm: bool = True) -> List[ExperimentRecord]:
+            trace_format: str = "binary") -> List[ExperimentRecord]:
     """Run experiments and return their records in deterministic order.
 
     The order is always the request order (``only`` as given, else ids
@@ -113,20 +112,19 @@ def run_all(quick: bool = True,
     (``solver_profile`` / ``solver_cache`` under ``profile=True``).
     ``jobs > 1`` fans out over worker processes with per-experiment
     ``timeout`` seconds and ``retries`` bounded retries on worker death
-    (see :mod:`repro.experiments.parallel`).
+    (see :mod:`repro.experiments.parallel`): through the persistent warm
+    pool, whose worker processes (and their solver caches) survive
+    across calls, or through fresh lanes where the warm pool cannot run.
     """
     ids = only if only is not None else sorted(EXPERIMENTS)
     if jobs and jobs > 1:
-        if warm:
-            # persistent lanes: worker processes (and their solver
-            # caches) survive across run_all calls; None = fall back
-            from repro.experiments import warm_pool
-            records = warm_pool.run_experiments(
-                ids, quick=quick, jobs=jobs, timeout=timeout,
-                retries=retries, trace_dir=trace_dir, profile=profile,
-                trace_format=trace_format)
-            if records is not None:
-                return records
+        from repro.experiments import warm_pool
+        records = warm_pool.run_experiments(
+            ids, quick=quick, jobs=jobs, timeout=timeout,
+            retries=retries, trace_dir=trace_dir, profile=profile,
+            trace_format=trace_format)
+        if records is not None:
+            return records
         from repro.experiments.parallel import run_parallel
         return run_parallel(ids, quick=quick, jobs=jobs, timeout=timeout,
                             retries=retries, trace_dir=trace_dir,

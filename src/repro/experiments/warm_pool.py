@@ -1,46 +1,42 @@
 """Persistent warm worker pool for the sweep/experiment fabric.
 
-The cold fan-out paths (:mod:`repro.experiments.sweep`,
-:mod:`repro.experiments.parallel`) build a throwaway
-``ProcessPoolExecutor`` per call and pickle the full family into every
-payload, so each campaign re-forks, re-imports, and re-warms skeleton,
-kernel, and solver caches from nothing.  This module keeps a pool of
-*lanes* — single-worker executors — alive across ``sweep()`` /
-``run_all()`` calls:
+The cold callers (:func:`repro.experiments.sweep.parallel_decisions`,
+:func:`repro.experiments.parallel.run_parallel`) open fresh lanes per
+call and pickle the full family into every shard, so each campaign
+re-forks, re-imports, and re-warms skeleton, kernel, and solver caches
+from nothing.  This module keeps its lanes
+(:class:`~repro.experiments.parallel.Lane`) alive across ``sweep()`` /
+``run_all()`` calls and drives them through the same scheduler
+(:func:`repro.experiments.parallel.drain`), so it inherits the one
+implementation of the failure semantics and adds only:
 
 - **one broadcast per (lane, FamilyKey)** — the pickled family (caches
   stripped) plus its warmed skeleton as compact wire bytes
   (:func:`repro.graphs.graph_to_bytes`), shipped through
   ``multiprocessing.shared_memory`` when available with an inline-bytes
   fallback.  The worker rebuilds the skeleton once, re-warms its
-  derived caches, and keeps the family (and its sweep memo) hot;
+  derived caches, and keeps the family (and its sweep memo) hot.  A
+  worker that evicted the family raises
+  :class:`~repro.experiments.parallel.LaneMiss`;
 - **tiny steady-state payloads** — after the broadcast, each shard
   ships only the ``(x, y)`` bit tuples plus a digest string, an
   order of magnitude below the cold path's family-blob-per-shard;
-- **PR 2 / PR 8 failure semantics, per lane** — a shard that *raises*
-  is re-decided serially in the parent (as a serial sweep would have
-  raised); a lane whose worker *dies* is respawned and the suspect
-  shard retried up to ``retries`` times before the parent decides it
-  serially; a shard past its ``timeout`` is decided by the parent while
-  its wedged lane is killed and respawned.  Because each lane is its
-  own pool, innocent lanes keep both their tasks *and their warmth*;
-- **deterministic record order** — results are reassembled by shard
-  index exactly like the cold scheduler, so warm ≡ cold ≡ serial.
+- **registry sync** — lanes are respawned when the experiment registry
+  changed since they forked, so runtime-registered experiments behave
+  as under the cold runner.
 
-Experiment runs (:func:`run_experiments`) reuse the same lanes (and the
-same worker processes, so solver caches stay warm across ``run_all``
-calls) with the PR 2 record semantics: TIMEOUT/CRASH/EXCEPTION FAIL
-records, bounded retries for pool-breakers, request-order reports.
-Lanes are respawned when the experiment registry changed since they
-were forked, so runtime-registered experiments behave as under the cold
-runner.
-
-Anything that prevents warm fan-out (daemonic parent, unpicklable
-family, pool construction failure) returns ``None`` and the caller
-falls back to the cold path — the pool is an optimisation, never a
-correctness concern.  :func:`pool_stats` (surfaced as
+A shard that fails on its lane is decided serially in the parent, as
+on the cold path; an experiment yields the same FAIL records as
+:func:`~repro.experiments.parallel.run_parallel`.  Because each lane is
+its own pool, a respawn costs only that lane its warmth.  ``sweep`` and
+``run_all`` with ``jobs > 1`` always try this pool first; anything that
+prevents warm fan-out (a child process, an unpicklable family, no
+worker process can start) returns ``None`` and the caller falls back to
+the cold path — the pool is an optimisation, never a correctness
+concern.  :func:`pool_stats` (surfaced as
 ``repro.obs.warm_pool_stats``) exposes the broadcast/payload/warm-hit
-counters the ``payload-budget`` CI gate asserts on.
+counters the payload-budget gate in ``benchmarks/record.py`` asserts
+on.
 """
 
 from __future__ import annotations
@@ -48,29 +44,19 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import pickle
-import time
-import traceback
-from collections import OrderedDict, deque
-from concurrent import futures
-from concurrent.futures import process as futures_process
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.parallel import (
-    _crash_record,
-    _error_record,
+    Lane,
+    LaneMiss,
     _mp_context,
-    _run_isolated,
-    _terminate,
-    _timeout_record,
-    _worker,
+    drain,
+    run_on_lanes,
 )
 
 Bits = Tuple[int, ...]
-
-#: shards per lane — same work-stealing granularity as the cold
-#: scheduler (:data:`repro.experiments.sweep.SHARDS_PER_WORKER`).
-SHARDS_PER_WORKER = 4
 
 #: skeleton blobs at least this large go through a shared-memory
 #: segment; smaller ones ride inline (segment setup would cost more
@@ -177,23 +163,21 @@ def _load_family(digest: str, blob: bytes, fkey_tuple: tuple,
 def _warm_shard(digest: str, packed: bytes, store_root: Optional[str],
                 cache_cfg: Tuple[bool, Optional[str]],
                 batch: bool = True,
-                ) -> Tuple[str, Optional[List[bool]], int,
-                           Tuple[int, int, int]]:
+                ) -> Tuple[List[bool], Tuple[int, int, int, int]]:
     """Worker entry point: decide one packed shard against the warmed
     family.
 
-    Returns ``("ok", decisions, memo_hits, kernel_stats)``, or
-    ``("miss", None, 0, (0, 0, 0))`` when ``digest`` was never
-    broadcast here (lane respawn, LRU eviction) so the parent can
-    re-broadcast and resubmit.  ``kernel_stats`` is
-    ``(kernel_pairs, state_hits_delta, state_misses_delta)``: because
-    the warmed family persists in this lane across shards, its batch
-    kernel — transient under pickling — is built once per lane and
-    reused for every later shard of the same skeleton.
+    Returns ``(decisions, (memo_hits, kernel_pairs, state_hits_delta,
+    state_misses_delta))``, and raises :class:`LaneMiss` when
+    ``digest`` is not warmed here (LRU eviction), so the scheduler
+    respawns the lane and the parent re-broadcasts on resubmit.
+    Because the warmed family persists in this lane across shards, its
+    batch kernel — transient under pickling — is built once per lane
+    and reused for every later shard of the same skeleton.
     """
     entry = _WARM_FAMILIES.get(digest)
     if entry is None:
-        return ("miss", None, 0, (0, 0, 0))
+        raise LaneMiss(digest)
     family, fkey_tuple = entry
     _WARM_FAMILIES.move_to_end(digest)
     from repro.solvers import cache as solver_cache
@@ -249,14 +233,13 @@ def _warm_shard(digest: str, packed: bytes, store_root: Optional[str],
         if store is not None:
             store.store(fkey, key[0], key[1], decision)
         decisions.append(decision)
-    kstats = (kernel_pairs,
-              events_after[0] - events_before[0],
-              events_after[1] - events_before[1])
-    return ("ok", decisions, hits, kstats)
+    return decisions, (hits, kernel_pairs,
+                       events_after[0] - events_before[0],
+                       events_after[1] - events_before[1])
 
 
 # ----------------------------------------------------------------------
-# parent side: lanes, stats, the pool
+# parent side: stats and the pool
 # ----------------------------------------------------------------------
 @dataclass
 class PoolStats:
@@ -269,7 +252,6 @@ class PoolStats:
     pairs_shipped: int = 0     #: pairs decided through the warm path
     shards: int = 0            #: shard tasks completed by lanes
     warm_hits: int = 0         #: pairs served from a worker's hot memo
-    lane_respawns: int = 0     #: lanes rebuilt after death/timeout
     experiments: int = 0       #: experiment records produced by lanes
     kernel_batched: int = 0    #: pairs answered by batched kernels
     kernel_state_hits: int = 0    #: kernel reused (skeleton hash match)
@@ -277,19 +259,6 @@ class PoolStats:
 
     def as_dict(self) -> Dict[str, int]:
         return dict(vars(self))
-
-
-class _Lane:
-    """One single-worker executor plus what its worker has been sent."""
-
-    def __init__(self, ctx) -> None:
-        self.executor = futures.ProcessPoolExecutor(max_workers=1,
-                                                    mp_context=ctx)
-        #: family digests broadcast to this lane's worker
-        self.loaded: Set[str] = set()
-        #: experiment-registry stamp at the worker's fork (set on first
-        #: submit — the executor forks lazily), None until then
-        self.stamp: Optional[tuple] = None
 
 
 def _registry_stamp() -> tuple:
@@ -301,28 +270,31 @@ class WarmPool:
     """A resizable set of persistent lanes shared by every warm caller."""
 
     def __init__(self) -> None:
-        self._ctx = _mp_context()
-        self.lanes: List[_Lane] = []
+        self.lanes: List[Lane] = []
         self.stats = PoolStats()
         #: live shared-memory segments: [(segment, [broadcast futures])]
         self._segments: List[Tuple[Any, List[Any]]] = []
+        #: experiment registry the lanes forked with (None: none forked)
+        self._registry: Optional[tuple] = None
 
     # -- lane lifecycle ------------------------------------------------
-    def ensure(self, jobs: int) -> None:
+    def ensure(self, jobs: int) -> List[Lane]:
+        """The first ``jobs`` lanes, built as needed.  When the
+        experiment registry changed since the lanes forked, every lane
+        is respawned, so runtime-registered experiments exist in the
+        workers as under the cold runner."""
         while len(self.lanes) < jobs:
-            self.lanes.append(_Lane(self._ctx))
-
-    def _respawn(self, lane: _Lane) -> None:
-        _terminate(lane.executor)
-        lane.executor = futures.ProcessPoolExecutor(max_workers=1,
-                                                    mp_context=self._ctx)
-        lane.loaded = set()
-        lane.stamp = None
-        self.stats.lane_respawns += 1
+            self.lanes.append(Lane())
+        registry = _registry_stamp()
+        if self._registry not in (None, registry):
+            for lane in self.lanes:
+                lane.respawn()
+        self._registry = registry
+        return self.lanes[:jobs]
 
     def shutdown(self) -> None:
         for lane in self.lanes:
-            _terminate(lane.executor)
+            lane.close()
         self.lanes = []
         self._reap_segments(force=True)
 
@@ -332,7 +304,7 @@ class WarmPool:
             # spawn workers run their own resource tracker, which would
             # unlink the parent's live segment when the worker exits;
             # only fork's shared-tracker semantics make attach safe
-            if self._ctx.get_start_method() != "fork":
+            if _mp_context().get_start_method() != "fork":
                 return None
             from multiprocessing import shared_memory
             seg = shared_memory.SharedMemory(create=True, size=len(data))
@@ -357,7 +329,7 @@ class WarmPool:
                 keep.append((seg, futs))
         self._segments = keep
 
-    def _broadcast(self, lane: _Lane, digest: str, blob: bytes,
+    def _broadcast(self, lane: Lane, digest: str, blob: bytes,
                    fkey_tuple: tuple, shm_spec: Optional[Tuple[str, int]],
                    skel_bytes: Optional[bytes]) -> None:
         """Queue the family broadcast ahead of this lane's next shard
@@ -365,8 +337,6 @@ class WarmPool:
         inline = skel_bytes if shm_spec is None else None
         fut = lane.executor.submit(_load_family, digest, blob, fkey_tuple,
                                    shm_spec, inline)
-        if lane.stamp is None:
-            lane.stamp = _registry_stamp()
         if shm_spec is not None:
             for seg, futs in self._segments:
                 if seg.name == shm_spec[0]:
@@ -400,146 +370,60 @@ class WarmPool:
                 skel_bytes = family._skeleton_store.to_bytes()
             except NotImplementedError:
                 skel_bytes = None
-            self.ensure(jobs)
+            lanes = self.ensure(jobs)
         except Exception:
             return None
 
-        from repro.experiments.sweep import _decide_serial
+        from repro.experiments.sweep import _decide_serial, split_shards
         from repro.solvers.cache import CACHE
         cache_cfg = (CACHE.enabled, CACHE.cache_dir)
         store_root = (getattr(store, "root", None)
                       if store is not None else None)
         fkey_tuple = fkey.as_tuple()
-        k_bits = int(fkey_tuple[2])
-
-        shard_size = max(1, -(-len(pairs) // (jobs * SHARDS_PER_WORKER)))
-        shards = [list(pairs[i:i + shard_size])
-                  for i in range(0, len(pairs), shard_size)]
-        packed = [_pack_pairs(shard, k_bits) for shard in shards]
+        shards = split_shards(pairs, jobs)
+        packed = [_pack_pairs(part, int(fkey_tuple[2])) for part in shards]
         # the shared-memory segment is created lazily, on the first lane
         # that actually needs the broadcast (usually none: steady state)
-        shm_spec: Optional[Tuple[str, int]] = None
-        shm_tried = False
+        segment: List[Optional[Tuple[str, int]]] = []
 
-        results: Dict[int, List[bool]] = {}
-        pending: deque = deque(range(len(shards)))
-        attempts: Dict[int, int] = {}
-        free: deque = deque(self.lanes[:jobs])
-        inflight: Dict[Any, Tuple[_Lane, int, Optional[float]]] = {}
-        started = False
-        while pending or inflight:
-            while pending and free:
-                lane = free.popleft()
-                idx = pending.popleft()
-                try:
-                    if digest not in lane.loaded:
-                        if (not shm_tried and skel_bytes is not None
-                                and len(skel_bytes) >= SHM_MIN_BYTES):
-                            shm_spec = self._make_segment(skel_bytes)
-                            shm_tried = True
-                        self._broadcast(lane, digest, blob, fkey_tuple,
-                                        shm_spec, skel_bytes)
-                    fut = lane.executor.submit(
-                        _warm_shard, digest, packed[idx], store_root,
-                        cache_cfg, batch)
-                except Exception:
-                    # lane unusable at submit (interpreter teardown,
-                    # broken executor): rebuild it and let the shard be
-                    # retried — bounded by the attempts counter below
-                    attempts[idx] = attempts.get(idx, 0) + 1
-                    if attempts[idx] > max(1, retries):
-                        results[idx] = _decide_serial(family, shards[idx],
-                                                      store, fkey,
-                                                      batch=batch)
-                    else:
-                        pending.appendleft(idx)
-                    try:
-                        self._respawn(lane)
-                        free.append(lane)
-                    except Exception:
-                        if not started and not inflight:
-                            return None
-                    continue
-                started = True
-                self.stats.pair_payload_bytes += len(pickle.dumps(
-                    (digest, packed[idx], store_root, cache_cfg, batch)))
-                deadline = (None if timeout is None
-                            else time.monotonic() + timeout)
-                inflight[fut] = (lane, idx, deadline)
-            if not inflight:
-                if pending:  # no usable lanes left: parent mops up
-                    idx = pending.popleft()
-                    results[idx] = _decide_serial(family, shards[idx],
-                                                  store, fkey, batch=batch)
-                continue
-            deadlines = [d for __, __, d in inflight.values()
-                         if d is not None]
-            wait_for = (max(0.0, min(deadlines) - time.monotonic())
-                        if deadlines else None)
-            done, __ = futures.wait(set(inflight), timeout=wait_for,
-                                    return_when=futures.FIRST_COMPLETED)
-            if not done:
-                now = time.monotonic()
-                expired = [f for f, (__, __, d) in inflight.items()
-                           if d is not None and d <= now]
-                # pathological shards: the parent decides them while the
-                # wedged lanes are respawned; innocent lanes keep both
-                # their in-flight shards and their warmth
-                for fut in expired:
-                    lane, idx, __ = inflight.pop(fut)
-                    results[idx] = _decide_serial(family, shards[idx],
-                                                  store, fkey, batch=batch)
-                    self._respawn(lane)
-                    free.append(lane)
-                continue
-            for fut in done:
-                lane, idx, __ = inflight.pop(fut)
-                try:
-                    status, decisions, hits, kstats = fut.result()
-                except (futures_process.BrokenProcessPool,
-                        futures.BrokenExecutor):
-                    # only this lane died; its shard is the suspect
-                    attempts[idx] = attempts.get(idx, 0) + 1
-                    if attempts[idx] > max(0, retries):
-                        results[idx] = _decide_serial(family, shards[idx],
-                                                      store, fkey,
-                                                      batch=batch)
-                    else:
-                        pending.appendleft(idx)
-                    self._respawn(lane)
-                    free.append(lane)
-                except Exception:
-                    # ordinary predicate exception: re-decide here so it
-                    # raises in the caller's frame like a serial sweep
-                    results[idx] = _decide_serial(family, shards[idx],
-                                                  store, fkey, batch=batch)
-                    free.append(lane)
-                else:
-                    if status == "miss":
-                        # worker lost the family (respawn, LRU): force a
-                        # re-broadcast on resubmit, bounded like a crash
-                        lane.loaded.discard(digest)
-                        attempts[idx] = attempts.get(idx, 0) + 1
-                        if attempts[idx] > max(1, retries):
-                            results[idx] = _decide_serial(
-                                family, shards[idx], store, fkey,
-                                batch=batch)
-                        else:
-                            pending.appendleft(idx)
-                    else:
-                        results[idx] = decisions
-                        self.stats.warm_hits += hits
-                        self.stats.shards += 1
-                        self.stats.pairs_shipped += len(shards[idx])
-                        self.stats.kernel_batched += kstats[0]
-                        self.stats.kernel_state_hits += kstats[1]
-                        self.stats.kernel_state_misses += kstats[2]
-                    free.append(lane)
-        self._reap_segments()
+        def submit(lane: Lane, idx: int):
+            if digest not in lane.loaded:
+                if not segment:
+                    segment.append(
+                        self._make_segment(skel_bytes)
+                        if skel_bytes is not None
+                        and len(skel_bytes) >= SHM_MIN_BYTES else None)
+                self._broadcast(lane, digest, blob, fkey_tuple, segment[0],
+                                skel_bytes)
+            payload = (digest, packed[idx], store_root, cache_cfg, batch)
+            fut = lane.executor.submit(_warm_shard, *payload)
+            self.stats.pair_payload_bytes += len(pickle.dumps(payload))
+            return fut
 
+        def fallback(idx: int, kind: str, detail: str):
+            # raised, hung or kept losing its lane: the parent decides
+            # it, so a predicate error raises in the caller's frame
+            return _decide_serial(family, shards[idx], store, fkey,
+                                  batch=batch), None
+
+        try:
+            results = drain(lanes, range(len(shards)), submit, fallback,
+                            timeout=timeout, retries=retries)
+        finally:
+            self._reap_segments()
+        if results is None:
+            return None
         out: List[bool] = []
-        for idx in range(len(shards)):
-            out.extend(results[idx])
+        for idx, (decisions, counters) in enumerate(results):
+            out.extend(decisions)
+            if counters is not None:
+                hits, kernel_pairs, state_hits, state_misses = counters
+                self.stats.warm_hits += hits
+                self.stats.shards += 1
+                self.stats.pairs_shipped += len(shards[idx])
+                self.stats.kernel_batched += kernel_pairs
+                self.stats.kernel_state_hits += state_hits
+                self.stats.kernel_state_misses += state_misses
         return out
 
     # -- experiment fan-out --------------------------------------------
@@ -555,102 +439,15 @@ class WarmPool:
         order = list(ids)
         if not order:
             return []
-        jobs = max(1, min(int(jobs), len(order)))
         try:
-            self.ensure(jobs)
+            lanes = self.ensure(max(1, min(int(jobs), len(order))))
         except Exception:
             return None
-        from repro.solvers.cache import CACHE
-        cache_cfg = (CACHE.enabled, CACHE.cache_dir)
-        stamp = _registry_stamp()
-        for lane in self.lanes[:jobs]:
-            # a lane forked before the current registry existed cannot
-            # see runtime-registered experiments — refork it
-            if lane.stamp is not None and lane.stamp != stamp:
-                self._respawn(lane)
-
-        results: Dict[str, Any] = {}
-        pending: deque = deque(order)
-        attempts: Dict[str, int] = {}
-        crash_detail: Dict[str, str] = {}
-        free: deque = deque(self.lanes[:jobs])
-        inflight: Dict[Any, Tuple[_Lane, str, Optional[float]]] = {}
-        started = False
-        while pending or inflight:
-            while pending and free:
-                lane = free.popleft()
-                eid = pending.popleft()
-                try:
-                    fut = lane.executor.submit(
-                        _worker, eid, quick, trace_dir, profile,
-                        trace_format, *cache_cfg)
-                except Exception:
-                    pending.appendleft(eid)
-                    try:
-                        self._respawn(lane)
-                        free.append(lane)
-                    except Exception:
-                        if not started and not inflight:
-                            return None
-                    continue
-                if lane.stamp is None:
-                    lane.stamp = stamp
-                started = True
-                deadline = (None if timeout is None
-                            else time.monotonic() + timeout)
-                inflight[fut] = (lane, eid, deadline)
-            if not inflight:
-                if pending and not free:
-                    break  # every lane lost: cold isolation mops up
-                continue
-            deadlines = [d for __, __, d in inflight.values()
-                         if d is not None]
-            wait_for = (max(0.0, min(deadlines) - time.monotonic())
-                        if deadlines else None)
-            done, __ = futures.wait(set(inflight), timeout=wait_for,
-                                    return_when=futures.FIRST_COMPLETED)
-            if not done:
-                now = time.monotonic()
-                expired = [f for f, (__, __, d) in inflight.items()
-                           if d is not None and d <= now]
-                for fut in expired:
-                    lane, eid, __ = inflight.pop(fut)
-                    results[eid] = _timeout_record(eid, timeout)
-                    self._respawn(lane)
-                    free.append(lane)
-                continue
-            for fut in done:
-                lane, eid, __ = inflight.pop(fut)
-                try:
-                    record = fut.result()
-                except (futures_process.BrokenProcessPool,
-                        futures.BrokenExecutor) as exc:
-                    # the respawned lane IS the fresh isolation pool the
-                    # cold runner would retry in
-                    attempts[eid] = attempts.get(eid, 0) + 1
-                    crash_detail[eid] = f"worker process died ({exc!r})"
-                    if attempts[eid] > max(0, retries):
-                        results[eid] = _crash_record(
-                            eid, crash_detail[eid], retries)
-                    else:
-                        pending.appendleft(eid)
-                    self._respawn(lane)
-                    free.append(lane)
-                except Exception:
-                    results[eid] = _error_record(eid, traceback.format_exc())
-                    free.append(lane)
-                else:
-                    results[eid] = record
-                    self.stats.experiments += 1
-                    free.append(lane)
-        while pending:  # lanes exhausted: fall back to cold isolation
-            eid = pending.popleft()
-            if eid not in results:
-                results[eid] = _run_isolated(
-                    eid, quick, trace_dir, profile, trace_format,
-                    cache_cfg, timeout, max(1, retries), self._ctx,
-                    first_error=None)
-        return [results[eid] for eid in order]
+        records = run_on_lanes(lanes, order, quick, timeout, retries,
+                               trace_dir, profile, trace_format)
+        if records is not None:
+            self.stats.experiments += len(records)
+        return records
 
 
 # ----------------------------------------------------------------------
@@ -659,16 +456,13 @@ class WarmPool:
 _POOL: Optional[WarmPool] = None
 
 
-def get_pool(jobs: Optional[int] = None) -> WarmPool:
+def get_pool() -> WarmPool:
     """The process-wide warm pool, created (and registered for atexit
-    teardown) on first use; ``jobs`` grows it to at least that many
-    lanes."""
+    teardown) on first use."""
     global _POOL
     if _POOL is None:
         _POOL = WarmPool()
         atexit.register(shutdown_pool)
-    if jobs:
-        _POOL.ensure(jobs)
     return _POOL
 
 
@@ -684,9 +478,10 @@ def shutdown_pool() -> None:
 def pool_stats() -> Dict[str, int]:
     """A snapshot of the warm pool's cumulative counters (all zeros
     when no pool has been created)."""
-    stats = _POOL.stats.as_dict() if _POOL is not None else \
-        PoolStats().as_dict()
-    stats["lanes"] = len(_POOL.lanes) if _POOL is not None else 0
+    lanes = _POOL.lanes if _POOL is not None else []
+    stats = (_POOL.stats if _POOL is not None else PoolStats()).as_dict()
+    stats["lanes"] = len(lanes)
+    stats["lane_respawns"] = sum(lane.respawns for lane in lanes)
     return stats
 
 
@@ -711,12 +506,9 @@ def pool_decisions(family, pairs: Sequence[Tuple[Bits, Bits]], jobs: int,
     parallel_decisions` — ``None`` means fall back to the cold path."""
     if not _warmable():
         return None
-    try:
-        pool = get_pool(jobs)
-    except Exception:
-        return None
-    return pool.decide(family, pairs, jobs, timeout=timeout,
-                       retries=retries, store=store, fkey=fkey, batch=batch)
+    return get_pool().decide(family, pairs, jobs, timeout=timeout,
+                             retries=retries, store=store, fkey=fkey,
+                             batch=batch)
 
 
 def run_experiments(ids: Sequence[str], quick: bool = True, jobs: int = 2,
@@ -727,9 +519,5 @@ def run_experiments(ids: Sequence[str], quick: bool = True, jobs: int = 2,
     — ``None`` means fall back to the cold runner."""
     if not _warmable():
         return None
-    try:
-        pool = get_pool(jobs)
-    except Exception:
-        return None
-    return pool.run(ids, quick, jobs, timeout, retries, trace_dir,
-                    profile, trace_format)
+    return get_pool().run(ids, quick, jobs, timeout, retries, trace_dir,
+                          profile, trace_format)

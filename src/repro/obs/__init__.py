@@ -56,7 +56,6 @@ from repro.obs.profile import (
     diff_cache_stats,
     diff_profile,
     format_cache_stats,
-    format_warm_pool_stats,
     format_profile,
     profile_block,
     profile_stats,
@@ -108,7 +107,6 @@ __all__ = [
     "warm_pool_stats",
     "diff_cache_stats",
     "format_cache_stats",
-    "format_warm_pool_stats",
     "render_report",
     "select_run",
     "render_bench_report",

@@ -178,19 +178,3 @@ def warm_pool_stats() -> Dict[str, int]:
     all zeros when no pool has been created."""
     from repro.experiments.warm_pool import pool_stats
     return pool_stats()
-
-
-def format_warm_pool_stats(stats: Dict[str, int]) -> str:
-    """Compact one-line rendering of :func:`warm_pool_stats`."""
-    pairs = stats.get("pairs_shipped", 0)
-    per_pair = (stats.get("pair_payload_bytes", 0) / pairs) if pairs else 0.0
-    return (f"lanes={stats.get('lanes', 0)} "
-            f"broadcasts={stats.get('broadcasts', 0)} "
-            f"({stats.get('broadcast_bytes', 0)}B"
-            f"{', shm' if stats.get('shm_segments', 0) else ''}) "
-            f"pairs={pairs} ({per_pair:.1f}B/pair) "
-            f"warm_hits={stats.get('warm_hits', 0)} "
-            f"kernel={stats.get('kernel_batched', 0)} "
-            f"({stats.get('kernel_state_hits', 0)}h/"
-            f"{stats.get('kernel_state_misses', 0)}m state) "
-            f"respawns={stats.get('lane_respawns', 0)}")

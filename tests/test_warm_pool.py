@@ -114,14 +114,14 @@ class TestEquivalence:
         pairs = _pairs(MdsFamily(2), 8, seed=1)
         want = _serial_decisions(MdsFamily, pairs)
         for __ in range(3):
-            report = sweep(MdsFamily(2), pairs, jobs=2, warm=True)
+            report = sweep(MdsFamily(2), pairs, jobs=2)
             assert report.decisions == want
         assert pool_stats()["warm_hits"] > 0
 
     def test_sweep_report_counters_match_serial(self):
         pairs = _pairs(MdsFamily(2), 10, seed=2)
         serial = sweep(MdsFamily(2), pairs, jobs=1)
-        warm = sweep(MdsFamily(2), pairs, jobs=2, warm=True)
+        warm = sweep(MdsFamily(2), pairs, jobs=2)
         assert warm.decisions == serial.decisions
         assert (warm.pairs, warm.unique_pairs, warm.memo_hits,
                 warm.solved) == (serial.pairs, serial.unique_pairs,
@@ -131,17 +131,17 @@ class TestEquivalence:
 class TestBroadcastProtocol:
     def test_rebroadcast_only_on_family_key_change(self):
         pairs = _pairs(MdsFamily(2), 6, seed=3)
-        sweep(MdsFamily(2), pairs, jobs=2, warm=True)
+        sweep(MdsFamily(2), pairs, jobs=2)
         after_first = pool_stats()["broadcasts"]
         assert after_first == pool_stats()["lanes"]
 
         # same FamilyKey (fresh instance): no new broadcast
-        sweep(MdsFamily(2), pairs, jobs=2, warm=True)
+        sweep(MdsFamily(2), pairs, jobs=2)
         assert pool_stats()["broadcasts"] == after_first
 
         # different FamilyKey: one broadcast per lane that decides it
         other = MaxCutFamily(2)
-        sweep(other, _pairs(other, 6, seed=3), jobs=2, warm=True)
+        sweep(other, _pairs(other, 6, seed=3), jobs=2)
         assert pool_stats()["broadcasts"] > after_first
 
     def test_payload_budget(self):
@@ -152,8 +152,8 @@ class TestBroadcastProtocol:
         k = MdsFamily(2).k_bits
         grid = [(x, y) for x in product((0, 1), repeat=k)
                 for y in product((0, 1), repeat=k)]
-        sweep(MdsFamily(2), grid, jobs=2, warm=True)
-        sweep(MdsFamily(2), grid, jobs=2, warm=True)
+        sweep(MdsFamily(2), grid, jobs=2)
+        sweep(MdsFamily(2), grid, jobs=2)
         stats = pool_stats()
         assert stats["pairs_shipped"] > 0
         per_pair = stats["pair_payload_bytes"] / stats["pairs_shipped"]
@@ -161,7 +161,7 @@ class TestBroadcastProtocol:
 
     def test_broadcast_bytes_are_counted(self):
         pairs = _pairs(MdsFamily(2), 6, seed=5)
-        sweep(MdsFamily(2), pairs, jobs=2, warm=True)
+        sweep(MdsFamily(2), pairs, jobs=2)
         assert pool_stats()["broadcast_bytes"] > 0
 
 
@@ -170,7 +170,7 @@ class TestFailureSemantics:
         # prime both lanes with an innocent family
         pairs = _pairs(MdsFamily(2), 10, seed=6)
         want = _serial_decisions(MdsFamily, pairs)
-        sweep(MdsFamily(2), pairs, jobs=2, warm=True)
+        sweep(MdsFamily(2), pairs, jobs=2)
         primed = pool_stats()["broadcasts"]
 
         # one worker hard-dies mid-campaign; decisions still correct
@@ -183,7 +183,7 @@ class TestFailureSemantics:
         # the innocent lane kept its warmed copy: re-sweeping the first
         # family re-broadcasts only to the respawned lane(s)
         before = pool_stats()["broadcasts"]
-        report = sweep(MdsFamily(2), pairs, jobs=2, warm=True)
+        report = sweep(MdsFamily(2), pairs, jobs=2)
         assert report.decisions == want
         rebroadcasts = pool_stats()["broadcasts"] - before
         assert rebroadcasts < pool_stats()["lanes"], (
