@@ -121,7 +121,7 @@ def test_cache_hit_speedup(benchmark):
     rng = random.Random(7)
     g = random_graph(20, 0.5, rng)  # Θ(2^n) Gray-code sweep: ~1M subsets
 
-    CACHE.configure(enabled=True, cache_dir=None)
+    CACHE.configure(enabled=True)
     CACHE._mem.clear()
     CACHE.reset_stats()
     try:

@@ -237,12 +237,9 @@ def cmd_paper(args: argparse.Namespace) -> None:
 def cmd_experiments(args: argparse.Namespace) -> None:
     from repro.core.family import configure_sweep
     from repro.experiments import format_markdown, run_all
-    from repro.solvers.cache import configure as configure_cache, default_cache_dir
+    from repro.solvers.cache import configure as configure_cache
 
-    cache_dir = args.cache_dir
-    if cache_dir == "DEFAULT":
-        cache_dir = default_cache_dir()
-    configure_cache(enabled=not args.no_cache, cache_dir=cache_dir)
+    configure_cache(enabled=not args.no_cache)
     if args.sweep_jobs:
         configure_sweep(args.sweep_jobs)
     records = run_all(quick=not args.full,
@@ -427,10 +424,6 @@ def main(argv: Optional[list] = None) -> None:
                         "process died (default 1)")
     p.add_argument("--no-cache", action="store_true",
                    help="disable the exact-solver memoization cache")
-    p.add_argument("--cache-dir", nargs="?", const="DEFAULT", default=None,
-                   metavar="DIR",
-                   help="persist solver results to DIR (bare --cache-dir "
-                        "uses ~/.cache/repro); default is memory-only")
     p.add_argument("--sweep-jobs", type=int, default=0, metavar="N",
                    help="fan each family's predicate sweep over N worker "
                         "processes (independent of --jobs; reports are "

@@ -264,15 +264,15 @@ def drain(lanes: Sequence[Lane], tasks: Sequence[Any],
 # experiment fan-out
 # ----------------------------------------------------------------------
 def _worker(experiment_id: str, quick: bool, trace_dir: Optional[str],
-            profile: bool, trace_format: str, cache_enabled: bool,
-            cache_dir: Optional[str]) -> ExperimentRecord:
+            profile: bool, trace_format: str,
+            cache_enabled: bool) -> ExperimentRecord:
     """Lane entry point: run one experiment, never raise.
 
     Ordinary exceptions become FAIL records here so only genuine worker
     death (``os._exit``, signals, OOM kills) reaches the scheduler.
     """
     from repro.solvers import cache as solver_cache
-    solver_cache.configure(enabled=cache_enabled, cache_dir=cache_dir)
+    solver_cache.configure(enabled=cache_enabled)
     try:
         return run_experiment(experiment_id, quick=quick,
                               trace_dir=trace_dir, profile=profile,
@@ -313,8 +313,7 @@ def run_on_lanes(lanes: Sequence[Lane], ids: Sequence[str], quick: bool,
     """Run experiments ``ids`` over ``lanes`` with the record semantics
     of :func:`run_parallel`; ``None`` when no lane could start."""
     from repro.solvers.cache import CACHE
-    args = (quick, trace_dir, profile, trace_format,
-            CACHE.enabled, CACHE.cache_dir)
+    args = (quick, trace_dir, profile, trace_format, CACHE.enabled)
     return drain(
         lanes, ids,
         lambda lane, eid: lane.executor.submit(_worker, eid, *args),
@@ -351,6 +350,6 @@ def run_parallel(ids: Sequence[str],
     if records is None:
         from repro.solvers.cache import CACHE
         records = [_worker(eid, quick, trace_dir, profile, trace_format,
-                           CACHE.enabled, CACHE.cache_dir)
+                           CACHE.enabled)
                    for eid in order]
     return records

@@ -23,8 +23,8 @@ k_bits, x, y)``:
   ``build(0…0, 0…0)``, tagged so the two can never collide;
 - ``(x, y)`` are the input bits themselves.
 
-Invalidation is therefore structural, exactly like the PR 2 solver
-cache: mutate the construction and the key moves.  The store only needs
+Invalidation is therefore structural, exactly like the solver cache:
+mutate the construction and the key moves.  The store only needs
 manual clearing (:meth:`SweepStore.clear` or delete the directory) when
 a *predicate implementation* changes semantics without changing the
 skeleton.
@@ -33,11 +33,10 @@ Layout and concurrency
 ----------------------
 One directory per family key (named by its digest) under the store
 root (default ``~/.cache/repro/sweeps/``), holding a human-readable
-``meta.json`` (written once through
-:func:`repro.solvers.cache.atomic_write_json`) and append-only decision
-logs.  Each decision is one line ``<x bits>:<y bits>:<0|1>`` appended
-by a single ``os.write`` to the writer's own log,
-``<pid>-<token>.log``, where the token is drawn once per
+``meta.json`` (written once through :func:`atomic_write_json`) and
+append-only decision logs.  Each decision is one line
+``<x bits>:<y bits>:<0|1>`` appended by a single ``os.write`` to the
+writer's own log, ``<pid>-<token>.log``, where the token is drawn once per
 :class:`SweepStore` instance.  Every write opens the log with
 ``O_APPEND`` and closes it again, so no descriptor is held and a fork
 child (same token, new pid) lands in a file of its own without any
@@ -58,12 +57,12 @@ logs.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import re
+import tempfile
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Set, Tuple
-
-from repro.solvers.cache import atomic_write_json, default_cache_dir
 
 Bits = Tuple[int, ...]
 Pair = Tuple[Bits, Bits]
@@ -71,9 +70,37 @@ Pair = Tuple[Bits, Bits]
 _APPEND = os.O_WRONLY | os.O_CREAT | os.O_APPEND
 
 
+def default_cache_dir() -> str:
+    """``$XDG_CACHE_HOME/repro`` (``~/.cache/repro`` by default)."""
+    base = os.environ.get("XDG_CACHE_HOME")
+    if not base:
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(base, "repro")
+
+
 def default_sweep_store_dir() -> str:
     """``$XDG_CACHE_HOME/repro/sweeps`` (``~/.cache/repro/sweeps``)."""
     return os.path.join(default_cache_dir(), "sweeps")
+
+
+def atomic_write_json(path: str, payload: Any) -> None:
+    """Write ``payload`` as JSON to ``path`` atomically: dump to a
+    ``mkstemp`` sibling, then ``os.replace`` it into place, so readers
+    see a complete old or complete new file, never a torn one.  The temp
+    file is unlinked on failure; a killed writer leaves only a ``*.tmp``
+    for :meth:`SweepStore.clear`.  ``OSError`` propagates to the caller.
+    """
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def _bits_str(bits: Sequence[int]) -> str:

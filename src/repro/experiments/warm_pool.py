@@ -161,7 +161,7 @@ def _load_family(digest: str, blob: bytes, fkey_tuple: tuple,
 
 
 def _warm_shard(digest: str, packed: bytes, store_root: Optional[str],
-                cache_cfg: Tuple[bool, Optional[str]],
+                cache_enabled: bool,
                 batch: bool = True,
                 ) -> Tuple[List[bool], Tuple[int, int, int, int]]:
     """Worker entry point: decide one packed shard against the warmed
@@ -181,7 +181,7 @@ def _warm_shard(digest: str, packed: bytes, store_root: Optional[str],
     family, fkey_tuple = entry
     _WARM_FAMILIES.move_to_end(digest)
     from repro.solvers import cache as solver_cache
-    solver_cache.configure(enabled=cache_cfg[0], cache_dir=cache_cfg[1])
+    solver_cache.configure(enabled=cache_enabled)
     store = fkey = None
     if store_root is not None:
         from repro.experiments.sweep_store import FamilyKey, SweepStore
@@ -376,7 +376,7 @@ class WarmPool:
 
         from repro.experiments.sweep import _decide_serial, split_shards
         from repro.solvers.cache import CACHE
-        cache_cfg = (CACHE.enabled, CACHE.cache_dir)
+        cache_enabled = CACHE.enabled
         store_root = (getattr(store, "root", None)
                       if store is not None else None)
         fkey_tuple = fkey.as_tuple()
@@ -395,7 +395,7 @@ class WarmPool:
                         and len(skel_bytes) >= SHM_MIN_BYTES else None)
                 self._broadcast(lane, digest, blob, fkey_tuple, segment[0],
                                 skel_bytes)
-            payload = (digest, packed[idx], store_root, cache_cfg, batch)
+            payload = (digest, packed[idx], store_root, cache_enabled, batch)
             fut = lane.executor.submit(_warm_shard, *payload)
             self.stats.pair_payload_bytes += len(pickle.dumps(payload))
             return fut

@@ -992,9 +992,9 @@ class Graph:
         return g
 
     def __reduce__(self):
-        # every pickle site (fork payloads, sweep shards, disk caches)
-        # rides the compact wire format; subclasses fall back to the
-        # generic reconstructor since their extra state is unknown here
+        # every pickle site (fork payloads, sweep shards) rides the
+        # compact wire format; subclasses fall back to the generic
+        # reconstructor since their extra state is unknown here
         if type(self) is Graph:
             return (graph_from_bytes, (graph_to_bytes(self),))
         return (copyreg._reconstructor, (type(self), object, None),

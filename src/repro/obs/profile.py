@@ -154,8 +154,7 @@ def diff_cache_stats(before: Dict[str, "CacheStats"],
         hits = stat.hits - prev.hits
         misses = stat.misses - prev.misses
         if hits > 0 or misses > 0:
-            out[name] = CacheStats(hits, misses,
-                                   stat.disk_hits - prev.disk_hits)
+            out[name] = CacheStats(hits, misses)
     return out
 
 

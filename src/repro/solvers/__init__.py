@@ -16,7 +16,6 @@ from repro.solvers.cache import (
     canonical_repr,
     clear_cache,
     configure as configure_cache,
-    default_cache_dir,
     reset_cache_stats,
 )
 from repro.solvers.mis import (
@@ -83,7 +82,6 @@ __all__ = [
     "canonical_repr",
     "clear_cache",
     "configure_cache",
-    "default_cache_dir",
     "reset_cache_stats",
     "max_independent_set",
     "max_independent_set_weight",

@@ -116,7 +116,6 @@ class _SetCoverSolver:
 
 
 @profiled
-@cached
 def min_set_cover(
     n_elements: int,
     sets: Sequence[Tuple[Iterable[int], float]],

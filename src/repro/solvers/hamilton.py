@@ -469,7 +469,6 @@ def _search_cycle_masks(succ_mask: List[int], pred_mask: List[int],
 
 
 @profiled
-@cached
 def find_hamiltonian_path(
     graph: AnyGraph,
     source: Optional[Vertex] = None,
@@ -524,7 +523,6 @@ def has_hamiltonian_cycle(graph: AnyGraph) -> bool:
 
 
 @profiled
-@cached
 def held_karp_has_path(graph: AnyGraph) -> bool:
     """O(2^n n^2) dynamic program; independent cross-check for n ≤ 18."""
     dg = _as_digraph(graph)

@@ -108,7 +108,6 @@ def steiner_tree_cost(graph: Graph, terminals: Sequence[Vertex]) -> float:
 
 
 @profiled
-@cached
 def steiner_tree(graph: Graph, terminals: Sequence[Vertex]) -> Tuple[float, List[Tuple[Vertex, Vertex]]]:
     """Minimum Steiner tree cost plus one optimal edge set.
 
@@ -155,7 +154,6 @@ def _reach(adj: List[int], allowed: int, start: int) -> int:
 
 
 @profiled
-@cached
 def min_node_weighted_steiner_cost(graph: Graph, terminals: Sequence[Vertex],
                                    limit_candidates: int = 16) -> float:
     """Minimum total *vertex* weight of a connected subgraph spanning

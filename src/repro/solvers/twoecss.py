@@ -13,7 +13,6 @@ from itertools import combinations
 from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.graphs import Graph, Vertex
-from repro.solvers.cache import cached
 from repro.solvers.hamilton import has_hamiltonian_cycle
 
 
@@ -77,7 +76,6 @@ def has_two_ecss_with_edges(graph: Graph, n_edges: int) -> bool:
     return _subset_search(graph, n_edges) is not None
 
 
-@cached
 def min_two_ecss_edges(graph: Graph, limit_edges: int = 18) -> Optional[int]:
     """Minimum number of edges of a 2-ECSS, by subset enumeration.
 

@@ -1,37 +1,33 @@
-"""Solver memoization: canonical hashing, both cache tiers, counters."""
-
-import json
-import math
-import os
+"""Solver memoization: canonical hashing, the memory cache, counters."""
 
 import pytest
 
 from repro.graphs import DiGraph, Graph, GraphError, complete_graph, label_sort_key
-from repro.solvers import max_cut, max_flow, max_independent_set, min_dominating_set
+from repro.solvers import (
+    max_cut,
+    max_independent_set,
+    max_independent_set_weight,
+    min_dominating_set,
+)
 from repro.solvers.cache import (
     CACHE,
-    SolverCache,
     UncacheableArgument,
-    _decode,
-    _encode,
     cache_stats,
     cached,
     canonical_repr,
     configure,
-    default_cache_dir,
-    reset_cache_stats,
 )
 
 
 @pytest.fixture(autouse=True)
 def fresh_cache():
-    """Each test runs against a clean, enabled, memory-only cache and
-    leaves the global cache the same way."""
-    CACHE.configure(enabled=True, cache_dir=None)
+    """Each test runs against a clean, enabled cache and leaves the
+    global cache the same way."""
+    CACHE.configure(enabled=True)
     CACHE._mem.clear()
     CACHE.reset_stats()
     yield
-    CACHE.configure(enabled=True, cache_dir=None)
+    CACHE.configure(enabled=True)
     CACHE._mem.clear()
     CACHE.reset_stats()
 
@@ -140,24 +136,6 @@ class TestCanonicalRepr:
             canonical_repr(iter([1, 2]))
 
 
-class TestDiskEncoding:
-    @pytest.mark.parametrize("value", [
-        None, True, 0, -3, 1.5, float("inf"), "s",
-        (1.0, [0, 2, 5]),
-        {("a", 1): 2.0, ("b", 2): 3.0},
-        {1, 2, 3}, frozenset({("x", "y")}),
-        (12.5, {("u", "v"): 1.0}),
-    ])
-    def test_roundtrip_exact(self, value):
-        decoded = _decode(json.loads(json.dumps(_encode(value))))
-        assert decoded == value
-        assert type(decoded) is type(value)
-
-    def test_unencodable_rejected(self):
-        with pytest.raises(ValueError):
-            _encode(object())
-
-
 class TestCachedDecorator:
     def test_hit_and_miss_counters(self):
         calls = []
@@ -214,41 +192,6 @@ class TestCachedDecorator:
         stats = cache_stats()["test.shared"]
         assert stats.hits == 1 and stats.misses == 1
 
-    def test_disk_tier_survives_new_process_cache(self, tmp_path):
-        configure(cache_dir=str(tmp_path))
-
-        g = complete_graph(6)
-        value, side = max_cut(g)
-        files = list(tmp_path.glob("*.json"))
-        assert files, "disk tier wrote nothing"
-        # a brand-new cache (fresh process stand-in) must hit the disk
-        CACHE._mem.clear()
-        reset_cache_stats()
-        value2, side2 = max_cut(g)
-        assert (value2, side2) == (value, side)
-        stats = cache_stats()["maxcut.max_cut"]
-        assert stats.hits == 1 and stats.disk_hits == 1
-
-    def test_disk_entry_records_key_material(self, tmp_path):
-        configure(cache_dir=str(tmp_path))
-        max_cut(complete_graph(4))
-        payload = json.loads(next(tmp_path.glob("*.json")).read_text())
-        assert payload["solver"] == "maxcut.max_cut"
-        assert "Graph#" in payload["key"]
-
-    def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
-        configure(cache_dir=str(tmp_path))
-        g = complete_graph(5)
-        expected = max_cut(g)
-        for path in tmp_path.glob("*.json"):
-            path.write_text("{not json")
-        CACHE._mem.clear()
-        assert max_cut(g) == expected
-
-    def test_default_cache_dir_respects_xdg(self, monkeypatch):
-        monkeypatch.setenv("XDG_CACHE_HOME", "/tmp/xdg-test")
-        assert default_cache_dir() == os.path.join("/tmp/xdg-test", "repro")
-
 
 class TestSolverResultsUnchanged:
     """Cached solvers must return exactly what the uncached ones do."""
@@ -272,70 +215,23 @@ class TestSolverResultsUnchanged:
         assert max_independent_set(g) == mis1
         assert min_dominating_set(g) == mds1
 
-    def test_max_flow_dict_keys_survive_disk(self, tmp_path):
-        configure(cache_dir=str(tmp_path))
-        g = Graph()
-        g.add_edge("s", "a", weight=2.0)
-        g.add_edge("a", "t", weight=1.0)
-        g.add_edge("s", "t", weight=1.0)
-        expected = max_flow(g, "s", "t")
-        CACHE._mem.clear()
-        value, flow = max_flow(g, "s", "t")
-        assert value == expected[0]
-        assert flow == expected[1]
-        assert all(isinstance(arc, tuple) for arc in flow)
+    @pytest.mark.parametrize("order", [(1, 1.0), (1.0, 1)])
+    def test_int_and_float_weights_never_share_an_entry(self, order):
+        # content_hash formats weights with !r, so vertex weight 1 and
+        # 1.0 key different entries: the result's type (2 vs 2.0) never
+        # depends on which graph was solved first
+        def weighted_p4(weight):
+            g = Graph()
+            for i in range(3):
+                g.add_edge(i, i + 1)
+            for v in range(4):
+                g.set_vertex_weight(v, weight)
+            return g
 
-
-class TestStaleTmpCleanup:
-    """Crashed writers leave ``mkstemp`` leftovers; ``clear()`` and the
-    startup sweep must reap them (regression: ``clear()`` used to match
-    only ``*.json`` so ``*.tmp`` orphans accumulated forever)."""
-
-    @staticmethod
-    def _make_tmp(directory, name, age_s=0.0):
-        path = os.path.join(str(directory), name)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write('{"solver": "killed-mid-w')
-        if age_s:
-            old = os.stat(path).st_mtime - age_s
-            os.utime(path, (old, old))
-        return path
-
-    def test_clear_removes_orphaned_tmp_files(self, tmp_path):
-        configure(cache_dir=str(tmp_path))
-        g = complete_graph(4)
-        max_cut(g)
-        orphan = self._make_tmp(tmp_path, "tmpabc123.tmp")
-        assert list(tmp_path.glob("*.json"))
-        CACHE.clear()
-        assert not os.path.exists(orphan)
-        assert not list(tmp_path.glob("*.json"))
-
-    def test_startup_sweep_reaps_stale_keeps_fresh(self, tmp_path):
-        stale = self._make_tmp(tmp_path, "tmpstale.tmp", age_s=7200.0)
-        fresh = self._make_tmp(tmp_path, "tmpfresh.tmp")
-        configure(cache_dir=str(tmp_path))
-        # a fresh tmp may belong to a live concurrent writer: kept
-        assert not os.path.exists(stale)
-        assert os.path.exists(fresh)
-
-    def test_constructor_sweeps_stale_tmp(self, tmp_path):
-        stale = self._make_tmp(tmp_path, "tmpstale.tmp", age_s=7200.0)
-        SolverCache(cache_dir=str(tmp_path))
-        assert not os.path.exists(stale)
-
-    def test_sweep_stale_tmp_missing_dir_is_noop(self, tmp_path):
-        from repro.solvers.cache import sweep_stale_tmp
-
-        assert sweep_stale_tmp(str(tmp_path / "nope")) == 0
-
-    def test_failed_atomic_write_keeps_old_file_and_no_tmp(self, tmp_path):
-        from repro.solvers.cache import atomic_write_json
-
-        path = str(tmp_path / "entry.json")
-        atomic_write_json(path, {"v": 1})
-        with pytest.raises(TypeError):
-            atomic_write_json(path, {"v": object()})  # not JSON-encodable
-        with open(path, encoding="utf-8") as fh:
-            assert json.load(fh) == {"v": 1}
-        assert not list(tmp_path.glob("*.tmp"))
+        graphs = [weighted_p4(w) for w in order]
+        assert graphs[0].content_hash() != graphs[1].content_hash()
+        for weight, g in zip(order, graphs):
+            result = max_independent_set_weight(g)
+            assert result == 2 and type(result) is type(weight)
+        stats = cache_stats()["mis.max_independent_set"]
+        assert stats.misses == 2 and stats.hits == 0

@@ -20,6 +20,8 @@ from repro.experiments.sweep import SHARDS_PER_WORKER, parallel_decisions
 from repro.experiments.sweep_store import (
     FamilyKey,
     SweepStore,
+    atomic_write_json,
+    default_cache_dir,
     default_sweep_store_dir,
     family_key,
 )
@@ -86,6 +88,19 @@ class TestStoreBasics:
     def test_default_dir_under_cache_root(self, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", "/tmp/xdg-test")
         assert default_sweep_store_dir() == "/tmp/xdg-test/repro/sweeps"
+
+    def test_default_cache_dir_respects_xdg(self, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", "/tmp/xdg-test")
+        assert default_cache_dir() == os.path.join("/tmp/xdg-test", "repro")
+
+    def test_failed_atomic_write_keeps_old_file_and_no_tmp(self, tmp_path):
+        path = str(tmp_path / "entry.json")
+        atomic_write_json(path, {"v": 1})
+        with pytest.raises(TypeError):
+            atomic_write_json(path, {"v": object()})  # not JSON-encodable
+        with open(path, encoding="utf-8") as fh:
+            assert json.load(fh) == {"v": 1}
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_clear_removes_entries_and_tmps(self, tmp_path):
         store = SweepStore(str(tmp_path))
