@@ -14,7 +14,8 @@ upload of the (1 − ε)-approximate max-cut algorithm (Theorem 2.9).
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.congest.model import CongestSimulator, Message, NodeAlgorithm, NodeContext
 from repro.graphs import Graph, Vertex
@@ -62,10 +63,14 @@ class CollectAndSolve(NodeAlgorithm):
         self.children: List[int] = []
         self.queue: List[Tuple] = []
         self.children_done: set = set()
+        #: children that have not yet sent ``UPDONE``
+        self.owed = 0
         self.sent_done = False
         self.edge_records: List[Tuple[int, int, Optional[int]]] = []
         self.vertex_records: List[Tuple[int, Optional[int]]] = []
-        self.down_queue: List[Tuple] = []
+        #: wire messages (``SOL``/``EOT`` tuples) still to send to the
+        #: children, oldest first
+        self.down_queue: Deque[Message] = deque()
         self.my_value: Any = None
         self.global_value: Any = None
         self.got_eot = False
@@ -79,29 +84,34 @@ class CollectAndSolve(NodeAlgorithm):
     def on_round(self, ctx: NodeContext, messages: Dict[int, Message]) -> Dict[int, Message]:
         # Between phase boundaries only a message can give a vertex
         # something to do, so it sleeps until the next boundary: round
-        # n ends the flood, 2n the BFS, 2n + 1 announces children.
+        # n ends the flood, 2n the BFS, 2n + 1 announces children.  The
+        # pipeline (past round 2n + 1) is nearly every call, so it is
+        # tested first.
         n = ctx.n
         r = ctx.round
-        if r <= n:
+        if r > 2 * n + 1:
+            out = self._pipeline(ctx, messages)
+        elif r <= n:
             out = self._flood(ctx, messages, final=(r == n))
             ctx.sleep(until=n if r < n else 2 * n)
+            return out
         elif r <= 2 * n:
             out = self._bfs(ctx, messages, final=(r == 2 * n))
             ctx.sleep(until=2 * n if r < 2 * n else 2 * n + 1)
+            return out
         else:
-            if r == 2 * n + 1:
-                out = self._announce_child(ctx, messages)
-            else:
-                out = self._pipeline(ctx, messages)
-            if not (self.queue or self.down_queue or self._owes_done()):
-                ctx.sleep()
+            out = self._announce_child(ctx, messages)
+        # sleep unless there is something to send: ``not
+        # self._owes_done()`` spelled out, as this runs on every call
+        if not (self.queue or self.down_queue) and \
+                (self.sent_done or self.owed):
+            ctx.sleep()
         return out
 
     def _owes_done(self) -> bool:
         """Every child reported done, but this vertex has not yet sent
         its own ``UPDONE`` (or, at the leader, solved)."""
-        return not self.sent_done and \
-            self.children_done >= set(self.children)
+        return not (self.sent_done or self.owed)
 
     # -- phase A: leader election ---------------------------------------
     def _flood(self, ctx: NodeContext, messages: Dict[int, Message], final: bool) -> Dict[int, Message]:
@@ -140,6 +150,7 @@ class CollectAndSolve(NodeAlgorithm):
     def _announce_child(self, ctx: NodeContext, messages: Dict[int, Message]) -> Dict[int, Message]:
         self.children = sorted(s for s, (tag, __) in messages.items()
                                if tag == _T_CHILD)
+        self.owed = len(self.children)
         rng = random.Random(self.seed * 1_000_003 + ctx.uid)
         for w in ctx.neighbors:
             if ctx.uid < w:  # edge owner
@@ -153,45 +164,50 @@ class CollectAndSolve(NodeAlgorithm):
 
     # -- phase D/E: pipelined upcast, solve, pipelined downcast ----------
     def _pipeline(self, ctx: NodeContext, messages: Dict[int, Message]) -> Dict[int, Message]:
-        out: Dict[int, Message] = {}
         for sender, msg in messages.items():
             tag = msg[0]
             if tag == _T_REC:
-                self.queue.append(tuple(msg[1]))
-            elif tag == _T_UPDONE:
-                self.children_done.add(sender)
+                self.queue.append(msg[1])
             elif tag == _T_SOL:
-                uid, value = msg[1], msg[2]
-                if uid == ctx.uid:
-                    self.my_value = value
-                self.down_queue.append(("S", uid, value))
+                if msg[1] == ctx.uid:
+                    self.my_value = msg[2]
+                self.down_queue.append(msg)
+            elif tag == _T_UPDONE:
+                if sender not in self.children_done:
+                    self.children_done.add(sender)
+                    self.owed -= 1
             elif tag == _T_EOT:
                 self.got_eot = True
                 self.global_value = msg[1]
-                self.down_queue.append(("T", msg[1]))
+                self.down_queue.append(msg)
 
-        is_leader = ctx.uid == self.leader
-        if is_leader and not self.sent_done:
-            # absorb arriving records directly
-            self._absorb_own(ctx)
-            if self._owes_done() and not self.queue:
-                self.sent_done = True
-                gvalue, values = self.solver(ctx.n, self.edge_records,
-                                             self.vertex_records)
-                self.my_value = values.get(ctx.uid)
-                self.global_value = gvalue
-                for uid in sorted(values):
-                    if uid != ctx.uid:
-                        self.down_queue.append(("S", uid, values[uid]))
-                self.down_queue.append(("T", gvalue))
-            return self._pump_down(ctx)
+        if ctx.uid == self.leader:
+            if not self.sent_done:
+                # absorb arriving records directly
+                self._absorb_own(ctx)
+                if self._owes_done():
+                    self.sent_done = True
+                    gvalue, values = self.solver(ctx.n, self.edge_records,
+                                                 self.vertex_records)
+                    self.my_value = values.get(ctx.uid)
+                    self.global_value = gvalue
+                    for uid in sorted(values):
+                        if uid != ctx.uid:
+                            self.down_queue.append((_T_SOL, uid, values[uid]))
+                    self.down_queue.append((_T_EOT, gvalue))
+            return self._pump_down(ctx) if self.down_queue else {}
 
-        if is_leader:
-            return self._pump_down(ctx)
-
-        # non-leader: keep uploading, then forward downloads
-        out.update(self._pump_up(ctx))
-        out.update(self._pump_down(ctx))
+        # non-leader: keep uploading, then forward downloads.  The leader
+        # solves only after every vertex sent UPDONE, so once anything
+        # comes down the uploads are over and at most one of the two
+        # pumps sends.
+        out = self._pump_up(ctx) if self.queue or self._owes_done() else {}
+        if self.down_queue:
+            down = self._pump_down(ctx)
+            if out:
+                out.update(down)
+            else:
+                out = down
         if self.got_eot and not self.down_queue:
             ctx.halt({"value": self.my_value, "global": self.global_value})
         return out
@@ -216,20 +232,17 @@ class CollectAndSolve(NodeAlgorithm):
         return {}
 
     def _pump_down(self, ctx: NodeContext) -> Dict[int, Message]:
-        if not self.down_queue:
-            return {}
-        rec = self.down_queue.pop(0)
-        if rec[0] == "S":
-            msg = (_T_SOL, rec[1], rec[2])
-        else:
-            msg = (_T_EOT, rec[1])
+        """Forward the oldest queued wire message to every child; the
+        caller checks the queue is non-empty."""
+        msg = self.down_queue.popleft()
+        if msg[0] == _T_EOT:
             if ctx.uid == self.leader:
                 self.got_eot = True
             # after forwarding EOT this vertex is finished
             ctx.halt({"value": self.my_value, "global": self.global_value})
         # one payload object for every child, so the simulator sizes it
         # once per batch (its broadcast fast path)
-        return {c: msg for c in self.children}
+        return dict.fromkeys(self.children, msg)
 
 
 def run_collect_and_solve(

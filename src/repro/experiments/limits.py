@@ -33,6 +33,7 @@ from repro.pls.scheme import PlsInstance, edge_key
 from repro.solvers import (
     cut_weight,
     is_dominating_set,
+    is_independent_set,
     is_vertex_cover,
     max_cut_value,
     max_flow,
@@ -91,22 +92,26 @@ def run_protocol_limits(quick: bool = True) -> ExperimentRecord:
     ch = Channel()
     cover = mvc_three_halves_protocol(inst, ch)
     assert is_vertex_cover(g, cover)
+    mvc_ratio = len(set(cover)) / min_vertex_cover_size(g)
+    assert mvc_ratio <= 3 / 2 + 1e-9
     measured["mvc_3/2_bits"] = ch.bits
-    measured["mvc_3/2_ratio"] = round(
-        len(set(cover)) / min_vertex_cover_size(g), 3)
+    measured["mvc_3/2_ratio"] = round(mvc_ratio, 3)
 
     ch = Channel()
     ds = mds_two_approx_protocol(inst, ch)
     assert is_dominating_set(g, ds)
+    mds_ratio = len(set(ds)) / len(min_dominating_set(g))
+    assert mds_ratio <= 2 + 1e-9
     measured["mds_2_bits"] = ch.bits
-    measured["mds_2_ratio"] = round(
-        len(set(ds)) / len(min_dominating_set(g)), 3)
+    measured["mds_2_ratio"] = round(mds_ratio, 3)
 
     ch = Channel()
     mis = maxis_half_protocol(inst, ch)
+    alpha = len(max_independent_set(g))
+    assert is_independent_set(g, mis)
+    assert len(mis) >= alpha / 2
     measured["maxis_1/2_bits"] = ch.bits
-    measured["maxis_1/2_ratio"] = round(
-        len(mis) / max(1, len(max_independent_set(g))), 3)
+    measured["maxis_1/2_ratio"] = round(len(mis) / max(1, alpha), 3)
     return ExperimentRecord(
         experiment_id="E-C5.4-C5.9-protocol-limits",
         paper_claim="cheap 2-party protocols: (1−ε)/2-3 max-cut, 3/2 & "

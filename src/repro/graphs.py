@@ -653,17 +653,6 @@ class GraphKernel:
         self._balls[k] = balls
         return balls
 
-    def eccentricity(self, i: int) -> int:
-        """Max hop distance from ``i``; raises on disconnected graphs."""
-        row = self.bfs_row(i)
-        ecc = 0
-        for d in row:
-            if d < 0:
-                raise GraphError("eccentricity in a disconnected graph")
-            if d > ecc:
-                ecc = d
-        return ecc
-
 
 class Graph:
     """A simple undirected graph with optional vertex and edge weights.
@@ -1056,8 +1045,8 @@ class Graph:
         """Hop distances between every pair (unreachable pairs omitted).
 
         One BFS sweep per vertex, computed once and cached until the
-        next mutation — the shared substrate for :meth:`diameter`,
-        repeated :meth:`bfs_distances` callers, and the distance-k ball
+        next mutation — the shared substrate for repeated
+        :meth:`bfs_distances` callers and the distance-k ball
         construction in :mod:`repro.solvers.dominating`.  Treat the
         returned mapping as read-only; the inner dicts are shared with
         the cache.
@@ -1086,22 +1075,39 @@ class Graph:
     def diameter(self) -> int:
         """Hop diameter; raises on disconnected graphs.
 
-        Disconnection is detected from the *first* BFS (its row misses a
-        vertex), so a disconnected graph fails after one sweep instead
-        of n — the remaining eccentricities are never computed.
+        All sources at once by bitmask ball growth: ``balls[i]`` starts
+        as the closed neighbourhood of ``i`` (its radius-1 ball), and
+        each pass ORs the balls of ``i``'s neighbours into it, which
+        grows every radius by one.  The diameter is the radius at which
+        every ball is the whole vertex set.
+
+        Disconnection is detected first, by one BFS from the first
+        vertex (its row misses a vertex), so a disconnected graph fails
+        after one sweep and no ball is grown.
         """
         if not self._adj:
             return 0
         kern = self.kernel()
-        try:
-            best = 0
-            for i in range(kern.n):
-                ecc = kern.eccentricity(i)
-                if ecc > best:
-                    best = ecc
-        except GraphError:
+        if min(kern.bfs_row(0)) < 0:
             raise GraphError("diameter of a disconnected graph")
-        return best
+        n = kern.n
+        if n == 1:
+            return 0
+        adj = kern.adjacency()
+        full = (1 << n) - 1
+        balls = [m | 1 << i for i, m in enumerate(kern.neighbor_masks())]
+        d = 1
+        while not all(b == full for b in balls):
+            prev = balls
+            balls = []
+            for i, nbrs in enumerate(adj):
+                b = prev[i]
+                if b != full:
+                    for j in nbrs:
+                        b |= prev[j]
+                balls.append(b)
+            d += 1
+        return d
 
     def relabel(self, mapping: Dict[Vertex, Vertex]) -> "Graph":
         """Return a copy with vertices renamed through ``mapping``.

@@ -150,6 +150,31 @@ class TestFullConstruction:
         assert answer == disjointness(x, y)
         assert bits > 0 and rounds > 0
 
+    def test_claim_36_traffic_pinned(self, bd):
+        """The Claim 3.6 run, pinned message for message: any change to
+        the collect-and-solve traffic (rounds, messages, bits, cut bits)
+        or to its wake schedule (``node_rounds``) moves one of these."""
+        from repro.congest.algorithms.collect import CollectAndSolve
+        from repro.congest.model import CongestSimulator
+
+        x, y = (1, 1, 0, 1), (0, 0, 1, 0)
+        assert solve_disjointness_via_bounded_degree_maxis(bd, x, y) == \
+            (True, 64388, 2084)
+
+        inst = bd.build(x, y)
+        sim = CongestSimulator(inst.graph, bandwidth_factor=40)
+        sim.cut = {sim.uid_of[v] for v in inst.alice_vertices}
+
+        def solver(n, edge_records, vertex_records):
+            return len(edge_records), {u: False for u in range(n)}
+
+        outputs = sim.run(lambda: CollectAndSolve(solver))
+        assert {o["global"] for o in outputs.values()} == {inst.graph.m}
+        assert (sim.rounds, sim.total_messages, sim.total_bits,
+                sim.max_message_bits, sim.node_rounds,
+                sim.cut_bits, sim.cut_messages) == \
+            (2084, 273415, 5702596, 45, 264925, 64381, 2605)
+
     def test_claim_36_leader_graph_hashes_like_instance(self, bd, rng):
         """The leader rebuilds G′ over its own labels, so its α solve
         hits the solver-cache entry of a caller that solved G′."""

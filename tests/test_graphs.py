@@ -296,6 +296,28 @@ class TestGraphKernel:
         # all-sources sweep should have run
         assert g.kernel().bfs_runs <= 1
 
+    def test_diameter_matches_bfs_eccentricities(self):
+        """The all-sources ball growth agrees with the max of per-source
+        BFS distances, on seeded random graphs and on the Section 3 G′."""
+        import random
+
+        from repro.core.bounded_degree import BoundedDegreeMaxIS
+
+        rng = random.Random(21)
+        graphs = []
+        while len(graphs) < 20:
+            g = random_graph(rng.randint(1, 40), rng.choice((0.1, 0.2, 0.5)),
+                             rng)
+            if g.is_connected():
+                graphs.append(g)
+        gprime = BoundedDegreeMaxIS(2, seed=1).build(
+            (1, 1, 0, 1), (0, 0, 1, 0)).graph
+        for g in graphs + [gprime]:
+            expected = max(max(g.bfs_distances(v).values())
+                           for v in g.vertices())
+            assert g.copy().diameter() == expected
+        assert gprime.diameter() == 46
+
     def test_mutation_invalidates_kernel(self):
         g = path_graph(4)
         assert g.diameter() == 3
