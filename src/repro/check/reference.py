@@ -2,11 +2,15 @@
 
 Each function here re-answers a question that a production solver in
 :mod:`repro.solvers` answers, using the most direct algorithm that can
-be written: subset or permutation enumeration, plain dictionaries, no
-bitmask tricks, no branch-and-bound, no memoization.  They share *no
-code* with the production solvers (only the :class:`repro.graphs.Graph`
-substrate), so an agreement between the two is evidence that both are
-right, and a disagreement is a bug in one of them.
+be written: subset or permutation enumeration, plain sets and
+dictionaries, no bitmask tricks, no branch-and-bound, no memoization
+across calls.  Within one call a question may build its fixed inputs
+once: the domination references build every vertex's closed ball once
+per question and then enumerate subsets plainly, taking the union of
+the chosen balls.  They share *no code* with the production solvers
+(only the :class:`repro.graphs.Graph` substrate), so an agreement
+between the two is evidence that both are right, and a disagreement is
+a bug in one of them.
 
 Everything is exponential and intended for the fuzzer's instance sizes
 (n ≲ 10, m ≲ 20); callers gate applicability by size.
@@ -80,29 +84,31 @@ def _ball(graph: Graph, v: Vertex, k: int) -> Set[Vertex]:
     return ball
 
 
-def ref_dominates(graph: Graph, subset: Sequence[Vertex], k: int = 1) -> bool:
-    covered: Set[Vertex] = set()
-    for v in subset:
-        covered |= _ball(graph, v, k)
-    return covered >= set(graph.vertices())
+def _balls(graph: Graph, k: int) -> List[Set[Vertex]]:
+    """Every vertex's closed k-ball, in ``graph.vertices()`` order."""
+    return [_ball(graph, v, k) for v in graph.vertices()]
 
 
 def ref_min_dominating_set_size(graph: Graph, k: int = 1) -> int:
-    vs = graph.vertices()
-    for r in range(len(vs) + 1):
-        for subset in combinations(vs, r):
-            if ref_dominates(graph, subset, k):
+    balls = _balls(graph, k)
+    n = len(balls)
+    for r in range(n + 1):
+        for chosen in combinations(balls, r):
+            if len(set().union(*chosen)) == n:
                 return r
     raise AssertionError("unreachable: V dominates itself")
 
 
 def ref_min_dominating_set_weight(graph: Graph, k: int = 1) -> float:
     vs = graph.vertices()
+    balls = _balls(graph, k)
+    n = len(vs)
     best = _INF
-    for r in range(len(vs) + 1):
-        for subset in combinations(vs, r):
-            if ref_dominates(graph, subset, k):
-                best = min(best, sum(graph.vertex_weight(v) for v in subset))
+    for r in range(n + 1):
+        for subset in combinations(range(n), r):
+            if len(set().union(*(balls[i] for i in subset))) == n:
+                best = min(best, sum(graph.vertex_weight(vs[i])
+                                     for i in subset))
     return best
 
 
@@ -110,10 +116,11 @@ def ref_has_dominating_set_of_size(graph: Graph, size: int) -> bool:
     """Bounded-size domination decision (the Lemma 2.1 predicate shape);
     enumerating only up to ``size`` keeps the paper-family instances
     (n = 20 at k = 2, target 6) within reach of a reference check."""
-    vs = graph.vertices()
-    for r in range(min(size, len(vs)) + 1):
-        for subset in combinations(vs, r):
-            if ref_dominates(graph, subset, 1):
+    balls = _balls(graph, 1)
+    n = len(balls)
+    for r in range(min(size, n) + 1):
+        for chosen in combinations(balls, r):
+            if len(set().union(*chosen)) == n:
                 return True
     return False
 

@@ -35,12 +35,23 @@ import argparse
 import os
 import random
 import sys
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.core.family import LowerBoundGraphFamily, validate_family, verify_iff
 
 
-def _family_registry() -> Dict[str, object]:
+#: ``-k`` when it is not given, for the families that scale with k.
+_DEFAULT_K = 4
+
+#: The Section 4 covering families are built on one fixed covering
+#: collection and do not scale with k, so they take no ``-k``.
+_COLLECTION_FAMILIES = ("kmds", "node-weighted-steiner", "directed-steiner")
+_COLLECTION_LABEL = "fixed collection: universe 16, T=6, r=2"
+
+
+def _family_registry() -> Dict[str, Callable[..., LowerBoundGraphFamily]]:
+    """Family factories: ``factory(k)``, or ``factory()`` for the
+    families in :data:`_COLLECTION_FAMILIES`."""
     from repro import (
         HamiltonianCycleFamily,
         HamiltonianPathFamily,
@@ -58,7 +69,7 @@ def _family_registry() -> Dict[str, object]:
     from repro.covering import build_covering_collection
 
     def with_collection(cls):
-        def make(k: int):
+        def make():
             cc = build_covering_collection(universe_size=16, T=6, r=2, seed=0)
             return cls(cc)
         return make
@@ -79,22 +90,36 @@ def _family_registry() -> Dict[str, object]:
     }
 
 
-def _build(name: str, k: int) -> LowerBoundGraphFamily:
+def _build(name: str, k: Optional[int]) -> LowerBoundGraphFamily:
+    """Build family ``name``; ``k=None`` means the default size."""
     registry = _family_registry()
     if name not in registry:
         raise SystemExit(f"unknown family {name!r}; try: "
                          + ", ".join(sorted(registry)))
-    return registry[name](k)  # type: ignore[operator]
+    if name in _COLLECTION_FAMILIES:
+        if k is not None:
+            raise SystemExit(f"{name} does not scale with k "
+                             f"({_COLLECTION_LABEL}); drop -k")
+        return registry[name]()
+    return registry[name](_DEFAULT_K if k is None else k)
+
+
+def _size_label(name: str, k: Optional[int]) -> str:
+    """What fixes the size of family ``name`` built with ``-k k``."""
+    if name in _COLLECTION_FAMILIES:
+        return _COLLECTION_LABEL
+    return f"k={_DEFAULT_K if k is None else k}"
 
 
 def cmd_families(args: argparse.Namespace) -> None:
     for name in sorted(_family_registry()):
+        k = (None if name in _COLLECTION_FAMILIES
+             else 2 if "maxcut" in name or "hamiltonian" in name else 4)
         try:
-            fam = _build(name, 4 if "maxcut" not in name
-                         and "hamiltonian" not in name else 2)
-            d = fam.describe()
+            d = _build(name, k).describe()
             print(f"{name:<26} n={d['n']:5d}  |Ecut|={d['ecut']:4d}  "
-                  f"K={d['K']:4d}  bound={d['implied_bound']:.3f}")
+                  f"K={d['K']:4d}  bound={d['implied_bound']:.3f}  "
+                  f"{_size_label(name, k)}")
         except Exception as exc:  # pragma: no cover - CLI resilience
             print(f"{name:<26} (unavailable at default size: {exc})")
 
@@ -139,7 +164,7 @@ def _verify_grid(fam, args: argparse.Namespace) -> None:
     fkey = family_key(fam)
     pairs = _grid_pairs(k_bits)
     pre = store.coverage(fkey, pairs)
-    print(f"grid sweep {args.family} (k={args.k}): "
+    print(f"grid sweep {args.family} ({_size_label(args.family, args.k)}): "
           f"2^{k_bits} x 2^{k_bits} = {total} pairs")
     print(f"  store: {store.root}")
     print(f"  coverage before: {pre}/{total} stored, {total - pre} remaining")
@@ -190,7 +215,6 @@ def _verify_grid(fam, args: argparse.Namespace) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> None:
-    from repro.cc.functions import random_input_pairs
     from repro.core.family import configure_sweep
 
     if args.sweep_jobs:
@@ -198,28 +222,43 @@ def cmd_verify(args: argparse.Namespace) -> None:
     if args.no_batch:
         configure_sweep(batch=False)
     fam = _build(args.family, args.k)
-    if args.grid:
-        if args.xbits is not None or args.ybits is not None:
-            raise SystemExit("--grid enumerates every pair; it cannot be "
-                             "combined with --x/--y")
-        _verify_grid(fam, args)
-        return
-    if args.xbits is not None or args.ybits is not None:
-        # single-pair mode: re-check one (x, y), as emitted in
-        # verify_iff mismatch repro commands
-        if args.xbits is None or args.ybits is None:
-            raise SystemExit("--x and --y must be given together")
-        x = _parse_bits(args.xbits, fam.k_bits, "--x")
-        y = _parse_bits(args.ybits, fam.k_bits, "--y")
-        expected = not fam.function(x, y)  # negate=True convention
-        actual = fam.predicate(fam.build(x, y))
-        status = "OK" if actual == expected else "MISMATCH"
-        print(f"x={x}, y={y}: predicate={actual}, expected={expected} "
-              f"-> {status}")
-        if actual != expected:
-            raise SystemExit(1)
-        return
-    print(f"validating Definition 1.1 for {args.family} (k={args.k}) ...")
+    try:
+        if args.grid:
+            if args.xbits is not None or args.ybits is not None:
+                raise SystemExit("--grid enumerates every pair; it cannot "
+                                 "be combined with --x/--y")
+            _verify_grid(fam, args)
+        elif args.xbits is not None or args.ybits is not None:
+            _verify_pair(fam, args)
+        else:
+            _verify_sample(fam, args)
+    except ValueError as exc:
+        # e.g. an exact solver declining an instance beyond its size limit
+        raise SystemExit(f"cannot verify {args.family} "
+                         f"({_size_label(args.family, args.k)}): {exc}")
+
+
+def _verify_pair(fam, args: argparse.Namespace) -> None:
+    """Single-pair mode: re-check one (x, y), as emitted in verify_iff
+    mismatch repro commands."""
+    if args.xbits is None or args.ybits is None:
+        raise SystemExit("--x and --y must be given together")
+    x = _parse_bits(args.xbits, fam.k_bits, "--x")
+    y = _parse_bits(args.ybits, fam.k_bits, "--y")
+    expected = not fam.function(x, y)  # negate=True convention
+    actual = fam.predicate(fam.build(x, y))
+    status = "OK" if actual == expected else "MISMATCH"
+    print(f"x={x}, y={y}: predicate={actual}, expected={expected} "
+          f"-> {status}")
+    if actual != expected:
+        raise SystemExit(1)
+
+
+def _verify_sample(fam, args: argparse.Namespace) -> None:
+    from repro.cc.functions import random_input_pairs
+
+    print(f"validating Definition 1.1 for {args.family} "
+          f"({_size_label(args.family, args.k)}) ...")
     validate_family(fam)
     print("  structural requirements: OK")
     rng = random.Random(args.seed)
@@ -363,11 +402,17 @@ def main(argv: Optional[list] = None) -> None:
 
     p = sub.add_parser("describe", help="print one family's parameters")
     p.add_argument("family")
-    p.add_argument("-k", type=int, default=4)
+    p.add_argument("-k", type=int, default=None,
+                   help=f"family size parameter (default {_DEFAULT_K}); "
+                        f"the covering families "
+                        f"({', '.join(_COLLECTION_FAMILIES)}) take none")
 
     p = sub.add_parser("verify", help="machine-check a family's iff-lemma")
     p.add_argument("family")
-    p.add_argument("-k", type=int, default=4)
+    p.add_argument("-k", type=int, default=None,
+                   help=f"family size parameter (default {_DEFAULT_K}); "
+                        f"the covering families "
+                        f"({', '.join(_COLLECTION_FAMILIES)}) take none")
     p.add_argument("--pairs", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--x", dest="xbits", default=None, metavar="BITS",

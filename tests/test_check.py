@@ -23,6 +23,7 @@ from repro.check.reference import (
     ref_max_flow_value,
     ref_max_matching_size,
     ref_min_dominating_set_size,
+    ref_min_dominating_set_weight,
     ref_min_vertex_cover_size,
     ref_steiner_tree_cost,
 )
@@ -82,6 +83,36 @@ class TestReference:
         g = cycle_graph(6)
         assert ref_has_dominating_set_of_size(g, 2)
         assert not ref_has_dominating_set_of_size(g, 1)
+
+    def test_bounded_domination_on_paper_cases(self):
+        # Lemma 2.1 at k = 2: γ(G_{x,y}) = 6 = 4·log k + 2 iff x, y
+        # intersect, and 7 when they are disjoint
+        paper = [c for c in generate_cases(0, 25) if c.family == "paper"]
+        assert [c.meta["disjoint"] for c in paper] == [
+            True, False, True, False, True]
+        for case in paper:
+            got = tuple(ref_has_dominating_set_of_size(case.graph, size)
+                        for size in (5, 6, 7))
+            want = ((False, False, True) if case.meta["disjoint"]
+                    else (False, True, True))
+            assert got == want, case.name
+
+    def test_distance_k_domination(self):
+        assert [ref_min_dominating_set_size(path_graph(7), k)
+                for k in (1, 2, 3)] == [3, 2, 1]
+        assert [ref_min_dominating_set_size(cycle_graph(9), k)
+                for k in (1, 2, 3, 4)] == [3, 2, 2, 1]
+
+    def test_min_weight_domination_is_not_min_size(self):
+        # a star whose centre weighs 10: {centre} is the minimum-size
+        # dominating set, the four leaves the minimum-weight one
+        g = Graph()
+        for leaf in range(1, 5):
+            g.add_edge(0, leaf)
+        g.set_vertex_weight(0, 10.0)
+        assert ref_min_dominating_set_size(g) == 1
+        assert ref_min_dominating_set_weight(g) == 4.0
+        assert ref_min_dominating_set_weight(g, 2) == 1.0
 
 
 class TestInvariantHelpers:
