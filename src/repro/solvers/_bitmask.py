@@ -62,8 +62,8 @@ def iter_bits(mask: int):
 
 
 if hasattr(int, "bit_count"):  # Python >= 3.10
-    def popcount(mask: int) -> int:
-        return mask.bit_count()
+    # the builtin method itself: no Python frame per call in hot loops
+    popcount = int.bit_count
 else:  # pragma: no cover - exercised only on older interpreters
     def popcount(mask: int) -> int:
         return bin(mask).count("1")

@@ -7,6 +7,27 @@ cover branch-and-bound supports two extensions the Steiner-tree experiment
 
 - ``candidates``: restrict which vertices may be picked;
 - ``forced``: vertices that must be part of the solution.
+
+The search prunes a node when its weight plus a lower bound on covering
+the still-uncovered elements reaches the best cover so far (or the
+budget).  Two bounds, both valid only for weights >= 0 (negative weights
+raise ``ValueError``):
+
+- packing, tried first: take uncovered elements in ascending order, each
+  adding its cheapest covering set's weight and removing every element
+  that shares a set with it; the taken elements pairwise share no set, so
+  every cover pays for each separately;
+- density, when packing does not prune: the uncovered count times the
+  best weight per newly covered element.  With integral weights every
+  cover costs an integer, so this is computed exactly and rounded up.
+
+A valid bound only cuts subtrees that hold no strictly better cover, so
+tightening one leaves the visit order, the pivots and the sequence of
+improving covers -- and hence every ``(weight, choice)`` -- unchanged.
+Float sums depend on the order sets are added (a cover equal in reals
+may have a smaller float sum), so with non-integral weights the packing
+bound prunes only past a relative slack; the density bound uses the
+float quotient as it is.
 """
 
 from __future__ import annotations
@@ -38,22 +59,44 @@ def is_dominating_set(graph: Graph, vs: Sequence[Vertex], k: int = 1) -> bool:
 
 
 class _SetCoverSolver:
-    """Branch-and-bound minimum-weight set cover over bitmask sets."""
+    """Branch-and-bound minimum-weight set cover over bitmask sets, with
+    the two lower bounds of the module docstring (weights must be >= 0)."""
 
     def __init__(self, n_elements: int, sets: List[Tuple[int, float, int]]):
         self.n = n_elements
-        self.sets = sets  # (mask, weight, set id)
         self.full = (1 << n_elements) - 1
+        self.masks = [s[0] for s in sets]
+        self.weights = weights = [s[1] for s in sets]
+        for w in weights:
+            if w < 0:
+                raise ValueError(f"set weight {w} is negative; the set "
+                                 "cover bounds need weights >= 0")
+        # integral weights whose total is below 2**53 (so every float sum
+        # of them is exact): every cover costs an integer, so the bounds
+        # are exact integers (the density bound rounds up).  Other weights
+        # keep the float density bound, and the packing bound gets a
+        # relative slack so that no rounding can prune a cover whose
+        # float sum beats the best one
+        self.int_weights: Optional[List[int]] = None
+        self.slack = 1.0 - 1e-9
+        if (all(math.isfinite(w) and w == int(w) for w in weights)
+                and sum(weights) < 2 ** 53):
+            self.int_weights = [int(w) for w in weights]
+            self.slack = 1.0
         self.best_weight = _INF
         self.best_choice: Optional[List[int]] = None
         # element -> list of set indices covering it
         self.coverers: List[List[int]] = [[] for __ in range(n_elements)]
-        for idx, (mask, __, ___) in enumerate(sets):
+        for idx, mask in enumerate(self.masks):
             # inlined iter_bits: this runs once per (set, element) pair
             while mask:
                 low = mask & -mask
                 self.coverers[low.bit_length() - 1].append(idx)
                 mask ^= low
+        # per element, filled on first use by the packing bound (most
+        # batch-kernel solves end within a few nodes)
+        self.conflict: List[Optional[int]] = [None] * n_elements
+        self.min_weight: List[float] = [_INF] * n_elements
 
     def solve(self, budget: float = _INF) -> Tuple[float, Optional[List[int]]]:
         self.best_weight = budget
@@ -61,57 +104,99 @@ class _SetCoverSolver:
         self._search(0, [], 0.0)
         return self.best_weight, self.best_choice
 
-    def _lower_bound(self, covered: int) -> float:
+    def _element(self, e: int) -> int:
+        """Fill element ``e``'s conflict mask (every element sharing a
+        set with it, itself included) and its cheapest coverer's weight."""
+        masks = self.masks
+        weights = self.int_weights or self.weights
+        conflict = 1 << e
+        cheapest = _INF
+        for i in self.coverers[e]:
+            conflict |= masks[i]
+            if weights[i] < cheapest:
+                cheapest = weights[i]
+        self.conflict[e] = conflict
+        self.min_weight[e] = cheapest
+        return conflict
+
+    def _packing_bound(self, uncovered: int) -> float:
+        """Greedy packing: pairwise set-disjoint uncovered elements need
+        distinct sets, each costing at least its cheapest coverer."""
+        conflict = self.conflict
+        min_weight = self.min_weight
+        bound = 0
+        while uncovered:
+            e = (uncovered & -uncovered).bit_length() - 1
+            c = conflict[e]
+            if c is None:
+                c = self._element(e)
+            bound += min_weight[e]
+            uncovered &= ~c
+        return bound
+
+    def _density_bound(self, uncovered: int) -> float:
         """Fractional density bound: every uncovered element costs at least
         the best weight-per-new-element density among remaining sets."""
-        uncovered = self.full & ~covered
-        if not uncovered:
-            return 0.0
-        best_density = _INF
-        for mask, weight, __ in self.sets:
+        int_weights = self.int_weights
+        if int_weights is None:
+            best_density = _INF
+            for mask, weight in zip(self.masks, self.weights):
+                band = mask & uncovered
+                if band:
+                    density = weight / popcount(band)
+                    if density < best_density:
+                        best_density = density
+            if best_density is _INF:
+                return _INF
+            return popcount(uncovered) * best_density
+        # best density best_w / best_b by cross-multiplying; 1/0 stands
+        # for "no set meets the uncovered elements"
+        best_w, best_b = 1, 0
+        for mask, weight in zip(self.masks, int_weights):
             band = mask & uncovered
             if band:
-                density = weight / popcount(band)
-                if density < best_density:
-                    best_density = density
-        if best_density is _INF:
+                b = popcount(band)
+                if weight * best_b < best_w * b:
+                    best_w, best_b = weight, b
+        if not best_b:
             return _INF
-        return popcount(uncovered) * best_density
+        return -(-(popcount(uncovered) * best_w) // best_b)
 
     def _search(self, covered: int, chosen: List[int], weight: float) -> None:
-        if weight + self._lower_bound(covered) >= self.best_weight:
-            return
         uncovered = self.full & ~covered
-        if uncovered == 0:
-            self.best_weight = weight
-            self.best_choice = list(chosen)
+        best_weight = self.best_weight
+        if not uncovered:
+            if weight < best_weight:
+                self.best_weight = weight
+                self.best_choice = list(chosen)
+            return
+        if (weight + self._packing_bound(uncovered)) * self.slack >= best_weight:
+            return
+        if weight + self._density_bound(uncovered) >= best_weight:
             return
         # branch on the uncovered element with fewest remaining coverers
-        pivot = -1
         pivot_opts: Optional[List[int]] = None
         coverers = self.coverers
-        sets = self.sets
-        best_weight = self.best_weight
+        weights = self.weights
         m = uncovered
         while m:
             low = m & -m
-            e = low.bit_length() - 1
             m ^= low
-            opts = [i for i in coverers[e]
-                    if sets[i][1] + weight < best_weight]
+            opts = [i for i in coverers[low.bit_length() - 1]
+                    if weights[i] + weight < best_weight]
             if pivot_opts is None or len(opts) < len(pivot_opts):
-                pivot, pivot_opts = e, opts
+                pivot_opts = opts
                 if len(opts) <= 1:
                     break
         if not pivot_opts:
             return
         # prefer cheap, high-coverage sets first
-        pivot_opts.sort(key=lambda i: (self.sets[i][1],
-                                       -popcount(self.sets[i][0] & uncovered)))
+        masks = self.masks
+        pivot_opts.sort(key=lambda i: (weights[i],
+                                       -popcount(masks[i] & uncovered)))
         for i in pivot_opts:
-            mask, w, __ = self.sets[i]
             chosen.append(i)
-            self._search(covered | mask, chosen, weight + w)
+            self._search(covered | masks[i], chosen, weight + weights[i])
             chosen.pop()
 
 
@@ -139,16 +224,6 @@ def min_set_cover(
     return solver.solve(budget)
 
 
-def _ball_masks(graph: Graph, bg: BitGraph, k: int) -> List[int]:
-    """Distance-``k`` closed ball of each vertex index, as element masks.
-
-    Served by the graph kernel's cached truncated-BFS sweep (kernel
-    indexing matches ``BitGraph`` indexing), instead of a dict-based BFS
-    per vertex per call.
-    """
-    return graph.kernel().ball_masks(k)
-
-
 @profiled(name="dominating.solve_domination")
 @cached(name="dominating.solve_domination")
 def _solve_domination(
@@ -161,7 +236,7 @@ def _solve_domination(
     targets: Optional[Iterable[Vertex]] = None,
 ) -> Tuple[float, Optional[List[Vertex]]]:
     bg = BitGraph(graph)
-    balls = _ball_masks(graph, bg, k)
+    balls = graph.kernel().ball_masks(k)
     cand = set(candidates) if candidates is not None else set(bg.vertices)
     forced = list(forced) if forced is not None else []
     target_mask = bg.full_mask

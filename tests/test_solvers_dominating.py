@@ -1,5 +1,9 @@
 """Exact dominating-set / set-cover solver tests."""
 
+import itertools
+import math
+import random
+
 import pytest
 
 from repro.graphs import Graph, complete_graph, cycle_graph, path_graph, random_graph
@@ -11,6 +15,8 @@ from repro.solvers import (
     min_k_dominating_set_weight,
     min_set_cover,
 )
+from repro.core.mds import MdsFamily
+from repro.solvers import dominating
 from repro.solvers.dominating import constrained_min_dominating_set
 from tests.conftest import brute_force_mds_size, brute_force_mds_weight
 
@@ -147,3 +153,143 @@ class TestSetCover:
         weight, choice = min_set_cover(0, [])
         assert weight == 0
         assert choice == []
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            min_set_cover(2, [([0, 1], -1), ([0], 1)])
+
+    def test_negative_vertex_weight_rejected(self):
+        g = path_graph(3)
+        g.set_vertex_weight(1, -2)
+        with pytest.raises(ValueError, match="negative"):
+            min_dominating_set_weight(g)
+
+
+def _random_instance(rng, n, m, weights, p=0.3):
+    """``m`` random sets over ``0..n-1``, weights drawn from ``weights``."""
+    return [([e for e in range(n) if rng.random() < p], rng.choice(weights))
+            for __ in range(m)]
+
+
+def _brute_force_cover(n, sets):
+    """Minimum cover weight by enumerating every subfamily (inf if none)."""
+    best = math.inf
+    for r in range(len(sets) + 1):
+        for combo in itertools.combinations(range(len(sets)), r):
+            covered = set()
+            for i in combo:
+                covered.update(sets[i][0])
+            if len(covered) == n:
+                best = min(best, math.fsum(sets[i][1] for i in combo))
+    return best
+
+
+class TestSetCoverAgainstBruteForce:
+    """``min_set_cover`` against exhaustive enumeration, with and
+    without budgets on either side of the optimum."""
+
+    WEIGHTS = {
+        "integral": (1, 2, 3),
+        "fractional": (0.5, 1, 1.5),
+        "thirds": (1 / 3, 2 / 3, 1),
+        "zero": (0, 0, 1, 2),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(WEIGHTS))
+    def test_optimum(self, kind):
+        rng = random.Random(f"set-cover:{kind}")
+        integral = all(float(w).is_integer() for w in self.WEIGHTS[kind])
+        for __ in range(40):
+            n = rng.randint(0, 9)
+            sets = _random_instance(rng, n, rng.randint(0, 9),
+                                    self.WEIGHTS[kind], p=0.35)
+            if rng.random() < 0.2 and n:
+                # an element no set covers
+                gone = rng.randrange(n)
+                sets = [([e for e in el if e != gone], w) for el, w in sets]
+            opt = _brute_force_cover(n, sets)
+            weight, choice = min_set_cover(n, sets)
+            if opt == math.inf:
+                assert (weight, choice) == (math.inf, None)
+                continue
+            assert type(weight) is float
+            assert weight == (opt if integral else pytest.approx(opt))
+            assert set().union(*(sets[i][0] for i in choice)) == set(range(n))
+            assert math.fsum(sets[i][1] for i in choice) == \
+                pytest.approx(weight)
+            # a cover strictly below the budget is found ...
+            above = opt + 0.25
+            weight, choice = min_set_cover(n, sets, budget=above)
+            assert choice is not None and type(weight) is float
+            assert weight == (opt if integral else pytest.approx(opt))
+            # ... and none at or below the optimum
+            for below in (opt, opt - 0.25):
+                if integral or below != opt:
+                    weight, choice = min_set_cover(n, sets, budget=below)
+                    assert (weight, choice) == (below, None)
+
+    # (weight, choice) of min_set_cover at commit 9df6017, before the
+    # packing bound and the integer density bound: tighter bounds must
+    # prune without changing the search's answer
+    GOLDEN = [
+        (1, 14, 12, (1, 2, 3), (7.0, [4, 8, 9, 0])),
+        (2, 16, 14, (1,), (3.0, [13, 10, 5])),
+        (3, 12, 12, (0.5, 1, 1.5), (5.0, [10, 0, 11, 2, 1])),
+        (4, 14, 12, (0, 1, 2, 5), (2.0, [8, 6, 11, 5])),
+    ]
+
+    @pytest.mark.parametrize("seed,n,m,weights,expected", GOLDEN)
+    def test_golden(self, seed, n, m, weights, expected):
+        sets = _random_instance(random.Random(seed), n, m, weights)
+        assert min_set_cover(n, sets) == expected
+
+    def test_golden_float_sum_order(self):
+        """Float sums depend on the order sets are added: the parent
+        finds the cover summing to 0.6, not the equal-in-reals one
+        summing to 0.6000000000000001, so a float bound must not prune
+        on a rounding tie."""
+        sets = [([0, 6], 0.1), ([8], 0.2), ([3], 0.7),
+                ([1, 5, 6, 7, 8], 0.1), ([0, 2], 0.3), ([], 0.7),
+                ([2, 3, 5], 0.2), ([], 0.3), ([1, 3, 4, 7], 0.2),
+                ([0, 2, 3], 0.7)]
+        assert min_set_cover(9, sets, budget=1.0) == (0.6, [8, 6, 0, 3])
+
+
+class TestMdsKernelSearch:
+    """One ``MdsFamily(4)`` batch-kernel solve (n = 40, budget 10.5):
+    x and y share bit 0, so a size-10 dominating set exists."""
+
+    X = (1,) + (0,) * 15
+    Y = (1,) + (0,) * 15
+    #: measured at commit 9df6017 (density bound only)
+    PARENT_NODES = 4907
+
+    def _decide(self, monkeypatch):
+        calls = []
+        results = []
+        search = dominating._SetCoverSolver._search
+        solve = dominating._SetCoverSolver.solve
+
+        def counted(self, *args):
+            calls.append(None)
+            return search(self, *args)
+
+        def recorded(self, budget):
+            results.append(solve(self, budget))
+            return results[-1]
+
+        monkeypatch.setattr(dominating._SetCoverSolver, "_search", counted)
+        monkeypatch.setattr(dominating._SetCoverSolver, "solve", recorded)
+        fam = MdsFamily(4)
+        kernel = fam.make_batch_kernel(fam.skeleton())
+        assert kernel.decide(self.X, self.Y)
+        assert len(results) == 1
+        return results[0], len(calls)
+
+    def test_golden(self, monkeypatch):
+        result, __ = self._decide(monkeypatch)
+        assert result == (10.0, [6, 7, 16, 17, 26, 27, 36, 37, 0, 20])
+
+    def test_node_count(self, monkeypatch):
+        __, nodes = self._decide(monkeypatch)
+        assert nodes <= self.PARENT_NODES // 2
