@@ -191,7 +191,7 @@ def inv_disjoint_union(graph: Graph, rng: random.Random) -> Optional[str]:
 # ----------------------------------------------------------------------
 def inv_alpha_tau(graph: Graph, rng: random.Random) -> Optional[str]:
     s = _solvers()
-    alpha = s.independence_number(graph)          # sparse branch-and-reduce
+    alpha = s.independence_number(graph)          # α-only branch-and-reduce
     tau = s.min_vertex_cover_size(graph)          # bitmask branch-and-bound
     if alpha + tau != graph.n:
         return f"Gallai identity violated: α={alpha} + τ={tau} != n={graph.n}"

@@ -1,7 +1,7 @@
-"""Exact maximum (weight) independent set.
+"""Exact maximum (weight) independent set, and the independence number.
 
-The solver is a branch-and-bound over bitmasks with three ingredients that
-matter on the paper's instances:
+:func:`max_independent_set` is a branch-and-bound over bitmasks with
+three ingredients that matter on the paper's instances:
 
 - *component decomposition*: the bounded-degree graphs of Section 3 fall
   apart quickly once high-degree vertices are branched on;
@@ -11,15 +11,40 @@ matter on the paper's instances:
 - *weighted dominance reduction* for degree-≤1 vertices.
 
 All weights must be non-negative.
+
+:func:`independence_number` returns α(G) alone, by a bitmask
+branch-and-reduce (:func:`_alpha`) over the neighbour masks of
+:class:`BitGraph` and an ``alive`` mask passed down the recursion.  At
+each search node:
+
+- *reductions*, driven by a worklist of vertices whose degree fell:
+  a vertex of degree 0 or 1 is taken; a degree-2 vertex whose neighbours
+  are adjacent is taken; a degree-2 vertex v with non-adjacent
+  neighbours u, w is *folded*: {u, v, w} contract into v, adjacent to
+  N(u) ∪ N(w), and α drops by exactly 1.  The mask list is copied only
+  when a fold rewrites it;
+- *components* are solved separately;
+- *pruning*: ``_alpha(adj, alive, dirty, lower)`` returns α exactly when
+  α > ``lower`` and otherwise any value ≤ ``lower``.  A node returns at
+  once when a greedy clique cover of ``alive`` has at most ``lower``
+  cliques, since any clique cover bounds α.  The top call passes −1, so
+  its answer is always exact;
+- *mirror branching* (Fomin–Grandoni–Kratsch) on a maximum-degree
+  vertex v: either v is in a maximum independent set, or one exists
+  that avoids v and all its mirrors, the vertices u at distance 2 with
+  N(v) ∖ N(u) a clique.
+
+Every rule preserves α exactly and the bound only cuts subtrees that
+cannot beat ``lower``, so the order in which rules fire changes the
+search's cost but never its answer.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.graphs import Graph, Vertex
-from repro.solvers._bitmask import BitGraph, iter_bits, lowest_bit, popcount
+from repro.solvers._bitmask import BitGraph, lowest_bit, popcount
 from repro.solvers.cache import cached
 from repro.obs.profile import profiled
 
@@ -146,22 +171,9 @@ class _MisSolver:
 
     def _components(self, mask: int) -> List[int]:
         comps = []
-        remaining = mask
-        while remaining:
-            start = remaining & -remaining
-            comp = start
-            frontier = start
-            while frontier:
-                nxt = 0
-                f = frontier
-                while f:
-                    i = lowest_bit(f)
-                    f &= f - 1
-                    nxt |= self.bg.adj[i] & mask & ~comp
-                comp |= nxt
-                frontier = nxt
-            comps.append(comp)
-            remaining &= ~comp
+        while mask:
+            comps.append(_component(self.bg.adj, mask))
+            mask &= ~comps[-1]
         return comps
 
 
@@ -186,135 +198,202 @@ def max_independent_set(graph: Graph, weighted: bool = False) -> List[Vertex]:
     return bg.unmask(best_mask)
 
 
-class _SparseAlphaSolver:
-    """Branch-and-reduce independence number for sparse unweighted graphs.
+def _clique_cover(adj: List[int], alive: int) -> int:
+    """Number of cliques in a greedy clique cover of ``alive``.
 
-    Uses the classic kernelization rules — isolated/pendant vertices,
-    triangle-degree-2 inclusion, and degree-2 *folding* — plus component
-    decomposition and max-degree branching.  Folding is what makes the
-    Section 3 bounded-degree graphs (hundreds of vertices, Δ ≤ 5)
-    tractable; the bitmask solver above stays in charge of the dense
-    weighted instances.
+    An independent set meets each clique at most once, so any clique
+    cover bounds α from above.  Each clique is grown from a vertex of
+    least remaining degree, which on sparse graphs covers far tighter
+    than growing from the lowest index.
     """
-
-    def __init__(self, adj: Dict[int, Set[int]]) -> None:
-        self.adj = adj
-
-    def solve(self) -> int:
-        return self._alpha(self.adj)
-
-    # adjacency dicts are treated as owned and destroyed
-    def _alpha(self, adj: Dict[int, Set[int]]) -> int:
-        acc = 0
-        changed = True
-        while changed:
-            changed = False
-            for v in list(adj):
-                if v not in adj:
-                    continue
-                nbrs = adj[v]
-                if len(nbrs) == 0:
-                    self._remove(adj, v)
-                    acc += 1
-                    changed = True
-                elif len(nbrs) == 1:
-                    u = next(iter(nbrs))
-                    self._remove_closed(adj, v)
-                    acc += 1
-                    changed = True
-                elif len(nbrs) == 2:
-                    u, w = tuple(nbrs)
-                    if u in adj[w]:
-                        # triangle: taking v is optimal
-                        self._remove_closed(adj, v)
-                        acc += 1
-                    else:
-                        self._fold(adj, v, u, w)
-                        acc += 1
-                    changed = True
-        if not adj:
-            return acc
-        comps = self._components(adj)
-        if len(comps) > 1:
-            total = acc
-            for comp in comps:
-                sub = {v: adj[v] & comp for v in comp}
-                total += self._alpha(sub)
-            return total
-        # branch on a maximum-degree vertex
-        v = max(adj, key=lambda u: (len(adj[u]), -u))
-        # include v
-        with_v = self._copy_without(adj, adj[v] | {v})
-        best = 1 + self._alpha(with_v)
-        # exclude v: at least one neighbour of v is in some optimal MIS,
-        # so if excluding v we may also require taking a neighbour later;
-        # plain exclusion keeps correctness
-        without_v = self._copy_without(adj, {v})
-        best = max(best, self._alpha(without_v))
-        return acc + best
-
-    @staticmethod
-    def _remove(adj: Dict[int, Set[int]], v: int) -> None:
-        for u in adj[v]:
-            adj[u].discard(v)
-        del adj[v]
-
-    def _remove_closed(self, adj: Dict[int, Set[int]], v: int) -> None:
-        for u in list(adj[v]):
-            self._remove(adj, u)
-        self._remove(adj, v)
-
-    def _fold(self, adj: Dict[int, Set[int]], v: int, u: int, w: int) -> None:
-        """Degree-2 folding: contract {u, v, w} into v (α shifts by +1)."""
-        new_nbrs = (adj[u] | adj[w]) - {u, v, w}
-        self._remove(adj, u)
-        self._remove(adj, w)
-        # v keeps its label but acquires the union neighbourhood
-        for x in adj[v]:
-            adj[x].discard(v)
-        adj[v] = set()
-        for x in new_nbrs:
-            adj[v].add(x)
-            adj[x].add(v)
-
-    @staticmethod
-    def _copy_without(adj: Dict[int, Set[int]], drop: Set[int]) -> Dict[int, Set[int]]:
-        return {v: (nbrs - drop) for v, nbrs in adj.items() if v not in drop}
-
-    @staticmethod
-    def _components(adj: Dict[int, Set[int]]) -> List[Set[int]]:
-        comps = []
-        remaining = set(adj)
-        while remaining:
-            start = next(iter(remaining))
-            comp = {start}
-            frontier = [start]
-            while frontier:
-                x = frontier.pop()
-                for y in adj[x]:
-                    if y not in comp:
-                        comp.add(y)
-                        frontier.append(y)
-            comps.append(comp)
-            remaining -= comp
-        return comps
+    degree = [0] * len(adj)
+    by_degree = [0] * 8                   # vertex mask per remaining degree
+    m = alive
+    while m:
+        x = m & -m
+        m ^= x
+        i = x.bit_length() - 1
+        d = popcount(adj[i] & alive)
+        degree[i] = d
+        if d >= len(by_degree):
+            by_degree.extend([0] * (d + 1 - len(by_degree)))
+        by_degree[d] |= x
+    cliques = 0
+    d = 0
+    while alive:
+        while not by_degree[d]:
+            d += 1
+        low = by_degree[d] & -by_degree[d]
+        clique = low
+        cands = adj[low.bit_length() - 1] & alive
+        while cands:
+            x = cands & -cands
+            clique |= x
+            cands &= adj[x.bit_length() - 1]
+        alive &= ~clique
+        cliques += 1
+        touched = 0
+        m = clique
+        while m:
+            x = m & -m
+            m ^= x
+            i = x.bit_length() - 1
+            by_degree[degree[i]] ^= x
+            touched |= adj[i]
+        touched &= alive
+        while touched:
+            x = touched & -touched
+            touched ^= x
+            i = x.bit_length() - 1
+            nd = popcount(adj[i] & alive)
+            by_degree[degree[i]] ^= x
+            by_degree[nd] |= x
+            degree[i] = nd
+            if nd < d:
+                d = nd
+    return cliques
 
 
+def _component(adj: List[int], alive: int) -> int:
+    """The connected component of ``alive``'s lowest vertex."""
+    comp = frontier = alive & -alive
+    while frontier:
+        reach = 0
+        while frontier:
+            x = frontier & -frontier
+            frontier ^= x
+            reach |= adj[x.bit_length() - 1]
+        frontier = reach & alive & ~comp
+        comp |= frontier
+    return comp
+
+
+def _alpha(adj: List[int], alive: int, dirty: int, lower: int) -> int:
+    """α of the graph that ``adj`` induces on ``alive``, if it exceeds
+    ``lower``; otherwise some value ≤ ``lower``.
+
+    ``dirty`` holds the vertices whose degree may have fallen to ≤ 2
+    since the caller last reduced; only they are examined.  ``adj`` is
+    shared with the caller and copied before a fold rewrites it.
+    """
+    acc = 0
+    owned = False
+    dirty &= alive
+    while dirty:
+        low = dirty & -dirty
+        dirty ^= low
+        if not alive & low:
+            continue
+        nbrs = adj[low.bit_length() - 1] & alive
+        if not nbrs:                      # degree 0: take it
+            alive ^= low
+            acc += 1
+            continue
+        low_u = nbrs & -nbrs
+        low_w = nbrs ^ low_u
+        if not low_w:                     # degree 1: take it, drop u
+            alive &= ~(low | low_u)
+            dirty |= adj[low_u.bit_length() - 1] & alive
+            acc += 1
+            continue
+        if low_w & (low_w - 1):           # degree ≥ 3
+            continue
+        u = low_u.bit_length() - 1
+        w = low_w.bit_length() - 1
+        if adj[u] & low_w:                # degree 2 in a triangle: take it
+            alive &= ~(low | nbrs)
+            dirty |= (adj[u] | adj[w]) & alive
+        else:                             # degree 2 fold: {u, v, w} -> v
+            if not owned:
+                adj = list(adj)
+                owned = True
+            alive &= ~nbrs
+            merged = (adj[u] | adj[w]) & alive & ~low
+            adj[low.bit_length() - 1] = merged
+            m = merged
+            while m:
+                x = m & -m
+                m ^= x
+                adj[x.bit_length() - 1] |= low
+            dirty |= merged | low
+        acc += 1
+    if not alive:
+        return acc
+    need = lower - acc
+
+    comp = _component(adj, alive)
+    if comp != alive:                     # α adds up over components
+        while alive:
+            acc += _alpha(adj, comp, 0, -1)
+            alive ^= comp
+            comp = _component(adj, alive)
+        return acc
+
+    if need >= 1:
+        bound = _clique_cover(adj, alive)
+        if bound <= need:
+            return acc + bound
+
+    # branch on a maximum-degree vertex v
+    v, best_deg = -1, -1
+    m = alive
+    while m:
+        x = m & -m
+        m ^= x
+        i = x.bit_length() - 1
+        d = popcount(adj[i] & alive)
+        if d > best_deg:
+            v, best_deg = i, d
+    bit_v = 1 << v
+    nv = adj[v] & alive
+    rest = alive & ~(nv | bit_v)
+    second = 0                            # N(N(v)) outside N[v]
+    m = nv
+    while m:
+        x = m & -m
+        m ^= x
+        second |= adj[x.bit_length() - 1]
+    second &= rest
+    # mirrors: u at distance 2 with N(v) \ N(u) a clique
+    drop = bit_v
+    m = second
+    while m:
+        x = m & -m
+        m ^= x
+        missing = nv & ~adj[x.bit_length() - 1]
+        r = missing
+        while r:
+            y = r & -r
+            r ^= y
+            if missing & ~y & ~adj[y.bit_length() - 1]:
+                break
+        else:
+            drop |= x
+    # include v; then exclude v and its mirrors
+    best = 1 + _alpha(adj, rest, second, need - 1)
+    alive &= ~drop
+    touched = 0
+    m = drop
+    while m:
+        x = m & -m
+        m ^= x
+        touched |= adj[x.bit_length() - 1]
+    best = max(best, _alpha(adj, alive, touched, max(best, need)))
+    return acc + best
+
+
+@profiled
 @cached
 def independence_number(graph: Graph) -> int:
-    """α(G) for unweighted graphs, via branch-and-reduce with folding.
+    """α(G) of an unweighted graph.
 
-    Much faster than :func:`max_independent_set` on large sparse graphs
-    (the Section 3 constructions); returns only the number.
+    Much faster than :func:`max_independent_set` on the large sparse
+    graphs of Section 3; returns only the number.
     """
     if graph.n == 0:
         return 0
-    index = {v: i for i, v in enumerate(graph.vertices())}
-    adj: Dict[int, Set[int]] = {i: set() for i in range(graph.n)}
-    for u, v in graph.edges():
-        adj[index[u]].add(index[v])
-        adj[index[v]].add(index[u])
-    return _SparseAlphaSolver(adj).solve()
+    bg = BitGraph(graph)
+    return _alpha(bg.adj, bg.full_mask, bg.full_mask, -1)
 
 
 def max_independent_set_weight(graph: Graph, weighted: bool = True) -> float:

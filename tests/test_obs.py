@@ -332,6 +332,14 @@ class TestProfiling:
         assert "solver_profile" in record.measured
         assert "dominating" in record.measured["solver_profile"]
 
+    def test_experiment_profiles_independence_number(self):
+        """Every ``@cached`` solver is also ``@profiled``: the Section 3
+        experiment's exact α shows up with its calls and time."""
+        record = run_experiment("E-F4-T3.1-bounded-degree-maxis",
+                                profile=True)
+        assert "mis.independence_number x" in \
+            record.measured["solver_profile"]
+
 
 class TestRunnerTraceDir:
     def test_experiment_emits_readable_traces(self, tmp_path):
