@@ -100,13 +100,15 @@ def _configured_store():
 def _warm_graph_caches(graph: AnyGraph) -> None:
     """Precompute the derived caches a cache-carrying ``copy()`` shares,
     so every per-input build starts with them populated (the trick
-    KMdsFamily proved out before it was hoisted here)."""
+    KMdsFamily proved out before it was hoisted here).  The CSR snapshot
+    survives weight-only deltas, so a family whose ``apply_inputs`` only
+    re-weights (node-weighted Steiner, k-MDS) never rebuilds it per
+    pair."""
     if isinstance(graph, Graph):
         graph.sorted_vertices()
         graph.edges()
-        graph.edge_weights()
-    else:
-        graph.edge_weights()
+    graph.edge_weights()
+    graph.csr()
     # populates the vertex-set caches (sorted order, sort-key maps) that
     # survive the weight/edge deltas apply_inputs makes on each copy
     graph.content_hash()
@@ -157,6 +159,13 @@ class DeltaBuildMixin:
         """Install the x/y-dependent edge/weight deltas on ``graph``."""
         raise NotImplementedError(
             f"{type(self).__name__} does not implement apply_inputs()")
+
+    def delta_key(self) -> str:
+        """Every parameter that :meth:`apply_inputs` reads and the
+        skeleton does not show, as a string; the sweep-store key folds it
+        in (see :func:`repro.experiments.sweep_store.family_key`).  Empty
+        when the skeleton shows them all."""
+        return ""
 
     def skeleton(self) -> AnyGraph:
         """A fresh copy of the cached skeleton (built once per instance,

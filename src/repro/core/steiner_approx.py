@@ -18,6 +18,7 @@ weight 2 iff DISJ = FALSE, else > r.
 
 from __future__ import annotations
 
+import hashlib
 from typing import List, Sequence, Set, Tuple
 
 from repro.core.family import LowerBoundGraphFamily
@@ -72,8 +73,10 @@ class NodeWeightedSteinerFamily(LowerBoundGraphFamily):
         g.add_edge(R_SPECIAL, A_SPECIAL)
         g.add_edge(R_SPECIAL, B_SPECIAL)
         for i in range(T):
-            g.add_vertex(svert(i))
-            g.add_vertex(scomp(i))
+            # weight α, the zero-bit weight, so the skeleton (and with it
+            # the sweep-store key) shows α; apply_inputs re-weights
+            g.add_vertex(svert(i), weight=self.alpha)
+            g.add_vertex(scomp(i), weight=self.alpha)
             g.add_edge(A_SPECIAL, svert(i))
             g.add_edge(B_SPECIAL, scomp(i))
             for j in range(ell):
@@ -112,6 +115,16 @@ class DirectedSteinerFamily(LowerBoundGraphFamily):
                  alpha: int = None) -> None:  # type: ignore[assignment]
         self.collection = collection
         self.alpha = alpha if alpha is not None else collection.r + 1
+        ell = collection.universe_size
+        sets = collection.sets
+        #: the input arcs of bit i: (S_i, a_j) for j ∈ S_i, installed
+        #: iff x_i = 1, and (S̄_i, b_j) for j ∉ S_i, iff y_i = 1
+        self._x_arcs = [[(svert(i), avert(j)) for j in range(ell)
+                         if j in sets[i]] for i in range(collection.T)]
+        self._y_arcs = [[(scomp(i), bvert(j)) for j in range(ell)
+                         if j not in sets[i]] for i in range(collection.T)]
+        self._a_index = {avert(j): j for j in range(ell)}
+        self._b_index = {bvert(j): j for j in range(ell)}
 
     @property
     def k_bits(self) -> int:
@@ -124,6 +137,13 @@ class DirectedSteinerFamily(LowerBoundGraphFamily):
     def terminals(self) -> List[Vertex]:
         return [avert(j) for j in range(self.ell)] + \
                [bvert(j) for j in range(self.ell)]
+
+    def delta_key(self) -> str:
+        """Digest of the input-arc table: the covering collection shapes
+        only arcs that ``apply_inputs`` installs, so the skeleton alone
+        does not tell two collections apart."""
+        table = repr((self._x_arcs, self._y_arcs)).encode()
+        return hashlib.sha256(table).hexdigest()
 
     def build_skeleton(self) -> DiGraph:
         g = DiGraph()
@@ -142,14 +162,12 @@ class DirectedSteinerFamily(LowerBoundGraphFamily):
 
     def apply_inputs(self, g: DiGraph, x: Sequence[int],
                      y: Sequence[int]) -> None:
-        for i in range(self.collection.T):
-            for j in range(self.ell):
-                if j in self.collection.sets[i]:
-                    if x[i]:
-                        g.add_edge(svert(i), avert(j), weight=0)
-                else:
-                    if y[i]:
-                        g.add_edge(scomp(i), bvert(j), weight=0)
+        add = g.add_edge
+        for bits, table in ((x, self._x_arcs), (y, self._y_arcs)):
+            for bit, arcs in zip(bits, table):
+                if bit:
+                    for u, v in arcs:
+                        add(u, v, weight=0)
 
     def alice_vertices(self) -> Set[Vertex]:
         va: Set[Vertex] = {A_SPECIAL}
@@ -165,14 +183,14 @@ class DirectedSteinerFamily(LowerBoundGraphFamily):
         from repro.solvers.dominating import min_set_cover
 
         ell = self.ell
+        sides = ((svert, self._a_index), (scomp, self._b_index))
         sets: List[Tuple[List[int], float]] = []
         for i in range(self.collection.T):
-            covered = [j for j in range(ell)
-                       if graph.has_edge(svert(i), avert(j))]
-            sets.append((covered, 1.0))
-            covered_b = [j for j in range(ell)
-                         if graph.has_edge(scomp(i), bvert(j))]
-            sets.append((covered_b, 1.0))
+            # S_i covers a_j iff the arc (S_i, a_j) is installed
+            for vert, index in sides:
+                covered = sorted(index[w] for w in graph.successors(vert(i))
+                                 if w in index)
+                sets.append((covered, 1.0))
         for j in range(ell):
             sets.append(([j], float(self.alpha)))
         weight, choice = min_set_cover(ell, sets)

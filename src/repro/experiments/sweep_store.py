@@ -18,7 +18,10 @@ k_bits, x, y)``:
   input-independent ``build_skeleton()`` graph) captures every
   parameter that shapes the instance — ``k``, covering collections,
   gadget choices — so changing the construction changes the key and
-  stale decisions are never resurrected.  Families that do not
+  stale decisions are never resurrected.  A parameter that only the
+  deltas read (the covering collection of the directed Steiner family,
+  whose collection-dependent arcs are all input arcs) enters through
+  the family's ``delta_key()``.  Families that do not
   implement the skeleton/delta protocol fall back to the hash of
   ``build(0…0, 0…0)``, tagged so the two can never collide;
 - ``(x, y)`` are the input bits themselves.
@@ -133,11 +136,15 @@ def family_key(family: Any) -> FamilyKey:
     """Compute the store key for a family instance.
 
     Uses the cached skeleton (one build per instance, hash cached on
-    the graph); non-skeleton families hash their all-zeros build under
-    a distinct tag so the two schemes never collide.
+    the graph) plus the family's ``delta_key()`` when it is not empty;
+    non-skeleton families hash their all-zeros build under a distinct
+    tag so the two schemes never collide.
     """
     try:
         skeleton_hash = "skel:" + family.skeleton().content_hash()
+        delta = family.delta_key()
+        if delta:
+            skeleton_hash += "+delta:" + delta
     except NotImplementedError:
         zero = tuple([0] * family.k_bits)
         skeleton_hash = "zero:" + family.build(zero, zero).content_hash()

@@ -92,25 +92,21 @@ def label_sort_key(v: Vertex) -> Tuple[str, str]:
     return sk
 
 
-#: cache entries that depend only on the *vertex set* (not on edges or
-#: weights) — they survive :meth:`Graph._dirty_edges_only`
-_VERTEX_SET_CACHES = ("sorted_vertices", "sort_keys")
-
-
 def _sort_key_maps(graph) -> Tuple[Dict[Any, Tuple[str, str]],
                                    Dict[Any, int]]:
     """Cached ``({vertex: label_sort_key}, {vertex: canonical position})``
-    for ``graph`` — vertex-set-derived, so it survives edge mutations
-    and rides along in ``copy()``."""
-    maps = graph._cache.get("sort_keys")
+    for ``graph`` — vertex-set-derived (kept in ``_vcache``), so it
+    survives edge mutations and rides along in ``copy()``."""
+    vcache = graph._vcache
+    maps = vcache.get("sort_keys")
     if maps is None:
-        verts = graph._cache.get("sorted_vertices")
+        verts = vcache.get("sorted_vertices")
         if verts is None:
             verts = tuple(sorted(graph.vertices(), key=label_sort_key))
-            graph._cache["sorted_vertices"] = verts
+            vcache["sorted_vertices"] = verts
         keys = {v: label_sort_key(v) for v in verts}
         pos = {v: i for i, v in enumerate(verts)}
-        maps = graph._cache["sort_keys"] = (keys, pos)
+        maps = vcache["sort_keys"] = (keys, pos)
     return maps
 
 
@@ -668,11 +664,15 @@ class Graph:
         self._adj: Dict[Vertex, Set[Vertex]] = {}
         self._edge_weight: Dict[Edge, float] = {}
         self._vertex_weight: Dict[Vertex, float] = {}
-        #: derived-data cache (CSR substrate, kernel, edge list, sorted
-        #: vertices, content hash, all-pairs distances); structural
-        #: mutations clear all of it, weight-only mutations clear just
-        #: the entries that depend on weights (see the _dirty* methods)
+        #: derived-data cache (CSR substrate, kernel, edge list, content
+        #: hash, all-pairs distances); structural mutations clear all of
+        #: it, weight-only mutations clear just the entries that depend
+        #: on weights (see the _dirty* methods)
         self._cache: Dict[str, Any] = {}
+        #: caches that depend only on the vertex *set* (canonical order
+        #: ``sorted_vertices``, per-label ``sort_keys``): only adding or
+        #: removing a vertex clears them, so edge deltas never touch them
+        self._vcache: Dict[str, Any] = {}
         #: structural generation stamp: bumped on every structural
         #: mutation (never on weight-only changes, which leave all
         #: adjacency-derived snapshots valid).  Kernels record the stamp
@@ -680,24 +680,22 @@ class Graph:
         self._generation = 0
 
     def _dirty(self) -> None:
-        """Invalidate every derived cache; called on structural mutation."""
+        """Invalidate every derived cache; called when the vertex set
+        changes."""
         self._generation += 1
-        if self._cache:
-            self._cache.clear()
+        self._cache.clear()
+        self._vcache.clear()
 
     def _dirty_edges_only(self) -> None:
         """Invalidate for an edge insert/removal between *existing*
-        vertices: everything adjacency-derived dies, but the vertex-set
-        caches (canonical order, per-label sort keys) stay valid — they
-        depend only on which vertices exist.  This is the delta-build
-        hot path: ``apply_inputs`` toggles a handful of edges on a
-        skeleton copy, and the copy keeps the skeleton's vertex order."""
+        vertices: everything adjacency-derived dies, but ``_vcache``
+        (canonical order, per-label sort keys) stays valid — it depends
+        only on which vertices exist.  This is the delta-build hot path:
+        ``apply_inputs`` toggles a handful of edges on a skeleton copy,
+        and after the first insert the cache is empty, so the rest cost
+        no cache work."""
         self._generation += 1
-        if self._cache:
-            keep = [(k, self._cache[k]) for k in _VERTEX_SET_CACHES
-                    if k in self._cache]
-            self._cache.clear()
-            self._cache.update(keep)
+        self._cache.clear()
 
     def _dirty_vertex_weights(self) -> None:
         """Invalidate only vertex-weight-dependent caches.  Adjacency,
@@ -781,16 +779,17 @@ class Graph:
         """Add the undirected edge ``{u, v}``, creating endpoints as needed."""
         if u == v:
             raise GraphError(f"self loop on {u!r} rejected")
-        known = u in self._adj and v in self._adj
-        self.add_vertex(u)
-        self.add_vertex(v)
-        if v not in self._adj[u]:
-            self._adj[u].add(v)
-            self._adj[v].add(u)
-            if known:
+        adj = self._adj
+        if u in adj and v in adj:
+            if v not in adj[u]:
+                adj[u].add(v)
+                adj[v].add(u)
                 self._dirty_edges_only()
-            else:
-                self._dirty()
+        else:
+            self.add_vertex(u)
+            self.add_vertex(v)
+            adj[u].add(v)
+            adj[v].add(u)
         if weight is not None:
             key = self._key(u, v)
             if self._edge_weight.get(key) != weight:
@@ -858,10 +857,10 @@ class Graph:
 
     def sorted_vertices(self) -> Tuple[Vertex, ...]:
         """Vertices in canonical :func:`label_sort_key` order (cached)."""
-        verts = self._cache.get("sorted_vertices")
+        verts = self._vcache.get("sorted_vertices")
         if verts is None:
             verts = tuple(sorted(self._adj, key=label_sort_key))
-            self._cache["sorted_vertices"] = verts
+            self._vcache["sorted_vertices"] = verts
         return verts
 
     def edges(self) -> List[Edge]:
@@ -1006,11 +1005,12 @@ class Graph:
         # it stamps *this* graph's generation and holds its BFS caches,
         # so each graph gets its own.
         cache = self._cache
-        for key in ("sorted_vertices", "sort_keys", "edges", "edge_weights",
-                    "csr", "csr_weights", "all_pairs", "content_hash"):
+        for key in ("edges", "edge_weights", "csr", "csr_weights",
+                    "all_pairs", "content_hash"):
             val = cache.get(key)
             if val is not None:
                 g._cache[key] = val
+        g._vcache = dict(self._vcache)
         return g
 
     def induced_subgraph(self, vs: Iterable[Vertex]) -> "Graph":
@@ -1150,23 +1150,21 @@ class DiGraph:
         self._pred: Dict[Vertex, Set[Vertex]] = {}
         self._edge_weight: Dict[Edge, float] = {}
         self._vertex_weight: Dict[Vertex, float] = {}
+        # the same two cache tiers as Graph's _cache and _vcache
         self._cache: Dict[str, Any] = {}
+        self._vcache: Dict[str, Any] = {}
         self._generation = 0
 
     def _dirty(self) -> None:
         self._generation += 1
-        if self._cache:
-            self._cache.clear()
+        self._cache.clear()
+        self._vcache.clear()
 
     def _dirty_edges_only(self) -> None:
         # same contract as Graph._dirty_edges_only: arc flips between
         # existing vertices keep the vertex-set caches alive
         self._generation += 1
-        if self._cache:
-            keep = [(k, self._cache[k]) for k in _VERTEX_SET_CACHES
-                    if k in self._cache]
-            self._cache.clear()
-            self._cache.update(keep)
+        self._cache.clear()
 
     def csr(self) -> CSR:
         """Cached :class:`CSR` snapshot of the *successor* adjacency
@@ -1203,16 +1201,17 @@ class DiGraph:
     def add_edge(self, u: Vertex, v: Vertex, weight: Optional[float] = None) -> None:
         if u == v:
             raise GraphError(f"self loop on {u!r} rejected")
-        known = u in self._succ and v in self._succ
-        self.add_vertex(u)
-        self.add_vertex(v)
-        if v not in self._succ[u]:
-            self._succ[u].add(v)
-            self._pred[v].add(u)
-            if known:
+        succ = self._succ
+        if u in succ and v in succ:
+            if v not in succ[u]:
+                succ[u].add(v)
+                self._pred[v].add(u)
                 self._dirty_edges_only()
-            else:
-                self._dirty()
+        else:
+            self.add_vertex(u)
+            self.add_vertex(v)
+            succ[u].add(v)
+            self._pred[v].add(u)
         if weight is not None and self._edge_weight.get((u, v)) != weight:
             self._edge_weight[(u, v)] = weight
             self._dirty_edge_weights()
@@ -1318,11 +1317,11 @@ class DiGraph:
         g._pred = {v: set(p) for v, p in self._pred.items()}
         g._vertex_weight = dict(self._vertex_weight)
         g._edge_weight = dict(self._edge_weight)
-        for key in ("csr", "edge_weights", "content_hash",
-                    "sorted_vertices", "sort_keys"):
+        for key in ("csr", "edge_weights", "content_hash"):
             val = self._cache.get(key)
             if val is not None:
                 g._cache[key] = val
+        g._vcache = dict(self._vcache)
         return g
 
     def to_undirected(self) -> Graph:
@@ -1356,7 +1355,7 @@ def _content_hash(graph) -> str:
     h = hashlib.sha256()
     h.update(b"digraph;" if graph.directed else b"graph;")
     keys, pos = _sort_key_maps(graph)
-    verts = graph._cache["sorted_vertices"]
+    verts = graph._vcache["sorted_vertices"]
     for a, b in zip(verts, verts[1:]):
         if keys[a] == keys[b]:
             raise GraphError(

@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.graphs import Graph, Vertex
-from repro.solvers._bitmask import BitGraph, iter_bits
+from repro.solvers._bitmask import BitGraph
 from repro.solvers.cache import cached
 from repro.obs.profile import profiled
 
@@ -160,11 +160,24 @@ def min_node_weighted_steiner_cost(graph: Graph, terminals: Sequence[Vertex],
     ``terminals`` (terminal weights are charged too, matching §4.4).
 
     Zero-weight vertices are free and always available; the enumeration
-    ranges over the positive-weight vertices (≤ ``limit_candidates``).
-    Subset costs are tabulated once by doubling and the subsets scanned
-    in cost order; the first whose vertices (with the free ones and the
-    terminals) connect every terminal is optimal, so the scan stops
-    there.  Connectivity is a bitmask BFS over :class:`BitGraph`.
+    ranges over the positive-weight optional vertices p_0 < … < p_{m-1}
+    (≤ ``limit_candidates`` paid vertices).  Subsets are scanned
+    best-first in cost order; the first whose vertices (with the free
+    ones and the terminals) connect every terminal is optimal, so the
+    scan stops there.  Connectivity is a bitmask BFS over
+    :class:`BitGraph`.
+
+    The scan walks a tree over the subsets: a subset's parent is the
+    subset without its highest-index paid vertex, and its cost is the
+    parent's cost plus that vertex's weight, starting from the int 0.
+    So a cost is the sum of its weights in vertex order, whatever order
+    the scan visits subsets in, and int weights give an int.  Weights
+    are positive, so a child never costs less than its parent and has a
+    larger subset index (bit j for p_j).  A heap ordered by (cost,
+    subset index) therefore pops every subset in nondecreasing cost,
+    ties in index order: the value returned, type included, is that of
+    the first connecting subset in that order, as it was when the whole
+    cost table was built and stably sorted.
     """
     terminals = list(dict.fromkeys(terminals))
     if not terminals:
@@ -188,19 +201,20 @@ def min_node_weighted_steiner_cost(graph: Graph, terminals: Sequence[Vertex],
         everything |= 1 << i
     if _reach(bg.adj, everything, start) & terms != terms:
         return _INF
-    # cost[s] for subset s of paid_optional (bit j = j-th vertex); the int
-    # 0 start and vertex-order doubling reproduce sum() over a combination
-    # exactly, so int weights stay int and float sums are bit-identical
-    cost = [0]
-    for i in paid_optional:
-        w = weights[i]
-        cost += [c + w for c in cost]
-    for s in sorted(range(len(cost)), key=cost.__getitem__):
-        allowed = fixed
-        for j in iter_bits(s):
-            allowed |= 1 << paid_optional[j]
-        if _reach(bg.adj, allowed, start) & terms == terms:
-            return base_cost + cost[s]
+    # heap entries (cost, allowed mask, j of the highest paid vertex in
+    # the subset); the masks of two subsets compare as their subset
+    # indices do, because paid_optional is increasing
+    bits = [1 << i for i in paid_optional]
+    paid_w = [weights[i] for i in paid_optional]
+    m = len(bits)
+    adj = bg.adj
+    heap = [(0, fixed, -1)]
+    while heap:
+        cost, allowed, top = heapq.heappop(heap)
+        if _reach(adj, allowed, start) & terms == terms:
+            return base_cost + cost
+        for j in range(top + 1, m):
+            heapq.heappush(heap, (cost + paid_w[j], allowed | bits[j], j))
     raise AssertionError("unreachable: the full subset connects")
 
 

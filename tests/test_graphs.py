@@ -529,3 +529,85 @@ class TestCsrSubstrate:
         assert d.csr() is csr
         d.add_edge("b", "c")
         assert d.csr() is not csr
+
+
+def _warmed_skeleton_copy(directed):
+    """A copy of a cache-warmed skeleton, as ``DeltaBuildMixin.build``
+    makes one per input pair: a 4-path plus an isolated vertex."""
+    from repro.core.family import _warm_graph_caches
+
+    g = DiGraph() if directed else Graph()
+    g.add_vertex("iso")
+    for u, v in ((0, 1), (1, 2), (2, 3)):
+        g.add_edge(u, v, weight=2.0)
+    _warm_graph_caches(g)
+    copy = g.copy()
+    if not directed:
+        copy.kernel()
+    return copy
+
+
+@pytest.mark.parametrize("directed", [False, True],
+                         ids=["graph", "digraph"])
+class TestDeltaInvalidation:
+    """Which caches an edge or arc delta on a warmed skeleton copy drops
+    and which it keeps."""
+
+    def _dropped(self, directed):
+        if directed:
+            return ("edge_weights", "content_hash", "csr")
+        return ("edges", "edge_weights", "content_hash", "csr", "kernel")
+
+    def test_insert_keeps_vertex_set_caches(self, directed):
+        g = _warmed_skeleton_copy(directed)
+        verts = g._vcache["sorted_vertices"]
+        keys = g._vcache["sort_keys"]
+        g.add_edge(0, "iso")
+        assert g._vcache["sorted_vertices"] is verts
+        assert g._vcache["sort_keys"] is keys
+        # the content hash reads them, and must see the new edge
+        assert g.content_hash() != _warmed_skeleton_copy(
+            directed).content_hash()
+        assert g._vcache["sort_keys"] is keys
+
+    def test_insert_drops_adjacency_caches_once(self, directed):
+        g = _warmed_skeleton_copy(directed)
+        for key in self._dropped(directed):
+            assert key in g._cache
+        gen = g._generation
+        g.add_edge(0, "iso")
+        assert g._generation == gen + 1
+        for key in self._dropped(directed):
+            assert key not in g._cache
+        g.add_edge(3, "iso", weight=0)
+        assert g._generation == gen + 2
+        assert not g._cache
+
+    def test_duplicate_insert_changes_nothing(self, directed):
+        g = _warmed_skeleton_copy(directed)
+        before = dict(g._cache)
+        vbefore = dict(g._vcache)
+        gen = g._generation
+        g.add_edge(1, 2)
+        g.add_edge(1, 2, weight=2.0)
+        assert g._generation == gen
+        assert g._cache.keys() == before.keys()
+        assert all(g._cache[k] is v for k, v in before.items())
+        assert all(g._vcache[k] is v for k, v in vbefore.items())
+
+    def test_weight_only_delta_keeps_csr(self, directed):
+        g = _warmed_skeleton_copy(directed)
+        csr = g._cache["csr"]
+        gen = g._generation
+        hash0 = g.content_hash()
+        g.add_edge(1, 2, weight=5.0)
+        g.add_vertex("iso", weight=0)
+        assert g._generation == gen
+        assert g.csr() is csr
+        assert g.content_hash() != hash0
+
+    def test_vertex_insert_drops_vertex_set_caches(self, directed):
+        g = _warmed_skeleton_copy(directed)
+        g.add_edge(0, "new")
+        assert not g._vcache
+        assert not g._cache

@@ -77,6 +77,74 @@ def _random_node_weighted_instance(rng):
     return g, terms
 
 
+def _tabulated_node_weighted_cost(graph, terminals):
+    """Differential reference: the cost-ordered scan the solver used
+    before its best-first scan.  It tabulates every subset's cost by
+    doubling and stable-sorts the whole table by cost."""
+    from repro.solvers._bitmask import BitGraph, iter_bits
+    from repro.solvers.steiner import _reach
+
+    terminals = list(dict.fromkeys(terminals))
+    if not terminals:
+        return 0.0
+    bg = BitGraph(graph)
+    weights = bg.weights
+    terms = bg.mask_of(terminals)
+    start = 1 << bg.index[terminals[0]]
+    base_cost = sum(w for w in (weights[bg.index[t]] for t in terminals)
+                    if w > 0)
+    paid_optional = [i for i in range(bg.n)
+                     if weights[i] > 0 and not terms >> i & 1]
+    fixed = terms
+    for i, w in enumerate(weights):
+        if w == 0:
+            fixed |= 1 << i
+    everything = fixed
+    for i in paid_optional:
+        everything |= 1 << i
+    if _reach(bg.adj, everything, start) & terms != terms:
+        return float("inf")
+    cost = [0]
+    for i in paid_optional:
+        w = weights[i]
+        cost += [c + w for c in cost]
+    for s in sorted(range(len(cost)), key=cost.__getitem__):
+        allowed = fixed
+        for j in iter_bits(s):
+            allowed |= 1 << paid_optional[j]
+        if _reach(bg.adj, allowed, start) & terms == terms:
+            return base_cost + cost[s]
+    raise AssertionError("unreachable: the full subset connects")
+
+
+#: weight draws per mode.  The float pool makes sums that tie after
+#: rounding (0.1 + 0.2 vs 0.3).  The mixed pools make costs that tie
+#: across types (2 vs 2.0), where only the scan order decides which
+#: type is returned
+_WEIGHT_POOLS = {
+    "int": lambda rng: rng.randint(1, 4),
+    "float": lambda rng: rng.choice([0.1, 0.2, 0.3, 0.5, 0.7, 1.1, 2.5]),
+    "mixed": lambda rng: rng.choice([1, 2, 3, 1.0, 2.0, 0.5, 1.5, 0.1,
+                                     0.2, 0.3]),
+    "mixed-ties": lambda rng: rng.choice([1, 1.0, 2, 2.0]),
+}
+
+
+def _scan_instance(rng, mode):
+    """Up to 14 paid vertices plus up to 4 free ones, sparse enough that
+    the scan often goes deep before the terminals connect."""
+    paid = rng.randint(0, 14)
+    n = paid + rng.randint(1, 4)
+    g = random_graph(n, rng.uniform(0.15, 0.45), rng)
+    verts = g.vertices()
+    rng.shuffle(verts)
+    draw = _WEIGHT_POOLS[mode]
+    for i, v in enumerate(verts):
+        g.set_vertex_weight(v, draw(rng) if i < paid else 0)
+    terms = rng.sample(g.vertices(), rng.randint(1, min(n, 5)))
+    return g, terms
+
+
 class TestSteinerTreeCost:
     def test_two_terminals_is_shortest_path(self):
         g = path_graph(5)
@@ -205,6 +273,23 @@ class TestNodeWeightedSteiner:
             assert repr(got) == repr(want), (g.vertices(), g.edges(), terms)
             infeasible += got == float("inf")
         assert infeasible > 0
+
+    @pytest.mark.parametrize("mode", sorted(_WEIGHT_POOLS))
+    def test_best_first_matches_tabulated_scan(self, mode):
+        """The best-first scan returns what the tabulate-and-sort scan
+        returned, value and type (by ``repr``), on 600 seeded instances
+        per weight mode."""
+        rng = random.Random(f"nws-scan:{mode}")
+        deep = 0
+        for __ in range(600):
+            g, terms = _scan_instance(rng, mode)
+            got = min_node_weighted_steiner_cost(g, terms)
+            want = _tabulated_node_weighted_cost(g, terms)
+            assert repr(got) == repr(want), (mode, g.vertices(),
+                                             g.edges(), terms)
+            deep += sum(1 for v in g.vertices()
+                        if g.vertex_weight(v) > 0) >= 12
+        assert deep > 40
 
     def test_k2_family_pinned(self):
         """Every 8th pair of the k=2 Theorem 4.6 grid, hashed: the

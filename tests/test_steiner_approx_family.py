@@ -1,5 +1,7 @@
 """Section 4.4 Steiner approximation family tests (Theorems 4.6-4.7)."""
 
+import hashlib
+
 import pytest
 
 from repro.cc.functions import (
@@ -80,6 +82,19 @@ class TestDirected:
         assert fam.optimum(fam.build(x, y)) == 2
         x, y = random_disjoint_pair(fam.k_bits, rng)
         assert fam.optimum(fam.build(x, y)) > fam.collection.r
+
+    def test_k2_family_pinned(self, fam):
+        """Every 8th pair of the k=2 Theorem 4.7 grid, hashed: the
+        optimum (value and repr) the has_edge cover reading gave before
+        the cover was read from successor sets."""
+        def bits(v):
+            return tuple((v >> (5 - i)) & 1 for i in range(6))
+
+        optima = [repr(fam.optimum(fam.build(bits(p >> 6), bits(p & 63))))
+                  for p in range(0, 4096, 8)]
+        digest = hashlib.sha256(",".join(optima).encode()).hexdigest()
+        assert digest == ("e21b3f126011a8df6c2b1986b55479e5"
+                          "2b909db646a7d1d47c8f99de1675423e")
 
     def test_structured_matches_generic(self, rng):
         """Cross-validate the set-cover optimum against brute-force

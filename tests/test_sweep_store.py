@@ -14,8 +14,14 @@ import time
 import pytest
 
 from repro.core.family import SweepReport, sweep, verify_iff
+from repro.core.kmds import KMdsFamily
 from repro.core.maxcut import MaxCutFamily
 from repro.core.mds import MdsFamily
+from repro.core.steiner_approx import (
+    DirectedSteinerFamily,
+    NodeWeightedSteinerFamily,
+)
+from repro.covering.designs import build_covering_collection
 from repro.experiments.sweep import SHARDS_PER_WORKER, parallel_decisions
 from repro.experiments.sweep_store import (
     FamilyKey,
@@ -73,6 +79,29 @@ class TestStoreBasics:
         assert family_key(MdsFamily(2)) == family_key(MdsFamily(2))
         assert family_key(MdsFamily(2)) != family_key(MaxCutFamily(2))
         assert family_key(MdsFamily(2)) != family_key(MdsFamily(4))
+
+    @pytest.mark.parametrize("cls", [DirectedSteinerFamily,
+                                     NodeWeightedSteinerFamily, KMdsFamily],
+                             ids=lambda cls: cls.cli_name)
+    def test_key_covers_covering_collection(self, cls):
+        """Regression: the directed Steiner family's collection-dependent
+        arcs are all input arcs, so its skeleton is the same for every
+        collection; the key must still tell two collections apart."""
+        c0 = build_covering_collection(16, 6, 2, seed=0)
+        c3 = build_covering_collection(16, 6, 2, seed=3)
+        assert c0.sets != c3.sets
+        assert family_key(cls(c0)) != family_key(cls(c3))
+        assert family_key(cls(c0)) == family_key(
+            cls(build_covering_collection(16, 6, 2, seed=0)))
+
+    @pytest.mark.parametrize("cls", [DirectedSteinerFamily,
+                                     NodeWeightedSteinerFamily],
+                             ids=lambda cls: cls.cli_name)
+    def test_key_covers_alpha(self, cls):
+        """Regression: the node-weighted family's α is set only by its
+        deltas; its skeleton now shows it, so the key moves with α."""
+        coll = build_covering_collection(16, 6, 2, seed=0)
+        assert family_key(cls(coll)) != family_key(cls(coll, alpha=5))
 
     def test_meta_records_readable_identity(self, tmp_path):
         store = SweepStore(str(tmp_path))
