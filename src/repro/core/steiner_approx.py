@@ -33,10 +33,7 @@ from repro.core.kmds import (
 )
 from repro.covering.designs import CoveringCollection
 from repro.graphs import DiGraph, Graph, Vertex
-from repro.solvers.steiner import (
-    min_directed_steiner_reachability_cost,
-    min_node_weighted_steiner_cost,
-)
+from repro.solvers.steiner import min_node_weighted_steiner_cost
 
 
 class NodeWeightedSteinerFamily(LowerBoundGraphFamily):
@@ -123,8 +120,16 @@ class DirectedSteinerFamily(LowerBoundGraphFamily):
                          if j in sets[i]] for i in range(collection.T)]
         self._y_arcs = [[(scomp(i), bvert(j)) for j in range(ell)
                          if j not in sets[i]] for i in range(collection.T)]
-        self._a_index = {avert(j): j for j in range(ell)}
-        self._b_index = {bvert(j): j for j in range(ell)}
+        #: the cover read by ``optimum``: per set, its vertex and the
+        #: element bit of each terminal it can reach, then the weight-α
+        #: fallback of each element
+        a_bits = {avert(j): 1 << j for j in range(ell)}
+        b_bits = {bvert(j): 1 << j for j in range(ell)}
+        self._cover_sides = [side for i in range(collection.T)
+                             for side in ((svert(i), a_bits),
+                                          (scomp(i), b_bits))]
+        self._fallbacks = [(1 << j, float(self.alpha), j)
+                           for j in range(ell)]
 
     @property
     def k_bits(self) -> int:
@@ -162,12 +167,10 @@ class DirectedSteinerFamily(LowerBoundGraphFamily):
 
     def apply_inputs(self, g: DiGraph, x: Sequence[int],
                      y: Sequence[int]) -> None:
-        add = g.add_edge
-        for bits, table in ((x, self._x_arcs), (y, self._y_arcs)):
-            for bit, arcs in zip(bits, table):
-                if bit:
-                    for u, v in arcs:
-                        add(u, v, weight=0)
+        g.add_edges([arc for bits, table in ((x, self._x_arcs),
+                                             (y, self._y_arcs))
+                     for bit, arcs in zip(bits, table) if bit
+                     for arc in arcs], weight=0)
 
     def alice_vertices(self) -> Set[Vertex]:
         va: Set[Vertex] = {A_SPECIAL}
@@ -175,29 +178,42 @@ class DirectedSteinerFamily(LowerBoundGraphFamily):
         va.update(svert(i) for i in range(self.collection.T))
         return va
 
-    def optimum(self, graph: DiGraph) -> float:
-        """Exact directed Steiner cost via the cover structure: terminals
-        decompose into per-element coverage by weight-1 set edges or
-        weight-α fallbacks (the generic reachability solver cross-checks
-        this on small instances in the tests)."""
-        from repro.solvers.dominating import min_set_cover
+    def _cover_solver(self, graph: DiGraph):
+        """The set cover behind both answers.  Every element j needs a_j
+        and b_j, which one arc (a_j, b_j) / (b_j, a_j) links, so a cover
+        of the elements by the sets whose arcs ``graph`` holds (weight 1
+        each, bought with the arc into S_i or S̄_i) and the weight-α
+        fallbacks (a, a_j) is a Steiner tree of equal weight, and
+        conversely.  Each set's elements are read from its successor
+        set into a bitmask."""
+        from repro.solvers.dominating import _SetCoverSolver
 
-        ell = self.ell
-        sides = ((svert, self._a_index), (scomp, self._b_index))
-        sets: List[Tuple[List[int], float]] = []
-        for i in range(self.collection.T):
-            # S_i covers a_j iff the arc (S_i, a_j) is installed
-            for vert, index in sides:
-                covered = sorted(index[w] for w in graph.successors(vert(i))
-                                 if w in index)
-                sets.append((covered, 1.0))
-        for j in range(ell):
-            sets.append(([j], float(self.alpha)))
-        weight, choice = min_set_cover(ell, sets)
+        sets: List[Tuple[int, float, int]] = []
+        for vert, bits in self._cover_sides:
+            # S_i covers element j iff the arc (S_i, a_j) is installed
+            mask = 0
+            for w in graph.successors(vert):
+                mask |= bits.get(w, 0)
+            sets.append((mask, 1.0, len(sets)))
+        sets.extend(self._fallbacks)
+        return _SetCoverSolver(self.ell, sets)
+
+    def optimum(self, graph: DiGraph) -> float:
+        """Exact directed Steiner cost, as a float, via the cover of
+        :meth:`_cover_solver` (the generic reachability solver
+        cross-checks it in the tests).  Experiments and tests read this
+        value; sweeps decide through :meth:`predicate`, which stops short
+        of the optimum."""
+        weight, choice = self._cover_solver(graph).solve()
         assert choice is not None
         return weight
 
     def predicate(self, graph: DiGraph) -> bool:
         """P: a directed Steiner tree of weight ≤ 2 exists (iff
-        DISJ = FALSE)."""
-        return self.optimum(graph) <= 2
+        DISJ = FALSE).  Decided at the threshold: the search only looks
+        for a cover cheaper than 3, so it prunes every branch that
+        cannot beat 3 instead of proving the exact optimum.  A cover it
+        returns is the cheapest one, and with integral α it costs at
+        most 2; the ``<= 2`` test keeps the answer exact for any α."""
+        weight, choice = self._cover_solver(graph).solve(3)
+        return choice is not None and weight <= 2

@@ -65,6 +65,7 @@ import os
 import re
 import tempfile
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict, Optional, Sequence, Set, Tuple
 
 Bits = Tuple[int, ...]
@@ -122,8 +123,10 @@ class FamilyKey:
     skeleton_hash: str
     k_bits: int
 
-    @property
+    @cached_property
     def digest(self) -> str:
+        """The key's directory name; hashed once per key, since the
+        store asks for it on every write."""
         raw = f"{self.family}\x00{self.skeleton_hash}\x00{self.k_bits}"
         return hashlib.sha256(raw.encode()).hexdigest()
 

@@ -1217,8 +1217,40 @@ class DiGraph:
             self._dirty_edge_weights()
 
     def add_edges(self, edges: Iterable[Edge], weight: Optional[float] = None) -> None:
-        for u, v in edges:
-            self.add_edge(u, v, weight=weight)
+        """Add every arc of ``edges`` as :meth:`add_edge` would, in order,
+        but invalidate the caches once for the whole call: the vertex-set
+        tier if a vertex was created, the adjacency tier if an arc was,
+        else the edge-weight entries if a weight changed.  An arc that
+        raises (a self loop) leaves the arcs before it added and the
+        caches invalidated for them."""
+        succ, pred = self._succ, self._pred
+        eweights = self._edge_weight
+        new_vertex = new_arc = new_weight = False
+        try:
+            for u, v in edges:
+                if u == v:
+                    raise GraphError(f"self loop on {u!r} rejected")
+                if u not in succ or v not in succ:
+                    for w in (u, v):
+                        if w not in succ:
+                            succ[w] = set()
+                            pred[w] = set()
+                    new_vertex = True
+                out = succ[u]
+                if v not in out:
+                    out.add(v)
+                    pred[v].add(u)
+                    new_arc = True
+                if weight is not None and eweights.get((u, v)) != weight:
+                    eweights[(u, v)] = weight
+                    new_weight = True
+        finally:
+            if new_vertex:
+                self._dirty()
+            elif new_arc:
+                self._dirty_edges_only()
+            elif new_weight:
+                self._dirty_edge_weights()
 
     def __contains__(self, v: Vertex) -> bool:
         return v in self._succ

@@ -17,14 +17,17 @@ class BitGraph:
 
     def __init__(self, graph: Graph) -> None:
         # The CSR substrate indexes vertices in the same (insertion)
-        # order this class always used, so its cached neighbour
-        # bitmasks are reused directly instead of rebuilt per solver.
+        # order this class always used, so its labels, index and cached
+        # neighbour bitmasks are shared, not copied.  Solvers only read
+        # them (the α search folds vertices on a copy of ``adj``).  A
+        # weight-only delta keeps the CSR, so weights are read per call.
         csr = graph.csr()
-        self.vertices: List[Vertex] = list(csr.labels)
-        self.index: Dict[Vertex, int] = dict(csr.index)
+        self.vertices: Sequence[Vertex] = csr.labels
+        self.index: Dict[Vertex, int] = csr.index
         self.n = csr.n
-        self.adj: List[int] = list(csr.masks())
-        self.weights: List[float] = [graph.vertex_weight(v) for v in self.vertices]
+        self.adj: List[int] = csr.masks()
+        get = graph._vertex_weight.get
+        self.weights: List[float] = [get(v, 1.0) for v in self.vertices]
         self.full_mask = (1 << self.n) - 1
 
     def closed(self, i: int) -> int:

@@ -65,34 +65,42 @@ class _SetCoverSolver:
     def __init__(self, n_elements: int, sets: List[Tuple[int, float, int]]):
         self.n = n_elements
         self.full = (1 << n_elements) - 1
-        self.masks = [s[0] for s in sets]
-        self.weights = weights = [s[1] for s in sets]
-        for w in weights:
+        self.masks = masks = []
+        self.weights = weights = []
+        # element -> list of set indices covering it
+        self.coverers: List[List[int]] = [[] for __ in range(n_elements)]
+        coverers = self.coverers
+        # one pass over the sets: check each weight, note whether all
+        # are integral, and file the set under each element it covers
+        integral = True
+        isfinite = math.isfinite
+        for idx, (mask, w, __) in enumerate(sets):
             if w < 0:
                 raise ValueError(f"set weight {w} is negative; the set "
                                  "cover bounds need weights >= 0")
+            if integral and not (isfinite(w) and w == int(w)):
+                integral = False
+            masks.append(mask)
+            weights.append(w)
+            # inlined iter_bits: this runs once per (set, element) pair
+            while mask:
+                low = mask & -mask
+                coverers[low.bit_length() - 1].append(idx)
+                mask ^= low
         # integral weights whose total is below 2**53 (so every float sum
         # of them is exact): every cover costs an integer, so the bounds
         # are exact integers (the density bound rounds up).  Other weights
-        # keep the float density bound, and the packing bound gets a
-        # relative slack so that no rounding can prune a cover whose
-        # float sum beats the best one
+        # (fractions, inf, nan, or a total past 2**53) keep the float
+        # density bound, and the packing bound gets a relative slack so
+        # that no rounding can prune a cover whose float sum beats the
+        # best one
         self.int_weights: Optional[List[int]] = None
         self.slack = 1.0 - 1e-9
-        if (all(math.isfinite(w) and w == int(w) for w in weights)
-                and sum(weights) < 2 ** 53):
+        if integral and sum(weights) < 2 ** 53:
             self.int_weights = [int(w) for w in weights]
             self.slack = 1.0
         self.best_weight = _INF
         self.best_choice: Optional[List[int]] = None
-        # element -> list of set indices covering it
-        self.coverers: List[List[int]] = [[] for __ in range(n_elements)]
-        for idx, mask in enumerate(self.masks):
-            # inlined iter_bits: this runs once per (set, element) pair
-            while mask:
-                low = mask & -mask
-                self.coverers[low.bit_length() - 1].append(idx)
-                mask ^= low
         # per element, filled on first use by the packing bound (most
         # batch-kernel solves end within a few nodes)
         self.conflict: List[Optional[int]] = [None] * n_elements

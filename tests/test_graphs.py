@@ -611,3 +611,147 @@ class TestDeltaInvalidation:
         g.add_edge(0, "new")
         assert not g._vcache
         assert not g._cache
+
+
+class TestDiGraphAddEdges:
+    """``DiGraph.add_edges``, the arc-delta path of the directed Steiner
+    family, applies a whole delta with one cache invalidation."""
+
+    DROPPED = ("edge_weights", "content_hash", "csr")
+
+    def test_bumps_generation_once(self):
+        g = _warmed_skeleton_copy(True)
+        verts = g._vcache["sorted_vertices"]
+        gen = g._generation
+        g.add_edges([(0, 2), (1, 3), (0, 3), (3, "iso")], weight=0)
+        assert g._generation == gen + 1
+        for key in self.DROPPED:
+            assert key not in g._cache
+        assert g._vcache["sorted_vertices"] is verts
+
+    def test_noop_bumps_nothing(self):
+        g = _warmed_skeleton_copy(True)
+        before = dict(g._cache)
+        vbefore = dict(g._vcache)
+        gen = g._generation
+        g.add_edges([(0, 1), (1, 2)], weight=2.0)
+        g.add_edges([])
+        assert g._generation == gen
+        assert g._cache.keys() == before.keys()
+        assert all(g._cache[k] is v for k, v in before.items())
+        assert all(g._vcache[k] is v for k, v in vbefore.items())
+
+    def test_weight_only_keeps_csr(self):
+        g = _warmed_skeleton_copy(True)
+        csr = g._cache["csr"]
+        gen = g._generation
+        hash0 = g.content_hash()
+        g.add_edges([(0, 1), (2, 3)], weight=5.0)
+        assert g._generation == gen
+        assert g.csr() is csr
+        assert g.content_hash() != hash0
+        assert g.edge_weight(2, 3) == 5.0
+
+    def test_self_loop_raises(self):
+        g = _warmed_skeleton_copy(True)
+        gen = g._generation
+        with pytest.raises(GraphError):
+            g.add_edges([(0, 2), (3, 3), (1, 3)])
+        # the arc before the loop is in, and the caches saw it
+        assert g.has_edge(0, 2) and not g.has_edge(1, 3)
+        assert g._generation == gen + 1
+        assert "csr" not in g._cache
+
+    def test_matches_add_edge_loop(self):
+        arcs = [(0, 2), (2, 0), (1, 2), ("iso", "x"), ("y", 0), (0, 2)]
+        for weight in (None, 0, 2.0, 7):
+            bulk = _warmed_skeleton_copy(True)
+            loop = _warmed_skeleton_copy(True)
+            bulk.add_edges(arcs, weight=weight)
+            for u, v in arcs:
+                loop.add_edge(u, v, weight=weight)
+            assert bulk.content_hash() == loop.content_hash()
+            assert bulk.vertices() == loop.vertices()
+            assert list(bulk.edges()) == list(loop.edges())
+            assert bulk.csr().labels == loop.csr().labels
+
+class TestBitGraphSharesCsr:
+    """``BitGraph`` reads the CSR's labels, index and neighbour masks
+    without copying them, and the vertex weights afresh on every call."""
+
+    @staticmethod
+    def _graph():
+        # a 7-cycle with chords and pendants: the α search folds its
+        # degree-2 vertices, which rewrites a copy of the masks
+        g = cycle_graph(7)
+        g.add_edge(0, 3)
+        g.add_edge(7, 1)
+        g.add_edge(8, 5)
+        for v in g.vertices():
+            g.set_vertex_weight(v, 1 + v % 3)
+        return g
+
+    def test_weight_only_delta_shows_new_weights(self):
+        from repro.core.family import _warm_graph_caches
+        from repro.solvers._bitmask import BitGraph
+
+        skeleton = self._graph()
+        _warm_graph_caches(skeleton)
+        before = BitGraph(skeleton).weights
+        copy = skeleton.copy()
+        copy.set_vertex_weight(3, 9)
+        copy.set_vertex_weight(8, 0)
+        assert copy.csr() is skeleton.csr()
+        bg = BitGraph(copy)
+        assert bg.adj is skeleton.csr().masks()
+        assert bg.weights[bg.index[3]] == 9
+        assert bg.weights[bg.index[8]] == 0
+        assert BitGraph(skeleton).weights == before
+
+    def test_node_weighted_family_pairs_see_their_weights(self):
+        from repro.core.kmds import scomp, svert
+        from repro.core.steiner_approx import NodeWeightedSteinerFamily
+        from repro.covering.designs import build_covering_collection
+        from repro.solvers._bitmask import BitGraph
+
+        fam = NodeWeightedSteinerFamily(
+            build_covering_collection(universe_size=5, T=3, r=1, seed=2))
+        for x, y in (((1, 0, 1), (0, 1, 1)), ((0, 0, 0), (1, 1, 1))):
+            g = fam.build(x, y)
+            assert g.csr() is fam.skeleton().csr()
+            bg = BitGraph(g)
+            for i in range(3):
+                assert bg.weights[bg.index[svert(i)]] == \
+                    (1 if x[i] else fam.alpha)
+                assert bg.weights[bg.index[scomp(i)]] == \
+                    (1 if y[i] else fam.alpha)
+
+    def test_solvers_leave_csr_unchanged(self):
+        import inspect
+
+        from repro.solvers import dominating, maxcut, mis, steiner
+
+        g = self._graph()
+        csr = g.csr()
+        masks = list(csr.masks())
+        index = dict(csr.index)
+        labels = csr.labels
+        calls = [
+            (steiner.min_node_weighted_steiner_cost, (g, [0, 4, 8])),
+            (maxcut.max_cut_vectorized, (g,)),
+            (maxcut._max_cut_mitm, (g,)),
+            (maxcut.max_cut, (g,)),
+            (mis.max_independent_set, (g,)),
+            (mis.max_independent_set, (g, True)),
+            (mis.independence_number, (g,)),
+            (dominating._solve_domination,
+             (g, 1, True, None, [2], float("inf"))),
+            (dominating._solve_domination,
+             (g, 2, False, [0, 1, 2, 5], None, 3.5, [0, 1])),
+        ]
+        for fn, args in calls:
+            inspect.unwrap(fn)(*args)
+            assert g.csr() is csr
+            assert csr.masks() == masks, fn.__name__
+            assert csr.index == index, fn.__name__
+            assert csr.labels == labels

@@ -165,6 +165,49 @@ class TestSetCover:
             min_dominating_set_weight(g)
 
 
+class TestSetCoverWeightCheck:
+    """The one pass of ``_SetCoverSolver`` over its weights: negative
+    weights raise, and only integral weights whose total is below 2**53
+    take the exact-integer bounds."""
+
+    @staticmethod
+    def _solver(weights):
+        # element i is covered by set i and by the last set
+        n = len(weights) - 1
+        sets = [(1 << i, w, i) for i, w in enumerate(weights[:-1])]
+        sets.append(((1 << n) - 1, weights[-1], n))
+        return dominating._SetCoverSolver(n, sets)
+
+    def test_integral_weights_take_integer_bounds(self):
+        solver = self._solver([1.0, 2, 3.0])
+        assert solver.int_weights == [1, 2, 3]
+        assert all(type(w) is int for w in solver.int_weights)
+        assert solver.slack == 1.0
+        assert solver.solve()[0] == 3.0
+
+    @pytest.mark.parametrize("odd", [math.inf, math.nan, 0.5, 2.0 ** 53],
+                             ids=["inf", "nan", "fraction", "2^53"])
+    def test_other_weights_take_float_path(self, odd):
+        solver = self._solver([1.0, odd, 5.0])
+        assert solver.int_weights is None
+        assert solver.slack < 1.0
+        weight, choice = solver.solve()
+        if odd == 0.5:
+            assert (weight, sorted(choice)) == (1.5, [0, 1])
+        else:  # the covering set beats 1 + inf, 1 + nan and 1 + 2**53
+            assert (weight, choice) == (5.0, [2])
+
+    def test_sum_below_2_53_stays_integral(self):
+        assert self._solver([1.0, 2.0 ** 52, 1.0]).int_weights is not None
+
+    @pytest.mark.parametrize("weights", [[-1.0, 1.0, 1.0],
+                                         [math.nan, 1.0, -0.5],
+                                         [math.inf, 1.0, -2]])
+    def test_negative_weight_raises(self, weights):
+        with pytest.raises(ValueError, match="negative"):
+            self._solver(weights)
+
+
 def _random_instance(rng, n, m, weights, p=0.3):
     """``m`` random sets over ``0..n-1``, weights drawn from ``weights``."""
     return [([e for e in range(n) if rng.random() < p], rng.choice(weights))

@@ -96,6 +96,32 @@ class TestDirected:
         assert digest == ("e21b3f126011a8df6c2b1986b55479e5"
                           "2b909db646a7d1d47c8f99de1675423e")
 
+    def test_predicate_matches_optimum_on_k2_grid(self, fam):
+        """The threshold decision (search budget 3) equals the exact
+        optimum's ``<= 2`` on every pair of the k=2 grid."""
+        def bits(v):
+            return tuple((v >> (5 - i)) & 1 for i in range(6))
+
+        trues = 0
+        for p in range(4096):
+            g = fam.build(bits(p >> 6), bits(p & 63))
+            decision = fam.predicate(g)
+            assert decision == (fam.optimum(g) <= 2), p
+            trues += decision
+        assert trues == 3367
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.5, 4])
+    def test_predicate_threshold_any_alpha(self, alpha):
+        """With α = 1.5 four pairs of this grid cost 2.5: below the
+        search budget of 3 but above the threshold of 2."""
+        small = build_covering_collection(universe_size=5, T=3, r=1, seed=2)
+        fam = DirectedSteinerFamily(small, alpha=alpha)
+        for p in range(64):
+            x = tuple((p >> (5 - i)) & 1 for i in range(3))
+            y = tuple((p >> (2 - i)) & 1 for i in range(3))
+            g = fam.build(x, y)
+            assert fam.predicate(g) == (fam.optimum(g) <= 2), (x, y)
+
     def test_structured_matches_generic(self, rng):
         """Cross-validate the set-cover optimum against brute-force
         reachability enumeration on a tiny collection."""

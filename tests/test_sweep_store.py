@@ -114,6 +114,41 @@ class TestStoreBasics:
         assert meta["k_bits"] == 4
         assert meta["skeleton_hash"].startswith("skel:")
 
+    def test_existing_store_directory_still_found(self, tmp_path):
+        """A key's directory is named by the SHA-256 of its fields, as it
+        was before the digest was cached (pinned at commit 668200f), so a
+        store written then is still read."""
+        name = ("69f9492ab8c936efa60bedd09bf64045"
+                "f6298358982deba9e6c4ada8ca44cc8f")
+        fkey = FamilyKey("F", "skel:x", 3)
+        store = SweepStore(str(tmp_path))
+        assert store.family_dir(fkey) == os.path.join(str(tmp_path), name)
+        os.makedirs(os.path.join(str(tmp_path), name))
+        with open(os.path.join(str(tmp_path), name, "1-ab.log"), "w") as fh:
+            fh.write("000:111:1\n")
+        assert store.load_pairs(fkey) == {((0, 0, 0), (1, 1, 1)): True}
+
+    def test_digest_hashed_once_per_key(self, tmp_path, monkeypatch):
+        import hashlib
+
+        from repro.experiments import sweep_store
+
+        calls = []
+        sha256 = hashlib.sha256
+
+        def counted(*args):
+            calls.append(None)
+            return sha256(*args)
+
+        fkey = FamilyKey("F", "skel:x", 3)
+        monkeypatch.setattr(sweep_store.hashlib, "sha256", counted)
+        store = SweepStore(str(tmp_path))
+        for i in range(5):
+            store.store(fkey, (0, 0, i % 2), (1, 1, 1), True)
+        assert len(calls) == 1
+        assert FamilyKey("F", "skel:x", 3) == fkey
+        assert pickle.loads(pickle.dumps(fkey)).digest == fkey.digest
+
     def test_default_dir_under_cache_root(self, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", "/tmp/xdg-test")
         assert default_sweep_store_dir() == "/tmp/xdg-test/repro/sweeps"
