@@ -1,4 +1,4 @@
-"""Parallel runner speedup and solver-cache hit speedup.
+"""Parallel runner speedup.
 
 Acceptance gates for the parallel experiment runner, measured as two
 separate regimes so fork cost is never conflated with throughput:
@@ -11,9 +11,7 @@ separate regimes so fork cost is never conflated with throughput:
   fork/teardown cost);
 - **warm pool** (what ``run_all(jobs>1)`` uses): a second ``run_all``
   against the persistent pool must not re-pay the spin-up its priming
-  call paid, and its records must stay byte-identical to serial;
-- a repeated exact-solver call must hit the memoization cache and be
-  dramatically (≥ 10×) faster than the first call.
+  call paid, and its records must stay byte-identical to serial.
 
 Run directly:
 ``PYTHONPATH=src python -m pytest benchmarks/bench_parallel_runner.py -q -s``
@@ -22,13 +20,9 @@ Run directly:
 from __future__ import annotations
 
 import os
-import random
 import time
 
 from repro.experiments import records_equivalent, run_all, run_parallel
-from repro.graphs import random_graph
-from repro.solvers import max_cut
-from repro.solvers.cache import CACHE
 
 # heavy-ish experiments so the per-job work dwarfs pool overhead
 PARALLEL_SLICE = [
@@ -43,7 +37,6 @@ PARALLEL_SLICE = [
 ]
 
 SPEEDUP_FLOOR = 1.5
-CACHE_SPEEDUP_FLOOR = 10.0
 
 
 def _timed(fn, *args, **kwargs):
@@ -83,7 +76,7 @@ def test_parallel_speedup_cold(benchmark):
 
 def test_parallel_speedup_warm(benchmark):
     """Persistent-pool regime: lanes forked once by a priming call, the
-    measured call reuses them (and the workers' solver caches)."""
+    measured call reuses them."""
     from repro.experiments import warm_pool
 
     serial, t_serial = _timed(run_all, quick=True, only=PARALLEL_SLICE)
@@ -115,31 +108,3 @@ def test_parallel_speedup_warm(benchmark):
     assert t_warm <= t_prime * 1.25 + 2.0, (
         f"warm run {t_warm:.2f}s vs primed run {t_prime:.2f}s — the "
         f"persistent pool is re-paying per-call spin-up")
-
-
-def test_cache_hit_speedup(benchmark):
-    rng = random.Random(7)
-    g = random_graph(20, 0.5, rng)  # Θ(2^n) Gray-code sweep: ~1M subsets
-
-    CACHE.configure(enabled=True)
-    CACHE._mem.clear()
-    CACHE.reset_stats()
-    try:
-        cold_result, t_cold = _timed(max_cut, g)
-
-        start = time.perf_counter()
-        warm_result = benchmark.pedantic(max_cut, args=(g,),
-                                         rounds=1, iterations=1)
-        t_warm = time.perf_counter() - start
-
-        assert warm_result == cold_result
-        stats = CACHE.stats["maxcut.max_cut"]
-        assert stats.hits == 1 and stats.misses == 1
-        speedup = t_cold / t_warm if t_warm else float("inf")
-        print(f"\ncold {t_cold * 1000:.1f}ms, cached {t_warm * 1000:.3f}ms, "
-              f"speedup {speedup:.0f}x")
-        assert speedup >= CACHE_SPEEDUP_FLOOR, (
-            f"cache hit only {speedup:.1f}x faster than the solve")
-    finally:
-        CACHE._mem.clear()
-        CACHE.reset_stats()

@@ -2,11 +2,11 @@
 
 The pytest benchmarks under ``benchmarks/`` are great for interactive
 comparison but leave no artifact behind; this script is the perf
-*trajectory*: it times the same workloads (cold solver caches, full
-``quick=False`` experiment pipelines plus a pure-simulator flood
-microbench), takes the p50 over ``--reps`` repetitions, and appends one
-entry per bench — tagged with the git SHA and date — to
-``BENCH_simulator.json`` at the repository root.
+*trajectory*: it times the same workloads (full ``quick=False``
+experiment pipelines plus a pure-simulator flood microbench), takes the
+p50 over ``--reps`` repetitions, and appends one entry per bench —
+tagged with the git SHA and date — to ``BENCH_simulator.json`` at the
+repository root.
 
 Usage
 -----
@@ -71,12 +71,10 @@ NOISE_FLOOR_MS = 200.0
 
 def _cold_experiment(experiment_id: str) -> Callable[[], None]:
     """The same workload the pytest benches time: one full (quick=False)
-    experiment pipeline, starting from a cold solver cache."""
+    experiment pipeline."""
     def run() -> None:
-        from repro import solvers
         from repro.experiments.runner import run_experiment
 
-        solvers.clear_cache()
         record = run_experiment(experiment_id, quick=False)
         assert record.passed, record
     return run
@@ -94,12 +92,10 @@ def _family_sweep(scratch: bool) -> Callable[[], None]:
     def run() -> None:
         import random
 
-        from repro import solvers
         from repro.cc.functions import random_input_pairs
         from repro.core.family import validate_family, verify_iff
         from repro.core.mds import MdsFamily
 
-        solvers.clear_cache()
         fam = MdsFamily(2)
         if scratch:
             fam.build = fam.build_scratch  # type: ignore[method-assign]
@@ -139,13 +135,10 @@ def _family_sweep_grid(resumed: bool,
         import shutil
         import tempfile
 
-        from repro import solvers
         from repro.core.family import sweep
         from repro.core.hamiltonian import HamiltonianCycleFamily
         from repro.experiments.sweep_store import SweepStore
 
-        if not resumed:
-            solvers.clear_cache()  # cold means cold: no warm solver memo
         fam = HamiltonianCycleFamily(2)
         kb = fam.k_bits
         pairs = [(tuple(int(b) for b in format(i, f"0{kb}b")),
@@ -204,7 +197,6 @@ def _family_sweep_grid_warm() -> Callable[[], None]:
     payload budget.
     """
     def run() -> None:
-        from repro import solvers
         from repro.core.family import sweep
         from repro.core.hamiltonian import HamiltonianCycleFamily
         from repro.experiments import warm_pool
@@ -218,7 +210,6 @@ def _family_sweep_grid_warm() -> Callable[[], None]:
             for __ in range(5):  # priming: fork lanes, saturate memos
                 sweep(HamiltonianCycleFamily(2), pairs, jobs=2)
             _WARM_POOL_RESET.append(True)
-        solvers.clear_cache()  # parent stays cold: warmth lives in the pool
         for __ in range(8):
             report = sweep(HamiltonianCycleFamily(2), pairs, jobs=2)
             assert report.solved == report.unique_pairs == len(pairs), \

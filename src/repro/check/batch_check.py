@@ -1,5 +1,5 @@
 """Differential check: batched kernel decisions ≡ per-pair delta
-decisions ≡ from-scratch decisions.
+decisions, on delta graphs identical to their from-scratch builds.
 
 The batched decision kernels (:mod:`repro.solvers.batch_kernels`)
 answer a family's predicate from solver state precomputed off the
@@ -10,9 +10,13 @@ be wrong quietly — a mis-indexed delta bit, a stale kernel after a
 skeleton change, an unsound monotonicity assumption — so this check
 pins, on seeded families:
 
-- **batch ≡ delta ≡ scratch**: ``decide_batch`` output against the
-  per-pair incremental path (``predicate(build(x, y))``) and the
-  from-scratch reference (``build_scratch``, no caches at all);
+- **delta ≡ scratch as graphs**: every sampled pair's incremental
+  build (``build(x, y)``) has the same ``content_hash`` as the
+  from-scratch reference (``build_scratch(x, y)``), so the predicate is
+  solved once per pair and that answer stands for both builds; two
+  different graphs fail even where their predicates would agree;
+- **batch ≡ delta**: ``decide_batch`` output against the decisions of
+  an unbatched, unmemoized sweep (``predicate(build(x, y))`` per pair);
 - **promise-free inputs**: the sampled pairs include pairs violating
   the gap/unique-intersection promises (all-ones against all-ones,
   heavy random pairs) — kernels must be exact deciders of the graph
@@ -22,8 +26,8 @@ pins, on seeded families:
   ``batch=False`` bit-for-bit;
 - **state invalidation**: after the skeleton content changes, a cached
   kernel keyed on the old hash must be rebuilt, never reused (observed
-  through ``kernel_events()`` and through correct decisions against
-  the modified skeleton's scratch reference).
+  through ``kernel_events()`` and through the decisions after the
+  round-trip back to the original skeleton).
 """
 
 from __future__ import annotations
@@ -62,7 +66,8 @@ def _sample_pairs(k_bits: int, rng: random.Random):
 
 
 def check_batch_kernels(seed: int, index: int) -> Optional[str]:
-    """Fuzz the batch ≡ delta ≡ scratch triangle; None means OK."""
+    """Fuzz batch ≡ delta decisions and delta ≡ scratch graphs; None
+    means OK."""
     from repro.core.family import sweep
 
     rng = random.Random(f"repro-batch-check:{seed}:{index}")
@@ -80,17 +85,21 @@ def check_batch_kernels(seed: int, index: int) -> Optional[str]:
         if missing:
             return f"{name}: decide_batch left pairs unanswered: {missing}"
 
-        for x, y in pairs:
-            delta = family.predicate(family.build(x, y))
-            scratch = family.predicate(family.build_scratch(x, y))
+        # one solve per pair: the unbatched sweep's decisions are the
+        # delta answers, and they stand for the scratch build only
+        # because the two builds are the same graph
+        plain = sweep(family, pairs, memo=False, batch=False)
+        for (x, y), delta in zip(pairs, plain.decisions):
+            if (family.build(x, y).content_hash()
+                    != family.build_scratch(x, y).content_hash()):
+                return (f"{name}: x={x} y={y}: delta build differs from "
+                        f"build_scratch")
             got = batched[(tuple(x), tuple(y))]
-            if not (got == delta == scratch):
-                return (f"{name}: x={x} y={y}: batch={got}, "
-                        f"delta={delta}, scratch={scratch}")
+            if got != delta:
+                return f"{name}: x={x} y={y}: batch={got}, delta={delta}"
 
         # sweep integration: batched and unbatched sweeps must agree,
         # and the batched one must actually engage the kernel
-        plain = sweep(family, pairs, memo=False, batch=False)
         via_kernel = sweep(family, pairs, memo=False, batch=True)
         if plain.decisions != via_kernel.decisions:
             return (f"{name}: sweep(batch=True) decisions "

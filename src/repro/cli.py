@@ -276,9 +276,7 @@ def cmd_paper(args: argparse.Namespace) -> None:
 def cmd_experiments(args: argparse.Namespace) -> None:
     from repro.core.family import configure_sweep
     from repro.experiments import format_markdown, run_all
-    from repro.solvers.cache import configure as configure_cache
 
-    configure_cache(enabled=not args.no_cache)
     if args.sweep_jobs:
         configure_sweep(args.sweep_jobs)
     records = run_all(quick=not args.full,
@@ -456,7 +454,7 @@ def main(argv: Optional[list] = None) -> None:
                         "(default: binary)")
     p.add_argument("--profile", action="store_true",
                    help="record exact-solver wall-clock/call-count profile "
-                        "(and cache hit/miss counters) in each record")
+                        "in each record")
     p.add_argument("--jobs", type=int, default=1, metavar="N",
                    help="run experiments over N worker processes "
                         "(default 1 = serial; output order is identical)")
@@ -467,8 +465,6 @@ def main(argv: Optional[list] = None) -> None:
     p.add_argument("--retries", type=int, default=1, metavar="N",
                    help="bounded retries for experiments whose worker "
                         "process died (default 1)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the exact-solver memoization cache")
     p.add_argument("--sweep-jobs", type=int, default=0, metavar="N",
                    help="fan each family's predicate sweep over N worker "
                         "processes (independent of --jobs; reports are "

@@ -577,8 +577,7 @@ def sweep(
     signature — for a fixed family instance the graph, and hence the
     predicate, is a pure function of the pair, so equal pairs (within
     this batch or across earlier sweeps on the same instance) are never
-    rebuilt or re-solved.  Distinct pairs yielding equal graphs still
-    collapse into :mod:`repro.solvers.cache` hits via ``content_hash``.
+    rebuilt or re-solved.
 
     ``store`` is a :class:`repro.experiments.sweep_store.SweepStore`
     (default: the one configured via :func:`configure_sweep`, usually

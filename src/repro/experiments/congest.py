@@ -5,7 +5,7 @@ bounds)."""
 from __future__ import annotations
 
 import random
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.congest.algorithms import (
     run_local_universal,
@@ -100,9 +100,19 @@ def run_separation(quick: bool = True) -> ExperimentRecord:
     x, y = random_input_pairs(fam.k_bits, 2, rng)[1]
     g = fam.build(x, y)
 
+    # every LOCAL vertex floods until it knows the whole graph, so all of
+    # them learn the same one: solve the first, and check each later
+    # vertex's graph against it before handing out the same outputs
+    solved: List[Tuple[str, Dict[int, bool]]] = []
+
     def local_solver(gg: Graph):
-        ds = set(min_dominating_set(gg))
-        return {u: (u in ds) for u in gg.vertices()}
+        learned = gg.content_hash()
+        if not solved:
+            ds = set(min_dominating_set(gg))
+            solved.append((learned, {u: (u in ds) for u in gg.vertices()}))
+        first, outputs = solved[0]
+        assert learned == first, "LOCAL vertices learned different graphs"
+        return outputs
 
     local_out, local_sim = run_local_universal(g, local_solver)
 

@@ -32,11 +32,11 @@ per lane).
 ``run_parallel`` keeps the experiment *report* exactly what the serial
 runner produces: records in request order, so ``repro experiments
 --jobs 4`` prints the serial table byte for byte (modulo the wall-clock
-fields ``solver_profile`` / ``solver_cache`` that ``profile=True``
-adds).  An experiment whose worker died, timed out or could not be
-collected yields a CRASH / TIMEOUT / EXCEPTION ``FAIL`` record; an
-ordinary exception inside an experiment is caught *in the worker* and
-returned as a ``FAIL`` record with the traceback in ``notes``.
+field ``solver_profile`` that ``profile=True`` adds).  An experiment
+whose worker died, timed out or could not be collected yields a
+CRASH / TIMEOUT / EXCEPTION ``FAIL`` record; an ordinary exception
+inside an experiment is caught *in the worker* and returned as a
+``FAIL`` record with the traceback in ``notes``.
 
 Workers prefer the ``fork`` start method where available so experiments
 registered at runtime (tests) exist in the children; on spawn-only
@@ -59,8 +59,8 @@ from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
 from repro.experiments.runner import EXPERIMENTS, ExperimentRecord, run_experiment
 
 #: ``measured`` keys that legitimately differ between serial and
-#: parallel runs (wall-clock times, per-process cache counters).
-WALL_CLOCK_KEYS = ("solver_profile", "solver_cache")
+#: parallel runs (wall-clock times).
+WALL_CLOCK_KEYS = ("solver_profile",)
 
 
 def strip_wallclock(record: ExperimentRecord) -> ExperimentRecord:
@@ -264,15 +264,12 @@ def drain(lanes: Sequence[Lane], tasks: Sequence[Any],
 # experiment fan-out
 # ----------------------------------------------------------------------
 def _worker(experiment_id: str, quick: bool, trace_dir: Optional[str],
-            profile: bool, trace_format: str,
-            cache_enabled: bool) -> ExperimentRecord:
+            profile: bool, trace_format: str) -> ExperimentRecord:
     """Lane entry point: run one experiment, never raise.
 
     Ordinary exceptions become FAIL records here so only genuine worker
     death (``os._exit``, signals, OOM kills) reaches the scheduler.
     """
-    from repro.solvers import cache as solver_cache
-    solver_cache.configure(enabled=cache_enabled)
     try:
         return run_experiment(experiment_id, quick=quick,
                               trace_dir=trace_dir, profile=profile,
@@ -312,8 +309,7 @@ def run_on_lanes(lanes: Sequence[Lane], ids: Sequence[str], quick: bool,
                  trace_format: str) -> Optional[List[ExperimentRecord]]:
     """Run experiments ``ids`` over ``lanes`` with the record semantics
     of :func:`run_parallel`; ``None`` when no lane could start."""
-    from repro.solvers.cache import CACHE
-    args = (quick, trace_dir, profile, trace_format, CACHE.enabled)
+    args = (quick, trace_dir, profile, trace_format)
     return drain(
         lanes, ids,
         lambda lane, eid: lane.executor.submit(_worker, eid, *args),
@@ -348,8 +344,6 @@ def run_parallel(ids: Sequence[str],
         records = run_on_lanes(lanes, order, quick, timeout, retries,
                                trace_dir, profile, trace_format)
     if records is None:
-        from repro.solvers.cache import CACHE
-        records = [_worker(eid, quick, trace_dir, profile, trace_format,
-                           CACHE.enabled)
+        records = [_worker(eid, quick, trace_dir, profile, trace_format)
                    for eid in order]
     return records

@@ -69,18 +69,10 @@ def run_experiment(experiment_id: str, quick: bool = True,
     if trace_dir is None and not profile:
         return fn(quick=quick)
 
-    from repro.obs.profile import (
-        diff_cache_stats,
-        diff_profile,
-        format_cache_stats,
-        format_profile,
-        profile_stats,
-        solver_cache_stats,
-    )
+    from repro.obs.profile import diff_profile, format_profile, profile_stats
     from repro.obs.trace import trace_to_directory
 
     before = profile_stats() if profile else {}
-    cache_before = solver_cache_stats() if profile else {}
     if trace_dir is not None:
         with trace_to_directory(os.fspath(trace_dir), prefix=experiment_id,
                                 fmt=trace_format):
@@ -90,9 +82,6 @@ def run_experiment(experiment_id: str, quick: bool = True,
     if profile:
         delta = diff_profile(before, profile_stats())
         record.measured["solver_profile"] = format_profile(delta) or "(none)"
-        cache_delta = diff_cache_stats(cache_before, solver_cache_stats())
-        record.measured["solver_cache"] = (
-            format_cache_stats(cache_delta) or "(none)")
     return record
 
 
@@ -108,13 +97,13 @@ def run_all(quick: bool = True,
 
     The order is always the request order (``only`` as given, else ids
     sorted) regardless of ``jobs``, so a parallel run's report is
-    byte-identical to the serial one modulo wall-clock fields
-    (``solver_profile`` / ``solver_cache`` under ``profile=True``).
+    byte-identical to the serial one modulo the wall-clock field
+    ``solver_profile`` under ``profile=True``.
     ``jobs > 1`` fans out over worker processes with per-experiment
     ``timeout`` seconds and ``retries`` bounded retries on worker death
     (see :mod:`repro.experiments.parallel`): through the persistent warm
-    pool, whose worker processes (and their solver caches) survive
-    across calls, or through fresh lanes where the warm pool cannot run.
+    pool, whose worker processes survive across calls, or through fresh
+    lanes where the warm pool cannot run.
     """
     ids = only if only is not None else sorted(EXPERIMENTS)
     if jobs and jobs > 1:

@@ -26,11 +26,10 @@ k_bits, x, y)``:
   ``build(0…0, 0…0)``, tagged so the two can never collide;
 - ``(x, y)`` are the input bits themselves.
 
-Invalidation is therefore structural, exactly like the solver cache:
-mutate the construction and the key moves.  The store only needs
-manual clearing (:meth:`SweepStore.clear` or delete the directory) when
-a *predicate implementation* changes semantics without changing the
-skeleton.
+Invalidation is therefore structural: mutate the construction and
+the key moves.  The store only needs manual clearing
+(:meth:`SweepStore.clear` or delete the directory) when a *predicate
+implementation* changes semantics without changing the skeleton.
 
 Layout and concurrency
 ----------------------

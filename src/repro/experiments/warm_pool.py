@@ -3,8 +3,8 @@
 The cold callers (:func:`repro.experiments.sweep.parallel_decisions`,
 :func:`repro.experiments.parallel.run_parallel`) open fresh lanes per
 call and pickle the full family into every shard, so each campaign
-re-forks, re-imports, and re-warms skeleton, kernel, and solver caches
-from nothing.  This module keeps its lanes
+re-forks, re-imports, and re-warms skeleton and kernel caches from
+nothing.  This module keeps its lanes
 (:class:`~repro.experiments.parallel.Lane`) alive across ``sweep()`` /
 ``run_all()`` calls and drives them through the same scheduler
 (:func:`repro.experiments.parallel.drain`), so it inherits the one
@@ -161,7 +161,6 @@ def _load_family(digest: str, blob: bytes, fkey_tuple: tuple,
 
 
 def _warm_shard(digest: str, packed: bytes, store_root: Optional[str],
-                cache_enabled: bool,
                 batch: bool = True,
                 ) -> Tuple[List[bool], Tuple[int, int, int, int]]:
     """Worker entry point: decide one packed shard against the warmed
@@ -180,8 +179,6 @@ def _warm_shard(digest: str, packed: bytes, store_root: Optional[str],
         raise LaneMiss(digest)
     family, fkey_tuple = entry
     _WARM_FAMILIES.move_to_end(digest)
-    from repro.solvers import cache as solver_cache
-    solver_cache.configure(enabled=cache_enabled)
     store = fkey = None
     if store_root is not None:
         from repro.experiments.sweep_store import FamilyKey, SweepStore
@@ -375,8 +372,6 @@ class WarmPool:
             return None
 
         from repro.experiments.sweep import _decide_serial, split_shards
-        from repro.solvers.cache import CACHE
-        cache_enabled = CACHE.enabled
         store_root = (getattr(store, "root", None)
                       if store is not None else None)
         fkey_tuple = fkey.as_tuple()
@@ -395,7 +390,7 @@ class WarmPool:
                         and len(skel_bytes) >= SHM_MIN_BYTES else None)
                 self._broadcast(lane, digest, blob, fkey_tuple, segment[0],
                                 skel_bytes)
-            payload = (digest, packed[idx], store_root, cache_enabled, batch)
+            payload = (digest, packed[idx], store_root, batch)
             fut = lane.executor.submit(_warm_shard, *payload)
             self.stats.pair_payload_bytes += len(pickle.dumps(payload))
             return fut

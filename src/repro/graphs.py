@@ -950,11 +950,12 @@ class Graph:
         Covers directedness, every vertex with its effective weight, and
         every edge with its effective weight, all in :func:`label_sort_key`
         order — so two graphs built in different insertion orders hash
-        identically iff they are the same weighted graph.  This is the
-        solver-cache key material (see :mod:`repro.solvers.cache`).
+        identically iff they are the same weighted graph.  It keys the
+        sweep store's family key, the batch kernels' skeleton state, and
+        the delta ≡ scratch graph-identity checks.
 
         The digest is memoized and invalidated on mutation, so repeated
-        solver-cache lookups against the same graph hash it once.
+        reads of an unchanged graph hash it once.
         """
         digest = self._cache.get("content_hash")
         if digest is None:

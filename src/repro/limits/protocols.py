@@ -355,9 +355,7 @@ def collected_graph(graph: Graph,
     :func:`label_sort_key` order).
 
     A correct collection gives a graph with ``graph``'s
-    ``content_hash``, so the leader's exact solve hits the solver cache
-    entry of a caller that already solved ``graph``; a wrong one hashes
-    differently and is solved for real.
+    ``content_hash``; a wrong one hashes differently.
     """
     labels = sorted(graph.vertices(), key=label_sort_key)
     g = Graph()

@@ -53,15 +53,12 @@ from repro.obs.metrics import (
 )
 from repro.obs.profile import (
     ProfileStat,
-    diff_cache_stats,
     diff_profile,
-    format_cache_stats,
     format_profile,
     profile_block,
     profile_stats,
     profiled,
     reset_profile_stats,
-    solver_cache_stats,
     warm_pool_stats,
     top_profile,
 )
@@ -103,10 +100,7 @@ __all__ = [
     "diff_profile",
     "top_profile",
     "format_profile",
-    "solver_cache_stats",
     "warm_pool_stats",
-    "diff_cache_stats",
-    "format_cache_stats",
     "render_report",
     "select_run",
     "render_bench_report",

@@ -135,41 +135,9 @@ def format_profile(stats: Optional[Dict[str, ProfileStat]] = None,
 
 
 # ----------------------------------------------------------------------
-# solver-cache counters (owned by repro.solvers.cache; surfaced here so
-# the experiment runner reports hits/misses next to the time profile)
-# ----------------------------------------------------------------------
-def solver_cache_stats() -> Dict[str, "CacheStats"]:
-    """Snapshot of the solver memoization hit/miss counters."""
-    from repro.solvers.cache import cache_stats
-    return cache_stats()
-
-
-def diff_cache_stats(before: Dict[str, "CacheStats"],
-                     after: Dict[str, "CacheStats"]) -> Dict[str, "CacheStats"]:
-    """Per-solver delta ``after - before`` (only solvers with activity)."""
-    from repro.solvers.cache import CacheStats
-    out: Dict[str, CacheStats] = {}
-    for name, stat in after.items():
-        prev = before.get(name, CacheStats())
-        hits = stat.hits - prev.hits
-        misses = stat.misses - prev.misses
-        if hits > 0 or misses > 0:
-            out[name] = CacheStats(hits, misses)
-    return out
-
-
-def format_cache_stats(stats: Dict[str, "CacheStats"]) -> str:
-    """Compact rendering, e.g. ``maxcut.max_cut 3h/1m``: hits/misses
-    per solver, sorted by total activity."""
-    ranked = sorted(stats.items(),
-                    key=lambda kv: -(kv[1].hits + kv[1].misses))
-    return "; ".join(f"{name} {s.hits}h/{s.misses}m" for name, s in ranked)
-
-
-# ----------------------------------------------------------------------
 # warm-pool counters (owned by repro.experiments.warm_pool; surfaced
 # here so campaign tooling reports payload/broadcast economics next to
-# the solver-cache numbers)
+# the solver profile)
 # ----------------------------------------------------------------------
 def warm_pool_stats() -> Dict[str, int]:
     """Snapshot of the persistent warm worker pool's cumulative

@@ -8,16 +8,6 @@ general (the predicates are NP-hard) but engineered to handle the
 instance sizes our experiments use.
 """
 
-from repro.solvers.cache import (
-    CacheStats,
-    SolverCache,
-    cache_stats,
-    cached,
-    canonical_repr,
-    clear_cache,
-    configure as configure_cache,
-    reset_cache_stats,
-)
 from repro.solvers.mis import (
     max_independent_set,
     max_independent_set_weight,
@@ -75,14 +65,6 @@ from repro.solvers.spanner import (
 )
 
 __all__ = [
-    "CacheStats",
-    "SolverCache",
-    "cache_stats",
-    "cached",
-    "canonical_repr",
-    "clear_cache",
-    "configure_cache",
-    "reset_cache_stats",
     "max_independent_set",
     "max_independent_set_weight",
     "independence_number",

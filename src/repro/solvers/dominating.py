@@ -37,7 +37,6 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.graphs import Graph, Vertex
 from repro.solvers._bitmask import BitGraph, popcount
-from repro.solvers.cache import cached
 from repro.obs.profile import profiled
 
 _INF = float("inf")
@@ -233,7 +232,6 @@ def min_set_cover(
 
 
 @profiled(name="dominating.solve_domination")
-@cached(name="dominating.solve_domination")
 def _solve_domination(
     graph: Graph,
     k: int,

@@ -11,7 +11,6 @@ from collections import deque
 from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.graphs import DiGraph, Graph, Vertex
-from repro.solvers.cache import cached
 from repro.obs.profile import profiled
 
 AnyGraph = Union[Graph, DiGraph]
@@ -31,7 +30,6 @@ def _capacity_map(graph: AnyGraph) -> Dict[Tuple[Vertex, Vertex], float]:
 
 
 @profiled
-@cached
 def max_flow(graph: AnyGraph, s: Vertex, t: Vertex) -> Tuple[float, Dict[Tuple[Vertex, Vertex], float]]:
     """Return ``(value, flow)`` of a maximum s-t flow.
 

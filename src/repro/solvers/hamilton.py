@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.graphs import DiGraph, Graph, Vertex
 from repro.solvers._bitmask import popcount
-from repro.solvers.cache import cached
 from repro.obs.profile import profiled
 
 AnyGraph = Union[Graph, DiGraph]
@@ -500,7 +499,6 @@ def find_hamiltonian_path(
 
 
 @profiled
-@cached
 def find_hamiltonian_cycle(graph: AnyGraph) -> Optional[List[Vertex]]:
     """Find a Hamiltonian cycle (returned without repeating the start)."""
     dg = _as_digraph(graph)

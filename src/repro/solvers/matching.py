@@ -12,12 +12,10 @@ from __future__ import annotations
 from typing import List, Sequence, Set, Tuple
 
 from repro.graphs import Graph, Vertex
-from repro.solvers.cache import cached
 from repro.obs.profile import profiled
 
 
 @profiled
-@cached
 def max_matching(graph: Graph) -> List[Tuple[Vertex, Vertex]]:
     """A maximum cardinality matching."""
     import networkx as nx
@@ -49,7 +47,6 @@ def tutte_berge_value(graph: Graph, witness: Sequence[Vertex]) -> int:
 
 
 @profiled
-@cached
 def tutte_berge_witness(graph: Graph) -> List[Vertex]:
     """A set U achieving equality in the Tutte–Berge formula.
 

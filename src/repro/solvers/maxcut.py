@@ -13,7 +13,6 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.graphs import Graph, Vertex
 from repro.solvers._bitmask import BitGraph
-from repro.solvers.cache import cached
 from repro.obs.profile import profiled
 
 
@@ -118,9 +117,8 @@ def _max_cut_mitm(graph: Graph) -> Tuple[float, List[Vertex]]:
     the first argmax taken (the Gray walk keeps the earliest strict
     maximum, starting from mask 0 at value 0.0); for ``16 < n <= 25``
     blocks of ascending masks are scanned with a strictly-greater
-    running best, matching :func:`max_cut_vectorized`.  Requires numpy
-    (raises ImportError otherwise) and integral weights (checked by the
-    caller).
+    running best, matching :func:`max_cut_vectorized`.  Requires
+    integral weights (checked by the caller).
     """
     import numpy as np
 
@@ -220,7 +218,6 @@ def _integral_weights(graph: Graph) -> bool:
 
 
 @profiled
-@cached
 def max_cut(graph: Graph, limit: int = 28) -> Tuple[float, List[Vertex]]:
     """Return ``(weight, side)`` of a maximum weight cut.
 
@@ -233,15 +230,9 @@ def max_cut(graph: Graph, limit: int = 28) -> Tuple[float, List[Vertex]]:
     if n <= 1:
         return 0.0, []
     if n <= 25 and _integral_weights(graph):
-        try:
-            return _max_cut_mitm(graph)
-        except ImportError:
-            pass  # no numpy: the enumeration paths below need nothing
+        return _max_cut_mitm(graph)
     if 16 < n <= 25:
-        try:
-            return max_cut_vectorized(graph, limit=limit)
-        except ImportError:
-            pass  # no numpy: the Gray-code walk below needs nothing
+        return max_cut_vectorized(graph, limit=limit)
     bg = BitGraph(graph)
     # weighted adjacency lists over indices
     wadj: List[List[Tuple[int, float]]] = [[] for __ in range(n)]

@@ -45,7 +45,6 @@ from typing import List, Sequence, Tuple
 
 from repro.graphs import Graph, Vertex
 from repro.solvers._bitmask import BitGraph, lowest_bit, popcount
-from repro.solvers.cache import cached
 from repro.obs.profile import profiled
 
 
@@ -178,7 +177,6 @@ class _MisSolver:
 
 
 @profiled
-@cached
 def max_independent_set(graph: Graph, weighted: bool = False) -> List[Vertex]:
     """Return a maximum (weight) independent set of ``graph``.
 
@@ -383,7 +381,6 @@ def _alpha(adj: List[int], alive: int, dirty: int, lower: int) -> int:
 
 
 @profiled
-@cached
 def independence_number(graph: Graph) -> int:
     """α(G) of an unweighted graph.
 

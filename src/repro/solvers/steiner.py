@@ -15,7 +15,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.graphs import Graph, Vertex
 from repro.solvers._bitmask import BitGraph
-from repro.solvers.cache import cached
 from repro.obs.profile import profiled
 
 _INF = float("inf")
@@ -57,7 +56,6 @@ def _all_pairs_dijkstra(graph: Graph) -> Dict[Vertex, Dict[Vertex, float]]:
 
 
 @profiled
-@cached
 def steiner_tree_cost(graph: Graph, terminals: Sequence[Vertex]) -> float:
     """Minimum total edge weight of a tree spanning ``terminals``."""
     terminals = list(dict.fromkeys(terminals))
@@ -219,7 +217,6 @@ def min_node_weighted_steiner_cost(graph: Graph, terminals: Sequence[Vertex],
 
 
 @profiled
-@cached
 def min_directed_steiner_reachability_cost(dgraph, root, terminals,
                                            limit_paid: int = 16) -> float:
     """Minimum total *edge* weight of a sub-digraph in which every

@@ -176,8 +176,8 @@ class TestFullConstruction:
             (2084, 273415, 5702596, 45, 264925, 64381, 2605)
 
     def test_claim_36_leader_graph_hashes_like_instance(self, bd, rng):
-        """The leader rebuilds G′ over its own labels, so its α solve
-        hits the solver-cache entry of a caller that solved G′."""
+        """The leader rebuilds G′ over its own labels: the graph its α
+        solve reads is G′ itself, content hash for content hash."""
         from repro.congest.algorithms.collect import run_collect_and_solve
         from repro.limits.protocols import collected_graph
 

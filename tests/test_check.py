@@ -13,6 +13,7 @@ import pytest
 
 import repro.solvers as solvers
 from repro.check import CHECKS, generate_cases, make_case, run_check, shrink_graph
+from repro.check.batch_check import check_batch_kernels
 from repro.check.congest_check import check_congest_mds
 from repro.check.fuzz import FAMILIES
 from repro.check.invariants import disjoint_union, inv_alpha_tau, relabeled
@@ -28,6 +29,7 @@ from repro.check.reference import (
     ref_steiner_tree_cost,
 )
 from repro.cli import main
+from repro.core.mds import MdsFamily
 from repro.graphs import Graph, cycle_graph, path_graph
 
 
@@ -301,6 +303,39 @@ class TestRunCheck:
         assert len(per_failure) == len(report.failures)
         first = json.loads(per_failure[0].read_text())
         assert first["check"] == report.failures[0].check
+
+
+class TestBatchCheck:
+    """Planted faults in a batch kernel or in the scratch build must be
+    reported by ``check_batch_kernels``; MdsFamily is the first family
+    it checks on either parity."""
+
+    def test_flipped_batch_answer_is_reported(self, monkeypatch):
+        real = MdsFamily.decide_batch
+
+        def flip_one(self, skeleton, pairs, timings=None):
+            out = real(self, skeleton, pairs, timings=timings)
+            key = next(iter(out))
+            return {**out, key: not out[key]}
+
+        monkeypatch.setattr(MdsFamily, "decide_batch", flip_one)
+        problem = check_batch_kernels(0, 0)
+        assert problem is not None
+        assert problem.startswith("MdsFamily:") and "batch=" in problem
+
+    def test_scratch_build_with_extra_vertex_is_reported(self, monkeypatch):
+        real = MdsFamily.build_scratch
+
+        def with_isolated_vertex(self, x, y):
+            g = real(self, x, y)
+            g.add_vertex(("planted", "isolated"))
+            return g
+
+        monkeypatch.setattr(MdsFamily, "build_scratch", with_isolated_vertex)
+        problem = check_batch_kernels(0, 0)
+        assert problem is not None
+        assert problem.startswith("MdsFamily:")
+        assert "differs from build_scratch" in problem
 
 
 class TestCheckRegistry:

@@ -46,3 +46,12 @@ def test_markdown_formatting():
 def test_unknown_experiment_raises():
     with pytest.raises(KeyError):
         run_experiment("E-nonexistent")
+
+
+def test_local_separation_solves_the_learned_graph_once():
+    """All 40 LOCAL vertices learn the same graph, so the experiment
+    solves MDS once for LOCAL and once for CONGEST."""
+    record = run_experiment("E-congest-local-separation", profile=True)
+    assert record.passed, record
+    assert record.measured["solver_profile"].startswith(
+        "dominating.solve_domination x2 ")

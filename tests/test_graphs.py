@@ -8,6 +8,7 @@ from repro.graphs import (
     GraphError,
     complete_graph,
     cycle_graph,
+    label_sort_key,
     path_graph,
     random_graph,
 )
@@ -755,3 +756,88 @@ class TestBitGraphSharesCsr:
             assert csr.masks() == masks, fn.__name__
             assert csr.index == index, fn.__name__
             assert csr.labels == labels
+
+
+class TestContentHash:
+    def test_insertion_order_invariance(self):
+        g1 = Graph()
+        g1.add_edge(1, 2, weight=3.0)
+        g1.add_edge(2, 5)
+        g2 = Graph()
+        g2.add_edge(2, 5)
+        g2.add_edge(2, 1, weight=3.0)
+        assert g1.content_hash() == g2.content_hash()
+
+    def test_weight_changes_hash(self):
+        g1 = Graph()
+        g1.add_edge("a", "b")
+        g2 = Graph()
+        g2.add_edge("a", "b", weight=2.0)
+        assert g1.content_hash() != g2.content_hash()
+        g3 = Graph()
+        g3.add_edge("a", "b")
+        g3.set_vertex_weight("a", 5.0)
+        assert g3.content_hash() != g1.content_hash()
+
+    def test_label_type_distinguished(self):
+        g1 = Graph()
+        g1.add_edge(1, 2)
+        g2 = Graph()
+        g2.add_edge("1", "2")
+        assert g1.content_hash() != g2.content_hash()
+
+    def test_direction_matters(self):
+        d1 = DiGraph()
+        d1.add_edge("u", "v")
+        d2 = DiGraph()
+        d2.add_edge("v", "u")
+        assert d1.content_hash() != d2.content_hash()
+        g = Graph()
+        g.add_edge("u", "v")
+        assert g.content_hash() != d1.content_hash()
+
+    def test_collision_guard(self):
+        class Opaque:
+            def __repr__(self):
+                return "<opaque>"
+
+        g = Graph()
+        g.add_vertex(Opaque())
+        g.add_vertex(Opaque())
+        with pytest.raises(GraphError):
+            g.content_hash()
+
+
+class TestEdgeKeyCollisionGuard:
+    def test_distinct_labels_same_repr_rejected(self):
+        class Opaque:
+            def __repr__(self):
+                return "<opaque>"
+
+        a, b = Opaque(), Opaque()
+        with pytest.raises(GraphError):
+            Graph._key(a, b)
+        g = Graph()
+        with pytest.raises(GraphError):
+            g.add_edge(a, b, weight=1.0)
+
+    def test_same_repr_different_type_ok(self):
+        # the type-name prefix disambiguates labels whose repr coincides
+        class A:
+            def __repr__(self):
+                return "<same>"
+
+        class B:
+            def __repr__(self):
+                return "<same>"
+
+        g = Graph()
+        g.add_edge(A(), B(), weight=2.0)
+        assert g.m == 1
+        assert g.content_hash()
+
+    def test_sort_key_is_type_then_repr(self):
+        assert label_sort_key(10) == ("int", "10")
+        assert label_sort_key("a") == ("str", "'a'")
+        # documented quirk: repr order, not numeric order
+        assert label_sort_key(10) < label_sort_key(2)

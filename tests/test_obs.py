@@ -333,7 +333,7 @@ class TestProfiling:
         assert "dominating" in record.measured["solver_profile"]
 
     def test_experiment_profiles_independence_number(self):
-        """Every ``@cached`` solver is also ``@profiled``: the Section 3
+        """The exact solvers are ``@profiled``: the Section 3
         experiment's exact α shows up with its calls and time."""
         record = run_experiment("E-F4-T3.1-bounded-degree-maxis",
                                 profile=True)

@@ -89,25 +89,8 @@ class TestDispatch:
         g = random_graph(18, 0.35, random.Random(21))
         return g
 
-    def test_falls_back_to_gray_code_without_numpy(self, monkeypatch):
-        """No numpy must mean the Gray-code walk, not an ImportError."""
-        import repro.solvers.maxcut as mc
-        from repro.solvers import clear_cache
-
-        def no_numpy(graph, limit=25):
-            raise ImportError("No module named 'numpy'")
-
-        monkeypatch.setattr(mc, "max_cut_vectorized", no_numpy)
-        clear_cache()
-        g = self._mid_size_graph()
-        value, side = mc.max_cut(g)
-        assert cut_weight(g, side) == value
-        clear_cache()
-        assert mc.max_cut_value(g) == value  # restored vectorized agrees
-
     def test_caller_limit_reaches_vectorized_path(self, monkeypatch):
         import repro.solvers.maxcut as mc
-        from repro.solvers import clear_cache
 
         captured = {}
         real = mc.max_cut_vectorized
@@ -120,7 +103,6 @@ class TestDispatch:
         # non-integral weights keep the meet-in-the-middle fast path out
         # of the way, so the chunked sweep handles the window
         monkeypatch.setattr(mc, "_integral_weights", lambda g: False)
-        clear_cache()
         g = self._mid_size_graph()
         mc.max_cut(g, limit=20)
         assert captured["limit"] == 20
@@ -129,7 +111,6 @@ class TestDispatch:
         """Integral weights dispatch to meet-in-the-middle, which must
         agree with the chunked sweep it replaces."""
         import repro.solvers.maxcut as mc
-        from repro.solvers import clear_cache
 
         g = self._mid_size_graph()
         expected = mc.max_cut_vectorized(g)
@@ -138,9 +119,7 @@ class TestDispatch:
             raise AssertionError("integral window should use mitm")
 
         monkeypatch.setattr(mc, "max_cut_vectorized", unexpected)
-        clear_cache()
         assert mc.max_cut(g) == expected
-        clear_cache()
 
     def test_caller_limit_still_enforced(self):
         g = self._mid_size_graph()

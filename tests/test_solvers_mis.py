@@ -15,7 +15,6 @@ from repro.solvers import (
     min_vertex_cover,
     min_vertex_cover_size,
 )
-from repro.solvers.cache import CACHE
 from tests.conftest import brute_force_mis_size, brute_force_mvc_size
 
 
@@ -80,6 +79,16 @@ class TestMaxIndependentSet:
         g.set_vertex_weight(1, 10)
         g.set_vertex_weight(2, 1)
         assert max_independent_set_weight(g) == 10
+
+    def test_result_type_follows_weight_type(self):
+        # vertex weights 1 and 1.0 on P4 weigh the same set, but the
+        # result keeps the weights' numeric type: 2 vs 2.0
+        for weight in (1, 1.0):
+            g = path_graph(4)
+            for v in range(4):
+                g.set_vertex_weight(v, weight)
+            result = max_independent_set_weight(g)
+            assert result == 2 and type(result) is type(weight)
 
     def test_unweighted_ignores_weights(self):
         g = path_graph(3)
@@ -223,7 +232,6 @@ class TestIndependenceNumberSection3:
             return search(*args)
 
         monkeypatch.setattr(mis, "_alpha", counting)
-        monkeypatch.setattr(CACHE, "enabled", False)
         inst = bd.build((0, 1, 1, 0), (0, 0, 0, 0))
         assert independence_number(inst.graph) == 301
         assert 0 < calls <= 5_900

@@ -70,7 +70,7 @@ def _random_node_weighted_instance(rng):
             g.set_vertex_weight(v, 0)
         elif kind < 0.65:
             g.set_vertex_weight(v, rng.randint(1, 5))
-        else:  # never integral: the solver cache hashes 3 and 3.0 alike
+        else:  # never integral: exercises the float-weight path
             g.set_vertex_weight(v, rng.choice([0.1, 0.2, 0.7, 1.3])
                                 * rng.randint(1, 4))
     terms = rng.sample(g.vertices(), rng.randint(1, min(n, 4)))
