@@ -100,15 +100,17 @@ def _configured_store():
 def _warm_graph_caches(graph: AnyGraph) -> None:
     """Precompute the derived caches a cache-carrying ``copy()`` shares,
     so every per-input build starts with them populated (the trick
-    KMdsFamily proved out before it was hoisted here).  The CSR snapshot
-    survives weight-only deltas, so a family whose ``apply_inputs`` only
-    re-weights (node-weighted Steiner, k-MDS) never rebuilds it per
-    pair."""
+    KMdsFamily proved out before it was hoisted here).  A ``Graph``'s
+    bitmask view (:meth:`Graph.bits`) survives weight-only deltas, so a
+    family whose ``apply_inputs`` only re-weights (node-weighted
+    Steiner, k-MDS) builds it once per skeleton, not per pair.  A
+    ``DiGraph`` has no such view: the directed family reads successor
+    sets straight from the graph."""
     if isinstance(graph, Graph):
         graph.sorted_vertices()
         graph.edges()
+        graph.bits()
     graph.edge_weights()
-    graph.csr()
     # populates the vertex-set caches (sorted order, sort-key maps) that
     # survive the weight/edge deltas apply_inputs makes on each copy
     graph.content_hash()

@@ -110,86 +110,88 @@ def _sort_key_maps(graph) -> Tuple[Dict[Any, Tuple[str, str]],
     return maps
 
 
-class CSR:
-    """Compressed-sparse-row snapshot of a graph's adjacency.
+class BitGraph:
+    """Immutable bitmask snapshot of an undirected graph's structure,
+    obtained via :meth:`Graph.bits`.
 
-    The flat-array substrate every int-indexed hot path reads:
-    ``indptr`` (``n + 1`` offsets) and ``indices`` (neighbour indices,
-    sorted within each row) are stdlib ``array('q')`` buffers — compact,
-    picklable, and zero-copy viewable by numpy via the buffer protocol.
-    Vertices are indexed ``0..n-1`` in the owning graph's deterministic
-    insertion order; ``labels``/``index`` are the thin label view over
-    that index space.  Neighbour bitmasks (bit ``j`` of ``masks()[i]``
-    iff edge ``{i, j}``) are derived lazily and shared by every
-    consumer (:class:`GraphKernel`, :class:`repro.solvers._bitmask.
-    BitGraph`).
-
-    A ``CSR`` is an immutable snapshot: the owning graph drops its
-    cached instance on structural mutation and hands out a fresh one.
-    Edge weights live in the aligned array returned by
-    :meth:`Graph.csr_weights` (weight-only mutations invalidate that
-    array without touching the structure).
+    Vertices are indexed ``0..n-1`` in the graph's (deterministic)
+    insertion order: ``vertices[i]`` is the label of index ``i`` and
+    ``index`` the inverse map.  ``adj[i]`` is the neighbour mask of
+    ``i`` (bit ``j`` iff edge ``{i, j}``).  It holds no weights, which a
+    weight-only delta may change under it.  Every solver on one graph
+    reads the same object, so nothing writes to it: ``adj`` is a tuple,
+    and a solver that rewrites masks (the α search folds vertices) works
+    on its own copy.
     """
 
-    __slots__ = ("n", "labels", "index", "indptr", "indices", "_masks",
-                 "_adj_lists")
+    __slots__ = ("vertices", "index", "n", "adj", "full_mask", "_balls")
 
-    def __init__(self, labels: Tuple[Vertex, ...],
-                 index: Dict[Vertex, int],
-                 indptr: array, indices: array) -> None:
-        self.n = len(labels)
-        self.labels = labels
-        self.index = index
-        self.indptr = indptr
-        self.indices = indices
-        self._masks: Optional[List[int]] = None
-        self._adj_lists: Optional[List[List[int]]] = None
+    def __init__(self, adj: Dict[Vertex, Set[Vertex]]) -> None:
+        self.vertices: Tuple[Vertex, ...] = tuple(adj)
+        self.index: Dict[Vertex, int] = {
+            v: i for i, v in enumerate(self.vertices)}
+        self.n = len(self.vertices)
+        index = self.index
+        masks = []
+        for v in self.vertices:
+            m = 0
+            for w in adj[v]:
+                m |= 1 << index[w]
+            masks.append(m)
+        self.adj: Tuple[int, ...] = tuple(masks)
+        self.full_mask = (1 << self.n) - 1
+        self._balls: Dict[int, Tuple[int, ...]] = {}
 
-    @property
-    def m(self) -> int:
-        """Stored entries (2·edges for an undirected graph's CSR)."""
-        return len(self.indices)
+    def closed(self, i: int) -> int:
+        """Closed neighbourhood of vertex index ``i`` as a mask."""
+        return self.adj[i] | (1 << i)
 
-    def row(self, i: int) -> array:
-        """Neighbour indices of vertex ``i`` (ascending)."""
-        return self.indices[self.indptr[i]:self.indptr[i + 1]]
+    def mask_of(self, vs: Iterable[Vertex]) -> int:
+        mask = 0
+        for v in vs:
+            mask |= 1 << self.index[v]
+        return mask
 
-    def degree(self, i: int) -> int:
-        return self.indptr[i + 1] - self.indptr[i]
+    def unmask(self, mask: int) -> List[Vertex]:
+        out = []
+        i = 0
+        while mask:
+            if mask & 1:
+                out.append(self.vertices[i])
+            mask >>= 1
+            i += 1
+        return out
 
-    def adjacency(self) -> List[List[int]]:
-        """Row slices materialised as lists (cached) — the layout the
-        pure-Python BFS loops iterate fastest."""
-        if self._adj_lists is None:
-            indptr, indices = self.indptr, self.indices
-            self._adj_lists = [list(indices[indptr[i]:indptr[i + 1]])
-                               for i in range(self.n)]
-        return self._adj_lists
+    def ball_masks(self, k: int) -> Tuple[int, ...]:
+        """Distance-``k`` closed balls of every vertex, as bitmasks.
 
-    def masks(self) -> List[int]:
-        """Per-vertex neighbour bitmasks (cached)."""
-        if self._masks is None:
-            out = []
-            indptr, indices = self.indptr, self.indices
-            for i in range(self.n):
-                m = 0
-                for j in indices[indptr[i]:indptr[i + 1]]:
-                    m |= 1 << j
-                out.append(m)
-            self._masks = out
-        return self._masks
-
-
-def _build_csr(adj: Dict[Vertex, Any], index: Dict[Vertex, int]) -> CSR:
-    """Construct the CSR arrays from a label-keyed adjacency mapping in
-    insertion order (``index`` must already map every label)."""
-    labels = tuple(adj)
-    indptr = array("q", [0])
-    indices = array("q")
-    for v in labels:
-        indices.extend(sorted(index[w] for w in adj[v]))
-        indptr.append(len(indices))
-    return CSR(labels, dict(index), indptr, indices)
+        Bit ``j`` of mask ``i`` iff ``dist(i, j) <= k``.  Computed by a
+        bitmask BFS truncated at depth ``k`` — frontiers are expanded by
+        OR-ing neighbour masks, so no per-vertex distance arrays are
+        built and the sweep stops as soon as the ball saturates.  Cached
+        per ``k``.
+        """
+        balls = self._balls.get(k)
+        if balls is not None:
+            return balls
+        masks = self.adj
+        out = []
+        for i in range(self.n):
+            ball = frontier = 1 << i
+            for __ in range(k):
+                new = 0
+                m = frontier
+                while m:
+                    low = m & -m
+                    new |= masks[low.bit_length() - 1]
+                    m ^= low
+                frontier = new & ~ball
+                if not frontier:
+                    break
+                ball |= frontier
+            out.append(ball)
+        balls = self._balls[k] = tuple(out)
+        return balls
 
 
 # ----------------------------------------------------------------------
@@ -202,8 +204,8 @@ def _build_csr(adj: Dict[Vertex, Any], index: Dict[Vertex, int]) -> CSR:
 #   version      u8        1
 #   flags        u8        bit0 = directed, bit1 = label table pickled
 #   n            u32       vertex count
-#   nnz          u64       len(csr.indices)
-#   width        u8        bytes per CSR entry (1, 2, or 8): the
+#   nnz          u64       len(indices)
+#   width        u8        bytes per row-array entry (1, 2, or 8): the
 #                          narrowest unsigned width holding every
 #                          indptr/indices value
 #   intern table           (absent when bit1 set)
@@ -211,8 +213,9 @@ def _build_csr(adj: Dict[Vertex, Any], index: Dict[Vertex, int]) -> CSR:
 #       entry*   u32 byte length + UTF-8 bytes, id = entry position
 #   label blob   u64 length + tagged label stream (or a pickle of the
 #                label tuple when bit1 is set — exotic label types)
-#   indptr       (n+1) * width raw
-#   indices      nnz * width raw
+#   indptr       (n+1) * width raw: row i is indices[indptr[i]:indptr[i+1]]
+#   indices      nnz * width raw: neighbour (successor) indices, rows
+#                in vertex insertion order, each row sorted
 #   edge weights u32 count + (u32 ui, u32 vi, f64)* — the explicit
 #                ``_edge_weight`` entries only, in dict order, endpoint
 #                indices preserving the canonical key orientation
@@ -350,7 +353,7 @@ def _unpack_index_array(buf: bytes, pos: int, count: int,
     span = count * width
     chunk = buf[pos:pos + span]
     if len(chunk) != span:
-        raise GraphError("graph wire: truncated CSR arrays")
+        raise GraphError("graph wire: truncated row arrays")
     if width == 8:
         out = array("q")
         out.frombytes(chunk)
@@ -368,28 +371,37 @@ def _unpack_index_array(buf: bytes, pos: int, count: int,
 def graph_to_bytes(graph: Union["Graph", "DiGraph"]) -> bytes:
     """Serialize ``graph`` to the versioned compact wire format.
 
-    The frame is backed directly by the graph's :class:`CSR` snapshot —
-    building it warms the ``csr`` cache but serializes no cache content,
-    so the blob is byte-identical however warmed the source graph is.
+    The row arrays are built here from the adjacency (successors, for
+    a digraph): vertices in insertion order, each row sorted.  Only the
+    graph's content goes in, never a cache, so the blob is
+    byte-identical however warmed the source graph is.
     """
-    csr = graph.csr()
+    adj = graph._succ if graph.directed else graph._adj
+    labels = tuple(adj)
+    index = {v: i for i, v in enumerate(labels)}
+    indptr = array("q", [0])
+    indices = array("q")
+    for v in labels:
+        indices.extend(sorted(index[w] for w in adj[v]))
+        indptr.append(len(indices))
+    n = len(labels)
     flags = _FLAG_DIRECTED if graph.directed else 0
     intern: Dict[str, int] = {}
     lbuf = bytearray()
     try:
-        for v in csr.labels:
+        for v in labels:
             _encode_label(v, lbuf, intern)
     except _WireFallback:
-        lbuf = bytearray(pickle.dumps(csr.labels,
+        lbuf = bytearray(pickle.dumps(labels,
                                       protocol=pickle.HIGHEST_PROTOCOL))
         flags |= _FLAG_LABELS_PICKLED
         intern = {}
-    nnz = len(csr.indices)
-    width = _index_width(max(nnz, csr.n - 1 if csr.n else 0))
+    nnz = len(indices)
+    width = _index_width(max(nnz, n - 1 if n else 0))
     out = bytearray(_WIRE_MAGIC)
     out += _U8.pack(_WIRE_VERSION)
     out += _U8.pack(flags)
-    out += _U32.pack(csr.n)
+    out += _U32.pack(n)
     out += _U64.pack(nnz)
     out += _U8.pack(width)
     if not flags & _FLAG_LABELS_PICKLED:
@@ -400,9 +412,8 @@ def graph_to_bytes(graph: Union["Graph", "DiGraph"]) -> bytes:
             out += sb
     out += _U64.pack(len(lbuf))
     out += lbuf
-    out += _pack_index_array(csr.indptr, width)
-    out += _pack_index_array(csr.indices, width)
-    index = csr.index
+    out += _pack_index_array(indptr, width)
+    out += _pack_index_array(indices, width)
     ew = graph._edge_weight
     out += _U32.pack(len(ew))
     for (u, v), w in ew.items():
@@ -419,9 +430,9 @@ def graph_from_bytes(data: bytes) -> Union["Graph", "DiGraph"]:
     """Decode a :func:`graph_to_bytes` frame into a fresh graph.
 
     Returns a :class:`Graph` or :class:`DiGraph` according to the frame's
-    directedness flag, with its CSR substrate pre-seeded from the decoded
-    buffers.  Any corrupt, truncated, or foreign input raises a clean
-    :class:`GraphError` — never an arbitrary decoding exception.
+    directedness flag; its derived caches start empty.  Any corrupt,
+    truncated, or foreign input raises a clean :class:`GraphError` —
+    never an arbitrary decoding exception.
     """
     buf = bytes(data)
     if len(buf) < len(_WIRE_MAGIC) + 2 + 4 + 8 + 1 + 4:
@@ -485,7 +496,7 @@ def _decode_frame(buf: bytes) -> Union["Graph", "DiGraph"]:
     indices, pos = _unpack_index_array(buf, pos, nnz, width)
     if len(indptr) != n + 1 or len(indices) != nnz \
             or indptr[0] != 0 or indptr[-1] != nnz:
-        raise GraphError("graph wire: inconsistent CSR arrays")
+        raise GraphError("graph wire: inconsistent row arrays")
     index = {v: i for i, v in enumerate(labels)}
     if len(index) != n:
         raise GraphError("graph wire: duplicate labels")
@@ -503,7 +514,6 @@ def _decode_frame(buf: bytes) -> Union["Graph", "DiGraph"]:
         pos += _VERT_W.size
     if pos != len(buf) - 4:
         raise GraphError("graph wire: trailing bytes in frame")
-    csr = CSR(labels, index, indptr, indices)
     g: Union[Graph, DiGraph]
     if flags & _FLAG_DIRECTED:
         g = DiGraph()
@@ -527,127 +537,7 @@ def _decode_frame(buf: bytes) -> Union["Graph", "DiGraph"]:
     # dicts reproduce the originals exactly (keys and insertion order)
     g._edge_weight = {(labels[ui], labels[vi]): w for ui, vi, w in edge_w}
     g._vertex_weight = {labels[vi]: w for vi, w in vert_w}
-    g._cache["csr"] = csr
     return g
-
-
-class GraphKernel:
-    """Int-indexed view of a :class:`Graph` for hot loops.
-
-    Obtained via :meth:`Graph.kernel`.  Vertices are indexed ``0..n-1``
-    in the graph's (deterministic) insertion order — the same order
-    :class:`repro.solvers._bitmask.BitGraph` uses, so the two layers can
-    share adjacency data.  The adjacency itself is read from the
-    graph's :class:`CSR` substrate (:meth:`Graph.csr`); on top of it
-    the kernel caches single-source BFS rows (one list of hop distances
-    per source, ``-1`` marking unreachable) and distance-k ball masks.
-    ``bfs_runs`` counts actual BFS sweeps, letting tests assert work is
-    *not* repeated.
-
-    The owning graph drops its kernel on any structural mutation, so a
-    *freshly obtained* kernel can never be stale.  A kernel object held
-    across a mutation, however, would silently serve a torn mix of
-    pre-/post-mutation data; every read therefore checks the graph's
-    generation stamp and raises :class:`GraphError` on stale use.
-    """
-
-    __slots__ = ("vertices", "index", "n", "_graph", "_generation",
-                 "_csr", "_rows", "_balls", "bfs_runs")
-
-    def __init__(self, graph: "Graph") -> None:
-        csr = graph.csr()
-        self._csr = csr
-        self.vertices: List[Vertex] = list(csr.labels)
-        self.index: Dict[Vertex, int] = csr.index
-        self.n = csr.n
-        self._graph = graph
-        self._generation = graph._generation
-        self._rows: Dict[int, List[int]] = {}
-        self._balls: Dict[int, List[int]] = {}
-        self.bfs_runs = 0
-
-    def _fresh(self) -> None:
-        """Raise on any read after the owning graph structurally
-        mutated (the regression the generation stamp exists for)."""
-        if self._generation != self._graph._generation:
-            raise GraphError(
-                "stale GraphKernel: the owning graph was structurally "
-                "mutated after this kernel was obtained; call "
-                "graph.kernel() again for a fresh one")
-
-    def adjacency(self) -> List[List[int]]:
-        """Integer adjacency lists (sorted, so iteration order is
-        process-independent); read straight from the CSR substrate."""
-        self._fresh()
-        return self._csr.adjacency()
-
-    def neighbor_masks(self) -> List[int]:
-        """Per-vertex neighbour sets as bitmasks (bit ``j`` of mask ``i``
-        iff edge ``{i, j}``); shared with the CSR substrate."""
-        self._fresh()
-        return self._csr.masks()
-
-    def bfs_row(self, i: int) -> List[int]:
-        """Hop distances from vertex index ``i`` (``-1`` = unreachable),
-        computed once per source and cached."""
-        self._fresh()
-        row = self._rows.get(i)
-        if row is not None:
-            return row
-        adj = self._csr.adjacency()
-        dist = [-1] * self.n
-        dist[i] = 0
-        frontier = [i]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if dist[w] < 0:
-                        dist[w] = d
-                        nxt.append(w)
-            frontier = nxt
-        self._rows[i] = dist
-        self.bfs_runs += 1
-        return dist
-
-    def ball_masks(self, k: int) -> List[int]:
-        """Distance-``k`` closed balls of every vertex, as bitmasks.
-
-        Bit ``j`` of mask ``i`` iff ``dist(i, j) <= k``.  Computed by a
-        bitmask BFS truncated at depth ``k`` — frontiers are expanded by
-        OR-ing neighbour masks, so no per-vertex distance arrays are
-        built and the sweep stops as soon as the ball saturates.  Cached
-        per ``k``.
-        """
-        self._fresh()
-        balls = self._balls.get(k)
-        if balls is not None:
-            return balls
-        if k <= 0:
-            balls = [1 << i for i in range(self.n)]
-            self._balls[k] = balls
-            return balls
-        masks = self.neighbor_masks()
-        balls = []
-        for i in range(self.n):
-            ball = masks[i] | (1 << i)
-            frontier = ball
-            for __ in range(k - 1):
-                new = 0
-                m = frontier
-                while m:
-                    low = m & -m
-                    new |= masks[low.bit_length() - 1]
-                    m ^= low
-                frontier = new & ~ball
-                if not frontier:
-                    break
-                ball |= frontier
-            balls.append(ball)
-        self._balls[k] = balls
-        return balls
 
 
 class Graph:
@@ -664,25 +554,19 @@ class Graph:
         self._adj: Dict[Vertex, Set[Vertex]] = {}
         self._edge_weight: Dict[Edge, float] = {}
         self._vertex_weight: Dict[Vertex, float] = {}
-        #: derived-data cache (CSR substrate, kernel, edge list, content
-        #: hash, all-pairs distances); structural mutations clear all of
-        #: it, weight-only mutations clear just the entries that depend
-        #: on weights (see the _dirty* methods)
+        #: derived-data cache (bitmask view, edge list, edge weights,
+        #: content hash); structural mutations clear all of it,
+        #: weight-only mutations clear just the entries that depend on
+        #: weights (see the _dirty* methods)
         self._cache: Dict[str, Any] = {}
         #: caches that depend only on the vertex *set* (canonical order
         #: ``sorted_vertices``, per-label ``sort_keys``): only adding or
         #: removing a vertex clears them, so edge deltas never touch them
         self._vcache: Dict[str, Any] = {}
-        #: structural generation stamp: bumped on every structural
-        #: mutation (never on weight-only changes, which leave all
-        #: adjacency-derived snapshots valid).  Kernels record the stamp
-        #: they were built against and refuse stale reads.
-        self._generation = 0
 
     def _dirty(self) -> None:
         """Invalidate every derived cache; called when the vertex set
         changes."""
-        self._generation += 1
         self._cache.clear()
         self._vcache.clear()
 
@@ -694,13 +578,12 @@ class Graph:
         ``apply_inputs`` toggles a handful of edges on a skeleton copy,
         and after the first insert the cache is empty, so the rest cost
         no cache work."""
-        self._generation += 1
         self._cache.clear()
 
     def _dirty_vertex_weights(self) -> None:
         """Invalidate only vertex-weight-dependent caches.  Adjacency,
-        edge lists, kernels and distances are untouched by a vertex
-        weight change; only the content hash covers it."""
+        edge lists and the bitmask view are untouched by a vertex weight
+        change; only the content hash covers it."""
         self._cache.pop("content_hash", None)
 
     def _dirty_edge_weights(self) -> None:
@@ -708,56 +591,19 @@ class Graph:
         and everything adjacency-derived stay valid)."""
         self._cache.pop("content_hash", None)
         self._cache.pop("edge_weights", None)
-        self._cache.pop("csr_weights", None)
 
-    def kernel(self) -> GraphKernel:
-        """The cached int-indexed :class:`GraphKernel` for this graph's
-        current content (rebuilt automatically after mutations)."""
-        kern = self._cache.get("kernel")
-        if kern is None:
-            kern = self._cache["kernel"] = GraphKernel(self)
-        return kern
+    def bits(self) -> BitGraph:
+        """The cached :class:`BitGraph` view of the current structure.
 
-    def csr(self) -> CSR:
-        """The cached :class:`CSR` snapshot of the current adjacency.
-
-        Vertex ``i`` is the ``i``-th vertex in insertion order — the
-        same index space as :meth:`kernel` and
-        :class:`repro.solvers._bitmask.BitGraph`.  The snapshot is
-        immutable; a structural mutation drops it and the next call
-        rebuilds.
+        Built once per structure and shared by :meth:`copy`; a weight-only
+        mutation keeps it, a structural one drops it, and the next call
+        builds a new one (a view obtained earlier still describes the
+        graph as it was).
         """
-        csr = self._cache.get("csr")
-        if csr is None:
-            index = {v: i for i, v in enumerate(self._adj)}
-            csr = self._cache["csr"] = _build_csr(self._adj, index)
-        return csr
-
-    def csr_weights(self) -> array:
-        """Edge weights aligned entry-for-entry with ``csr().indices``
-        (an ``array('d')``, default weight 1.0).  Cached separately from
-        the structure: weight-only mutations invalidate this array but
-        keep the structural snapshot."""
-        w = self._cache.get("csr_weights")
-        if w is None:
-            csr = self.csr()
-            index = csr.index
-            pair: Dict[Tuple[int, int], float] = {}
-            for (u, v), wt in self._edge_weight.items():
-                iu, iv = index[u], index[v]
-                pair[(iu, iv)] = wt
-                pair[(iv, iu)] = wt
-            if pair:
-                get = pair.get
-                indptr, indices = csr.indptr, csr.indices
-                w = array("d")
-                for i in range(csr.n):
-                    for j in indices[indptr[i]:indptr[i + 1]]:
-                        w.append(get((i, j), 1.0))
-            else:
-                w = array("d", [1.0]) * len(csr.indices)
-            self._cache["csr_weights"] = w
-        return w
+        view = self._cache.get("bits")
+        if view is None:
+            view = self._cache["bits"] = BitGraph(self._adj)
+        return view
 
     # ------------------------------------------------------------------
     # construction
@@ -1001,16 +847,9 @@ class Graph:
         g._vertex_weight = dict(self._vertex_weight)
         g._edge_weight = dict(self._edge_weight)
         # Identical content means identical derived values, so the copy
-        # can share the read-only value caches — including the CSR
-        # snapshot, which is immutable.  The kernel must NOT be shared:
-        # it stamps *this* graph's generation and holds its BFS caches,
-        # so each graph gets its own.
-        cache = self._cache
-        for key in ("edges", "edge_weights", "csr", "csr_weights",
-                    "all_pairs", "content_hash"):
-            val = cache.get(key)
-            if val is not None:
-                g._cache[key] = val
+        # shares every cache entry: each is read-only (edges() and
+        # edge_weights() hand out copies; the bitmask view is immutable)
+        g._cache = dict(self._cache)
         g._vcache = dict(self._vcache)
         return g
 
@@ -1031,32 +870,28 @@ class Graph:
         return g
 
     def bfs_distances(self, source: Vertex) -> Dict[Vertex, int]:
-        """Unweighted hop distances from ``source`` (unreachable omitted).
-
-        Runs over the int-indexed kernel; each source's BFS row is
-        cached, so repeated calls on an unchanged graph pay only the
-        dict construction.
-        """
-        kern = self.kernel()
-        row = kern.bfs_row(kern.index[source])
-        verts = kern.vertices
+        """Unweighted hop distances from ``source`` (unreachable omitted),
+        keyed in vertex insertion order.  A level-by-level BFS over the
+        neighbour masks of :meth:`bits`."""
+        bg = self.bits()
+        adj = bg.adj
+        row = [-1] * bg.n
+        seen = frontier = 1 << bg.index[source]
+        d = 0
+        while frontier:
+            new = 0
+            m = frontier
+            while m:
+                low = m & -m
+                j = low.bit_length() - 1
+                row[j] = d
+                new |= adj[j]
+                m ^= low
+            frontier = new & ~seen
+            seen |= frontier
+            d += 1
+        verts = bg.vertices
         return {verts[j]: d for j, d in enumerate(row) if d >= 0}
-
-    def all_pairs_distances(self) -> Dict[Vertex, Dict[Vertex, int]]:
-        """Hop distances between every pair (unreachable pairs omitted).
-
-        One BFS sweep per vertex, computed once and cached until the
-        next mutation — the shared substrate for repeated
-        :meth:`bfs_distances` callers and the distance-k ball
-        construction in :mod:`repro.solvers.dominating`.  Treat the
-        returned mapping as read-only; the inner dicts are shared with
-        the cache.
-        """
-        apd = self._cache.get("all_pairs")
-        if apd is None:
-            apd = {v: self.bfs_distances(v) for v in self._adj}
-            self._cache["all_pairs"] = apd
-        return dict(apd)
 
     def connected_components(self) -> List[Set[Vertex]]:
         remaining = set(self._adj)
@@ -1083,25 +918,30 @@ class Graph:
         every ball is the whole vertex set.
 
         Disconnection is detected first, by one BFS from the first
-        vertex (its row misses a vertex), so a disconnected graph fails
-        after one sweep and no ball is grown.
+        vertex, so a disconnected graph fails after one sweep and no
+        ball is grown.
         """
-        if not self._adj:
-            return 0
-        kern = self.kernel()
-        if min(kern.bfs_row(0)) < 0:
+        if not self.is_connected():
             raise GraphError("diameter of a disconnected graph")
-        n = kern.n
-        if n == 1:
+        bg = self.bits()
+        n = bg.n
+        if n <= 1:
             return 0
-        adj = kern.adjacency()
-        full = (1 << n) - 1
-        balls = [m | 1 << i for i, m in enumerate(kern.neighbor_masks())]
+        nbr_lists = []
+        for m in bg.adj:
+            row = []
+            while m:
+                low = m & -m
+                row.append(low.bit_length() - 1)
+                m ^= low
+            nbr_lists.append(row)
+        full = bg.full_mask
+        balls = [bg.closed(i) for i in range(n)]
         d = 1
         while not all(b == full for b in balls):
             prev = balls
             balls = []
-            for i, nbrs in enumerate(adj):
+            for i, nbrs in enumerate(nbr_lists):
                 b = prev[i]
                 if b != full:
                     for j in nbrs:
@@ -1154,28 +994,15 @@ class DiGraph:
         # the same two cache tiers as Graph's _cache and _vcache
         self._cache: Dict[str, Any] = {}
         self._vcache: Dict[str, Any] = {}
-        self._generation = 0
 
     def _dirty(self) -> None:
-        self._generation += 1
         self._cache.clear()
         self._vcache.clear()
 
     def _dirty_edges_only(self) -> None:
         # same contract as Graph._dirty_edges_only: arc flips between
         # existing vertices keep the vertex-set caches alive
-        self._generation += 1
         self._cache.clear()
-
-    def csr(self) -> CSR:
-        """Cached :class:`CSR` snapshot of the *successor* adjacency
-        (row ``i`` lists out-neighbours; same index space contract as
-        :meth:`Graph.csr`)."""
-        csr = self._cache.get("csr")
-        if csr is None:
-            index = {v: i for i, v in enumerate(self._succ)}
-            csr = self._cache["csr"] = _build_csr(self._succ, index)
-        return csr
 
     def _dirty_vertex_weights(self) -> None:
         # Same invalidation classes as Graph: vertex-weight changes only
@@ -1350,10 +1177,7 @@ class DiGraph:
         g._pred = {v: set(p) for v, p in self._pred.items()}
         g._vertex_weight = dict(self._vertex_weight)
         g._edge_weight = dict(self._edge_weight)
-        for key in ("csr", "edge_weights", "content_hash"):
-            val = self._cache.get(key)
-            if val is not None:
-                g._cache[key] = val
+        g._cache = dict(self._cache)
         g._vcache = dict(self._vcache)
         return g
 

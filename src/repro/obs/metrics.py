@@ -145,14 +145,6 @@ class Metrics(TracerBase):
     def active_vertex_counts(self) -> Dict[int, Optional[int]]:
         return {rnd: rs.active for rnd, rs in sorted(self.per_round.items())}
 
-    def message_size_histogram(self) -> Dict[int, int]:
-        """Histogram of per-round *maximum* message sizes (bits)."""
-        hist: Dict[int, int] = {}
-        for rs in self.per_round.values():
-            if rs.messages:
-                hist[rs.max_message_bits] = hist.get(rs.max_message_bits, 0) + 1
-        return hist
-
     def summary(self) -> Dict[str, Any]:
         utils = [u for rnd in self.round_numbers()
                  if (u := self.round_utilization(rnd)) is not None]

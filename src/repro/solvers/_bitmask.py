@@ -1,54 +1,26 @@
-"""Bitmask indexing shared by the exact solvers.
+"""Bitmask helpers shared by the exact solvers.
 
-Solvers index the vertex set as ``0..n-1`` and represent vertex subsets as
-Python integers, which keeps the branch-and-bound inner loops allocation
-free.
+Solvers read a graph through its cached :class:`repro.graphs.BitGraph`
+view (:meth:`Graph.bits`): the vertex set indexed ``0..n-1`` and vertex
+subsets as Python integers, which keeps the branch-and-bound inner loops
+allocation free.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List
 
-from repro.graphs import Graph, Vertex
+from repro.graphs import Graph
 
 
-class BitGraph:
-    """Adjacency-in-bitmask view of an undirected :class:`Graph`."""
+def vertex_weights(graph: Graph) -> List[float]:
+    """Vertex weights in :meth:`Graph.bits` index order (default 1.0).
 
-    def __init__(self, graph: Graph) -> None:
-        # The CSR substrate indexes vertices in the same (insertion)
-        # order this class always used, so its labels, index and cached
-        # neighbour bitmasks are shared, not copied.  Solvers only read
-        # them (the α search folds vertices on a copy of ``adj``).  A
-        # weight-only delta keeps the CSR, so weights are read per call.
-        csr = graph.csr()
-        self.vertices: Sequence[Vertex] = csr.labels
-        self.index: Dict[Vertex, int] = csr.index
-        self.n = csr.n
-        self.adj: List[int] = csr.masks()
-        get = graph._vertex_weight.get
-        self.weights: List[float] = [get(v, 1.0) for v in self.vertices]
-        self.full_mask = (1 << self.n) - 1
-
-    def closed(self, i: int) -> int:
-        """Closed neighbourhood of vertex index ``i`` as a mask."""
-        return self.adj[i] | (1 << i)
-
-    def mask_of(self, vs: Sequence[Vertex]) -> int:
-        mask = 0
-        for v in vs:
-            mask |= 1 << self.index[v]
-        return mask
-
-    def unmask(self, mask: int) -> List[Vertex]:
-        out = []
-        i = 0
-        while mask:
-            if mask & 1:
-                out.append(self.vertices[i])
-            mask >>= 1
-            i += 1
-        return out
+    Read afresh on every call: a weight-only delta keeps the shared
+    view, so the weights cannot live in it.
+    """
+    get = graph._vertex_weight.get
+    return [get(v, 1.0) for v in graph.bits().vertices]
 
 
 def iter_bits(mask: int):

@@ -136,10 +136,10 @@ class DominationBatchKernel:
     def __init__(self, skeleton, x_edges: Sequence[Tuple[Vertex, Vertex]],
                  y_edges: Sequence[Tuple[Vertex, Vertex]],
                  target_size: int) -> None:
-        kern = skeleton.kernel()
-        self._n = kern.n
-        self._balls = list(kern.ball_masks(1))
-        index = kern.index
+        bg = skeleton.bits()
+        self._n = bg.n
+        self._balls = list(bg.ball_masks(1))
+        index = bg.index
         self._x_edges = [(index[u], index[v]) for u, v in x_edges]
         self._y_edges = [(index[u], index[v]) for u, v in y_edges]
         # same acceptance threshold as has_dominating_set_of_size:
@@ -174,12 +174,12 @@ class WeightedDominationBatchKernel:
     def __init__(self, skeleton, x_vertices: Sequence[Vertex],
                  y_vertices: Sequence[Vertex], alpha: int, k: int,
                  yes_weight: int) -> None:
-        kern = skeleton.kernel()
-        self._n = kern.n
-        self._balls = list(kern.ball_masks(k))
+        bg = skeleton.bits()
+        self._n = bg.n
+        self._balls = list(bg.ball_masks(k))
         self._weights = [float(skeleton.vertex_weight(v))
-                         for v in kern.vertices]
-        index = kern.index
+                         for v in bg.vertices]
+        index = bg.index
         self._x_idx = [index[v] for v in x_vertices]
         self._y_idx = [index[v] for v in y_vertices]
         self._alpha = float(alpha)

@@ -36,7 +36,7 @@ import math
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.graphs import Graph, Vertex
-from repro.solvers._bitmask import BitGraph, popcount
+from repro.solvers._bitmask import popcount, vertex_weights
 from repro.obs.profile import profiled
 
 _INF = float("inf")
@@ -45,16 +45,16 @@ _INF = float("inf")
 def is_dominating_set(graph: Graph, vs: Sequence[Vertex], k: int = 1) -> bool:
     """True iff every vertex is within distance ``k`` of some vertex in ``vs``.
 
-    Ball masks are served by the graph kernel, so repeated calls on the
-    same graph (e.g. validating several candidate sets) reuse one
+    Ball masks are cached on the graph's bitmask view, so repeated calls
+    on the same graph (e.g. validating several candidate sets) reuse one
     truncated-BFS sweep.
     """
-    kern = graph.kernel()
-    balls = kern.ball_masks(k)
+    bg = graph.bits()
+    balls = bg.ball_masks(k)
     dominated = 0
     for v in vs:
-        dominated |= balls[kern.index[v]]
-    return dominated == (1 << kern.n) - 1
+        dominated |= balls[bg.index[v]]
+    return dominated == bg.full_mask
 
 
 class _SetCoverSolver:
@@ -241,8 +241,9 @@ def _solve_domination(
     budget: float,
     targets: Optional[Iterable[Vertex]] = None,
 ) -> Tuple[float, Optional[List[Vertex]]]:
-    bg = BitGraph(graph)
-    balls = graph.kernel().ball_masks(k)
+    bg = graph.bits()
+    balls = bg.ball_masks(k)
+    weights = vertex_weights(graph) if weighted else [1.0] * bg.n
     cand = set(candidates) if candidates is not None else set(bg.vertices)
     forced = list(forced) if forced is not None else []
     target_mask = bg.full_mask
@@ -253,12 +254,11 @@ def _solve_domination(
     for v in forced:
         i = bg.index[v]
         covered |= balls[i]
-        base_weight += bg.weights[i] if weighted else 1.0
+        base_weight += weights[i]
     sets = []
     for i, v in enumerate(bg.vertices):
         if v in cand and v not in forced:
-            w = bg.weights[i] if weighted else 1.0
-            sets.append((balls[i] & ~covered, w, i))
+            sets.append((balls[i] & ~covered, weights[i], i))
     remaining = bg.full_mask & ~covered
     # re-index remaining elements compactly (inlined iter_bits: this is
     # once per (set, element) pair on the hot solver path)

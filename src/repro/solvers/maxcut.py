@@ -1,10 +1,11 @@
 """Exact maximum (weighted) cut.
 
 Uses Gray-code enumeration with incremental weight updates: consecutive
-subsets differ by one vertex, so each step costs one degree.  Vertex n−1
-(in ``BitGraph`` index order) is fixed on one side by symmetry, so only
-2^(n−1) sides are enumerated.  Practical up to roughly n = 26, which
-covers the k = 2 instance of the Figure 3 family (Theorem 2.8).
+subsets differ by one vertex, so each step costs one degree.  Vertex
+n−1 (in :meth:`Graph.bits` index order) is fixed on one side by
+symmetry, so only 2^(n−1) sides are enumerated.  Practical up to
+roughly n = 26, which covers the k = 2 instance of the Figure 3 family
+(Theorem 2.8).
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.graphs import Graph, Vertex
-from repro.solvers._bitmask import BitGraph
 from repro.obs.profile import profiled
 
 
@@ -52,7 +52,7 @@ def max_cut_vectorized(graph: Graph, limit: int = 25) -> Tuple[float, List[Verte
         raise ValueError(f"vectorized max-cut limited to {limit} vertices, got {n}")
     if n <= 1:
         return 0.0, []
-    bg = BitGraph(graph)
+    bg = graph.bits()
     edges = [(bg.index[u], bg.index[v], graph.edge_weight(u, v))
              for u, v in graph.edges()]
     integral = (all(float(w).is_integer() for __, __, w in edges)
@@ -123,7 +123,7 @@ def _max_cut_mitm(graph: Graph) -> Tuple[float, List[Vertex]]:
     import numpy as np
 
     n = graph.n
-    bg = BitGraph(graph)
+    bg = graph.bits()
     free = n - 1
     b = (free + 1) // 2
     L = 1 << b
@@ -233,7 +233,7 @@ def max_cut(graph: Graph, limit: int = 28) -> Tuple[float, List[Vertex]]:
         return _max_cut_mitm(graph)
     if 16 < n <= 25:
         return max_cut_vectorized(graph, limit=limit)
-    bg = BitGraph(graph)
+    bg = graph.bits()
     # weighted adjacency lists over indices
     wadj: List[List[Tuple[int, float]]] = [[] for __ in range(n)]
     for u, v in graph.edges():

@@ -14,7 +14,7 @@ All weights must be non-negative.
 
 :func:`independence_number` returns α(G) alone, by a bitmask
 branch-and-reduce (:func:`_alpha`) over the neighbour masks of
-:class:`BitGraph` and an ``alive`` mask passed down the recursion.  At
+:meth:`Graph.bits` and an ``alive`` mask passed down the recursion.  At
 each search node:
 
 - *reductions*, driven by a worklist of vertices whose degree fell:
@@ -43,8 +43,8 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from repro.graphs import Graph, Vertex
-from repro.solvers._bitmask import BitGraph, lowest_bit, popcount
+from repro.graphs import BitGraph, Graph, Vertex
+from repro.solvers._bitmask import lowest_bit, popcount, vertex_weights
 from repro.obs.profile import profiled
 
 
@@ -61,29 +61,30 @@ def is_independent_set(graph: Graph, vs: Sequence[Vertex]) -> bool:
 
 
 class _MisSolver:
-    def __init__(self, bg: BitGraph) -> None:
+    def __init__(self, bg: BitGraph, weights: List[float]) -> None:
         self.bg = bg
+        self.weights = weights
         self.best_weight = -1.0
         self.best_mask = 0
 
     # -- upper bound ---------------------------------------------------
     def _clique_cover_bound(self, mask: int) -> float:
         """Greedy clique cover: each clique contributes its max weight."""
-        bg = self.bg
+        bg, weights = self.bg, self.weights
         bound = 0.0
         remaining = mask
         while remaining:
             i = lowest_bit(remaining)
             clique = 1 << i
-            best_w = bg.weights[i]
+            best_w = weights[i]
             # grow a clique greedily among remaining vertices adjacent to
             # everything picked so far
             cands = remaining & bg.adj[i]
             while cands:
                 j = lowest_bit(cands)
                 clique |= 1 << j
-                if bg.weights[j] > best_w:
-                    best_w = bg.weights[j]
+                if weights[j] > best_w:
+                    best_w = weights[j]
                 cands &= bg.adj[j]
             bound += best_w
             remaining &= ~clique
@@ -92,7 +93,7 @@ class _MisSolver:
     # -- reductions ----------------------------------------------------
     def _reduce(self, mask: int, acc: int, acc_w: float) -> Tuple[int, int, float]:
         """Apply weighted degree-0/1 dominance reductions exhaustively."""
-        bg = self.bg
+        bg, weights = self.bg, self.weights
         changed = True
         while changed:
             changed = False
@@ -104,17 +105,17 @@ class _MisSolver:
                     continue  # removed earlier in this sweep
                 nbrs = bg.adj[i] & mask
                 if nbrs == 0:
-                    if bg.weights[i] > 0:
+                    if weights[i] > 0:
                         acc |= 1 << i
-                        acc_w += bg.weights[i]
+                        acc_w += weights[i]
                     mask &= ~(1 << i)
                     changed = True
                 elif popcount(nbrs) == 1:
                     j = lowest_bit(nbrs)
-                    if bg.weights[i] >= bg.weights[j]:
+                    if weights[i] >= weights[j]:
                         # taking i dominates taking j
                         acc |= 1 << i
-                        acc_w += bg.weights[i]
+                        acc_w += weights[i]
                         mask &= ~((1 << i) | (1 << j))
                         changed = True
         return mask, acc, acc_w
@@ -141,7 +142,7 @@ class _MisSolver:
             total_mask = acc
             # solve each component independently (optimal per component)
             for comp in comps:
-                sub = _MisSolver(self.bg)
+                sub = _MisSolver(self.bg, self.weights)
                 sub.best_weight = -1.0
                 sub._search(comp, 0, 0.0)
                 total_w += sub.best_weight
@@ -164,7 +165,7 @@ class _MisSolver:
                 pivot = i
         # include pivot
         self._search(mask & ~bg.closed(pivot), acc | (1 << pivot),
-                     acc_w + bg.weights[pivot])
+                     acc_w + self.weights[pivot])
         # exclude pivot
         self._search(mask & ~(1 << pivot), acc, acc_w)
 
@@ -185,18 +186,17 @@ def max_independent_set(graph: Graph, weighted: bool = False) -> List[Vertex]:
     """
     if graph.n == 0:
         return []
-    bg = BitGraph(graph)
-    if not weighted:
-        bg.weights = [1.0] * bg.n
-    for w in bg.weights:
+    bg = graph.bits()
+    weights = vertex_weights(graph) if weighted else [1.0] * bg.n
+    for w in weights:
         if w < 0:
             raise ValueError("negative vertex weights are not supported")
-    solver = _MisSolver(bg)
+    solver = _MisSolver(bg, weights)
     __, best_mask = solver.solve(bg.full_mask)
     return bg.unmask(best_mask)
 
 
-def _clique_cover(adj: List[int], alive: int) -> int:
+def _clique_cover(adj: Sequence[int], alive: int) -> int:
     """Number of cliques in a greedy clique cover of ``alive``.
 
     An independent set meets each clique at most once, so any clique
@@ -252,7 +252,7 @@ def _clique_cover(adj: List[int], alive: int) -> int:
     return cliques
 
 
-def _component(adj: List[int], alive: int) -> int:
+def _component(adj: Sequence[int], alive: int) -> int:
     """The connected component of ``alive``'s lowest vertex."""
     comp = frontier = alive & -alive
     while frontier:
@@ -266,7 +266,7 @@ def _component(adj: List[int], alive: int) -> int:
     return comp
 
 
-def _alpha(adj: List[int], alive: int, dirty: int, lower: int) -> int:
+def _alpha(adj: Sequence[int], alive: int, dirty: int, lower: int) -> int:
     """α of the graph that ``adj`` induces on ``alive``, if it exceeds
     ``lower``; otherwise some value ≤ ``lower``.
 
@@ -389,7 +389,7 @@ def independence_number(graph: Graph) -> int:
     """
     if graph.n == 0:
         return 0
-    bg = BitGraph(graph)
+    bg = graph.bits()
     return _alpha(bg.adj, bg.full_mask, bg.full_mask, -1)
 
 

@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.graphs import Graph, Vertex
-from repro.solvers._bitmask import BitGraph
+from repro.solvers._bitmask import vertex_weights
 from repro.obs.profile import profiled
 
 _INF = float("inf")
@@ -163,7 +163,7 @@ def min_node_weighted_steiner_cost(graph: Graph, terminals: Sequence[Vertex],
     best-first in cost order; the first whose vertices (with the free
     ones and the terminals) connect every terminal is optimal, so the
     scan stops there.  Connectivity is a bitmask BFS over
-    :class:`BitGraph`.
+    :meth:`Graph.bits`.
 
     The scan walks a tree over the subsets: a subset's parent is the
     subset without its highest-index paid vertex, and its cost is the
@@ -180,8 +180,8 @@ def min_node_weighted_steiner_cost(graph: Graph, terminals: Sequence[Vertex],
     terminals = list(dict.fromkeys(terminals))
     if not terminals:
         return 0.0
-    bg = BitGraph(graph)
-    weights = bg.weights
+    bg = graph.bits()
+    weights = vertex_weights(graph)
     paid = [i for i in range(bg.n) if weights[i] > 0]
     if len(paid) > limit_candidates:
         raise ValueError("too many positive-weight vertices to enumerate")

@@ -152,7 +152,7 @@ def test_blob_independent_of_warmed_state():
     g.content_hash()
     g.edges()
     g.edge_weights()
-    g.csr()
+    g.bits()
     g.sorted_vertices()
     warmed = g.to_bytes()
     assert warmed == cold
@@ -205,3 +205,63 @@ def test_wire_roundtrip_of_family_skeleton():
     skel = fam._skeleton_store
     clone = graph_from_bytes(skel.to_bytes())
     assert clone.content_hash() == skel.content_hash()
+
+
+# Frames pinned byte for byte: the encoder builds its row arrays from
+# the adjacency itself, and these guard that the layout (insertion-order
+# labels, sorted rows, explicit weights in dict order) never drifts.
+GOLDEN_GRAPH_FRAME = (
+    "5250524f4752460100060000000a000000000000000103000000010000006101"
+    "000000660200000041313300000000000000010000000000070000000000000002"
+    "030101000000010200000000000000000000000003010000007a04050000000000"
+    "0004400002040608090a010300020103000205040300000001000000000000000000"
+    "000000000c40030000000200000000000000000000000400000005000000000000"
+    "000000f07f0200000000000000000000000000004002000000000000000000e03f"
+    "d4c6719f")
+GOLDEN_DIGRAPH_FRAME = (
+    "5250524f475246010104000000040000000000000001030000000100000073010000"
+    "007401000000752a00000000000000010000000002020101000000000100000000"
+    "00000001020000000202010100000000020000000000000000020304040102020002"
+    "000000000000000100000000000000000010400200000000000000000000000000f8"
+    "3f02000000000000000000000000000000030000000000000000001c4093ca985a")
+
+
+def _golden_graph():
+    # str, int, tuple, bytes, None and float labels; explicit weights
+    # including 0.0 and inf
+    g = Graph()
+    g.add_vertex("a", weight=2.0)
+    g.add_edge("a", 7, weight=3.5)
+    g.add_edge(7, ("f", "A1", 0))
+    g.add_edge(("f", "A1", 0), b"z", weight=0.0)
+    g.add_edge(b"z", "a")
+    g.add_vertex(None)
+    g.add_edge(None, 2.5, weight=math.inf)
+    g.set_vertex_weight(("f", "A1", 0), 0.5)
+    return g
+
+
+def _golden_digraph():
+    d = DiGraph()
+    d.add_vertex("s", weight=0.0)
+    d.add_edge("s", ("t", 1), weight=4.0)
+    d.add_edge(("t", 1), "u")
+    d.add_edge("u", "s", weight=1.5)
+    d.add_edge("s", "u")
+    d.add_vertex(("t", 2), weight=7.0)
+    return d
+
+
+@pytest.mark.parametrize("build, frame", [
+    (_golden_graph, GOLDEN_GRAPH_FRAME),
+    (_golden_digraph, GOLDEN_DIGRAPH_FRAME),
+], ids=["graph", "digraph"])
+def test_golden_frame(build, frame):
+    g = build()
+    assert graph_to_bytes(g).hex() == frame
+    if not g.directed:
+        g.bits()  # a warmed view changes nothing
+        assert graph_to_bytes(g).hex() == frame
+    clone = graph_from_bytes(bytes.fromhex(frame))
+    assert clone.content_hash() == g.content_hash()
+    assert graph_to_bytes(clone).hex() == frame

@@ -262,40 +262,64 @@ class TestDeterministicIteration:
 
 
 class TestGraphKernel:
-    """The lazy kernel layer: cached BFS rows, cache invalidation, and the
+    """The graph's cached derived data, read through its one bitmask
+    view (:meth:`Graph.bits`): reuse, invalidation, and the
     disconnected-diameter early exit."""
 
     def test_bfs_rows_cached_per_source(self):
         g = path_graph(6)
-        kern = g.kernel()
-        g.bfs_distances(0)
-        g.bfs_distances(0)
-        g.bfs_distances(3)
-        assert kern.bfs_runs == 2
+        view = g.bits()
+        assert g.bfs_distances(0) == {i: i for i in range(6)}
+        assert g.bfs_distances(3) == {0: 3, 1: 2, 2: 1, 3: 0, 4: 1, 5: 2}
+        # every BFS reads the one cached view; none builds its own
+        assert g.bits() is view
 
-    def test_all_pairs_distances_matches_bfs(self):
-        g = random_graph(12, 0.3, __import__("random").Random(7))
-        apd = g.all_pairs_distances()
-        for v in g.vertices():
-            assert apd[v] == g.bfs_distances(v)
+    def test_ball_masks_match_bfs_distances(self):
+        """Parity: the truncated mask BFS of ``ball_masks(k)`` equals the
+        balls built from per-source BFS distances, on seeded random
+        graphs (disconnected ones included)."""
+        import random
 
-    def test_all_pairs_distances_cached(self):
+        rng = random.Random(7)
+        for __ in range(25):
+            g = random_graph(rng.randint(1, 24), rng.choice((0.1, 0.2, 0.4)),
+                             rng)
+            view = g.bits()
+            for k in range(4):
+                expected = []
+                for v in view.vertices:
+                    ball = 0
+                    for w, d in g.bfs_distances(v).items():
+                        if d <= k:
+                            ball |= 1 << view.index[w]
+                    expected.append(ball)
+                assert list(view.ball_masks(k)) == expected, k
+
+    def test_ball_masks_cached_per_k(self):
         g = cycle_graph(8)
-        g.all_pairs_distances()
-        runs = g.kernel().bfs_runs
-        g.all_pairs_distances()
-        assert g.kernel().bfs_runs == runs
+        balls = g.bits().ball_masks(2)
+        assert g.bits().ball_masks(2) is balls
+        assert g.bits().ball_masks(1) is not balls
+        assert g.copy().bits().ball_masks(2) is balls
 
-    def test_diameter_disconnected_stops_early(self):
+    def test_diameter_disconnected_stops_early(self, monkeypatch):
         g = Graph()
         g.add_edge(0, 1)
         for v in range(2, 40):
             g.add_vertex(v)
+        sweeps = []
+        bfs = Graph.bfs_distances
+
+        def counting(self, source):
+            sweeps.append(source)
+            return bfs(self, source)
+
+        monkeypatch.setattr(Graph, "bfs_distances", counting)
         with pytest.raises(GraphError):
             g.diameter()
         # the first BFS already witnesses the disconnection; no full
         # all-sources sweep should have run
-        assert g.kernel().bfs_runs <= 1
+        assert sweeps == [0]
 
     def test_diameter_matches_bfs_eccentricities(self):
         """The all-sources ball growth agrees with the max of per-source
@@ -334,17 +358,17 @@ class TestGraphKernel:
         h1 = g.content_hash()
         assert h1 != h0
         # setting the same weight again is a no-op for the caches
-        kern = g.kernel()
+        view = g.bits()
         g.set_edge_weight(0, 1, 5.0)
-        assert g.kernel() is kern
+        assert g.bits() is view
         assert g.content_hash() == h1
 
     def test_idempotent_mutations_keep_caches(self):
         g = path_graph(4)
-        kern = g.kernel()
+        view = g.bits()
         g.add_vertex(0)
         g.add_edge(0, 1)
-        assert g.kernel() is kern
+        assert g.bits() is view
 
     def test_copy_does_not_share_caches(self):
         g = path_graph(4)
@@ -357,13 +381,13 @@ class TestGraphKernel:
 
     def test_vertex_weight_change_keeps_structure_caches(self):
         g = path_graph(4)
-        kern = g.kernel()
+        view = g.bits()
         edges = g.edges()
         h0 = g.content_hash()
         g.set_vertex_weight(2, 7.0)
         # only the content hash depends on vertex weights
         assert g.content_hash() != h0
-        assert g.kernel() is kern
+        assert g.bits() is view
         assert g.edges() == edges
         assert g.vertex_weight(2) == 7.0
         # re-setting the same weight is a cache no-op
@@ -374,18 +398,18 @@ class TestGraphKernel:
     def test_edge_weight_change_updates_edge_weights(self):
         g = path_graph(4)
         g.edge_weights()
-        kern = g.kernel()
+        view = g.bits()
         h0 = g.content_hash()
         g.add_edge(1, 2, weight=3.0)  # re-weight an existing edge
         assert g.edge_weights()[(1, 2)] == 3.0
         assert g.total_edge_weight() == 5.0
         assert g.content_hash() != h0
-        assert g.kernel() is kern  # adjacency unchanged
+        assert g.bits() is view  # adjacency unchanged
 
     def test_copy_isolated_from_original_mutation(self):
         g = path_graph(4)
         # warm every derived cache before copying
-        g.edges(), g.edge_weights(), g.all_pairs_distances()
+        g.edges(), g.edge_weights(), g.bits().ball_masks(2)
         g.content_hash(), g.diameter()
         h = g.copy()
         assert h.content_hash() == g.content_hash()
@@ -396,6 +420,8 @@ class TestGraphKernel:
         assert h.edges() == [(0, 1), (1, 2), (2, 3)]
         assert h.vertex_weight(1) == 1.0
         assert h.content_hash() != g.content_hash()
+        assert h.bits().ball_masks(2)[0] == 0b0111
+        assert g.bits().ball_masks(2)[0] == 0b1111
 
     def test_copy_vertex_weight_diverges_hash(self):
         g = path_graph(3)
@@ -407,129 +433,108 @@ class TestGraphKernel:
 
 
 class TestStaleKernel:
-    """Regression: a kernel held across a structural mutation used to
-    alias the live adjacency and silently serve torn data; now every
-    read checks the generation stamp and raises."""
+    """A view held across a structural mutation is a snapshot: it keeps
+    describing the graph it was built from, and :meth:`Graph.bits`
+    hands out a new object for the new structure."""
 
-    def test_reads_after_add_edge_raise(self):
+    def test_view_held_across_add_edge_describes_old_graph(self):
         g = path_graph(4)
-        kern = g.kernel()
-        kern.bfs_row(0)
+        view = g.bits()
+        balls = view.ball_masks(1)
         g.add_edge(0, 3)
-        for read in (lambda: kern.bfs_row(0),
-                     lambda: kern.adjacency(),
-                     lambda: kern.neighbor_masks(),
-                     lambda: kern.ball_masks(1)):
-            with pytest.raises(GraphError, match="stale GraphKernel"):
-                read()
+        assert view.adj == (0b0010, 0b0101, 0b1010, 0b0100)
+        assert view.ball_masks(1) is balls
+        assert balls[0] == 0b0011
+        fresh = g.bits()
+        assert fresh is not view
+        assert fresh.adj[0] == 0b1010
+        assert fresh.ball_masks(1)[0] == 0b1011
 
     def test_remove_edge_and_vertex_stale_the_kernel(self):
         g = path_graph(4)
-        kern = g.kernel()
+        view = g.bits()
         g.remove_edge(0, 1)
-        with pytest.raises(GraphError):
-            kern.adjacency()
-        kern = g.kernel()
+        assert g.bits() is not view
+        assert view.adj[0] == 0b10 and g.bits().adj[0] == 0
+        view = g.bits()
         g.remove_vertex(3)
-        with pytest.raises(GraphError):
-            kern.bfs_row(0)
+        assert g.bits() is not view
+        assert (view.n, g.bits().n) == (4, 3)
+        assert view.vertices == (0, 1, 2, 3)
 
     def test_weight_only_mutation_does_not_stale(self):
         g = path_graph(4)
-        kern = g.kernel()
-        row = kern.bfs_row(0)
+        view = g.bits()
+        balls = view.ball_masks(2)
         g.set_edge_weight(1, 2, 9.0)
         g.set_vertex_weight(0, 2.0)
-        assert g.kernel() is kern
-        assert kern.bfs_row(0) == row
+        assert g.bits() is view
+        assert view.ball_masks(2) is balls
 
     def test_fresh_kernel_after_mutation_works(self):
         g = path_graph(4)
-        kern = g.kernel()
+        view = g.bits()
         g.add_edge(0, 3)
-        with pytest.raises(GraphError):
-            kern.bfs_row(0)
-        fresh = g.kernel()
-        assert fresh is not kern
-        assert fresh.bfs_row(0) == [0, 1, 2, 1]
+        fresh = g.bits()
+        assert fresh is not view
+        assert g.bits() is fresh
+        assert g.bfs_distances(0) == {0: 0, 1: 1, 2: 2, 3: 1}
 
 
 class TestCsrSubstrate:
+    """The layout of the bitmask view and its sharing across copies and
+    weight-only mutations."""
+
     def test_structure_matches_adjacency(self):
         g = Graph()
         g.add_edge("b", "a")
         g.add_edge("b", "c")
         g.add_edge("a", "c")
-        csr = g.csr()
-        # labels/indices follow insertion order; rows are sorted
-        assert csr.labels == ("b", "a", "c")
-        assert csr.index == {"b": 0, "a": 1, "c": 2}
-        assert list(csr.indptr) == [0, 2, 4, 6]
-        assert [list(csr.row(i)) for i in range(csr.n)] == \
-            [[1, 2], [0, 2], [0, 1]]
-        assert csr.m == 2 * g.m
-        assert [csr.degree(i) for i in range(csr.n)] == [2, 2, 2]
-        assert csr.masks() == [0b110, 0b101, 0b011]
+        g.add_vertex("d")
+        view = g.bits()
+        # labels/indices follow insertion order
+        assert view.vertices == ("b", "a", "c", "d")
+        assert view.index == {"b": 0, "a": 1, "c": 2, "d": 3}
+        assert view.n == 4
+        assert view.full_mask == 0b1111
+        assert view.adj == (0b0110, 0b0101, 0b0011, 0)
+        assert view.closed(3) == 0b1000
+        assert view.mask_of(["a", "d"]) == 0b1010
+        assert view.unmask(0b1010) == ["a", "d"]
 
     def test_cached_until_structural_mutation(self):
         g = path_graph(5)
-        csr = g.csr()
-        assert g.csr() is csr
+        view = g.bits()
+        assert g.bits() is view
         g.set_edge_weight(0, 1, 3.0)  # weight-only: structure survives
-        assert g.csr() is csr
+        assert g.bits() is view
         g.add_edge(0, 4)
-        assert g.csr() is not csr
-
-    def test_csr_weights_aligned_and_invalidated(self):
-        g = path_graph(3)
-        g.set_edge_weight(1, 2, 5.0)
-        csr = g.csr()
-        w = g.csr_weights()
-        assert len(w) == len(csr.indices)
-        def weight(u, v):
-            i, j = csr.index[u], csr.index[v]
-            for k in range(csr.indptr[i], csr.indptr[i + 1]):
-                if csr.indices[k] == j:
-                    return w[k]
-            raise AssertionError("edge not in CSR")
-        assert weight(0, 1) == weight(1, 0) == 1.0
-        assert weight(1, 2) == weight(2, 1) == 5.0
-        assert g.csr_weights() is w
-        g.set_edge_weight(0, 1, 2.0)
-        w2 = g.csr_weights()
-        assert w2 is not w
-        assert g.csr() is csr  # structure cache untouched
-        i01 = csr.indptr[0]  # vertex 0's only neighbour is 1
-        assert w2[i01] == 2.0
-
-    def test_unweighted_fast_path(self):
-        g = cycle_graph(6)
-        w = g.csr_weights()
-        assert list(w) == [1.0] * (2 * g.m)
+        assert g.bits() is not view
 
     def test_copy_shares_csr_snapshot(self):
         g = path_graph(4)
-        csr = g.csr()
-        w = g.csr_weights()
+        view = g.bits()
         h = g.copy()
-        assert h.csr() is csr
-        assert h.csr_weights() is w
+        assert h.bits() is view
         h.add_edge(0, 3)
-        assert h.csr() is not csr
-        assert g.csr() is csr  # original untouched
+        assert h.bits() is not view
+        assert g.bits() is view  # original untouched
 
     def test_digraph_csr_is_successor_based(self):
+        """A ``DiGraph`` keeps no bitmask view; the row arrays of its
+        wire frame list successors."""
+        from repro.graphs import graph_from_bytes
+
         d = DiGraph()
         d.add_edge("a", "b")
         d.add_edge("a", "c")
         d.add_edge("c", "a")
-        csr = d.csr()
-        assert csr.labels == ("a", "b", "c")
-        assert [list(csr.row(i)) for i in range(csr.n)] == \
-            [[1, 2], [], [0]]
-        assert d.csr() is csr
-        d.add_edge("b", "c")
-        assert d.csr() is not csr
+        assert not hasattr(d, "bits")
+        # the decoder reads each row as successors, so rows written from
+        # predecessors would come back with every arc reversed
+        clone = graph_from_bytes(d.to_bytes())
+        assert clone.successors("a") == {"b", "c"}
+        assert clone.predecessors("a") == {"c"}
 
 
 def _warmed_skeleton_copy(directed):
@@ -542,10 +547,21 @@ def _warmed_skeleton_copy(directed):
     for u, v in ((0, 1), (1, 2), (2, 3)):
         g.add_edge(u, v, weight=2.0)
     _warm_graph_caches(g)
-    copy = g.copy()
-    if not directed:
-        copy.kernel()
-    return copy
+    return g.copy()
+
+
+def _spy_edge_invalidations(g):
+    """Count ``g._dirty_edges_only`` calls (the adjacency-tier
+    invalidation) in the returned list."""
+    calls = []
+    dirty = g._dirty_edges_only
+
+    def spy():
+        calls.append(1)
+        dirty()
+
+    g._dirty_edges_only = spy
+    return calls
 
 
 @pytest.mark.parametrize("directed", [False, True],
@@ -556,8 +572,8 @@ class TestDeltaInvalidation:
 
     def _dropped(self, directed):
         if directed:
-            return ("edge_weights", "content_hash", "csr")
-        return ("edges", "edge_weights", "content_hash", "csr", "kernel")
+            return ("edge_weights", "content_hash")
+        return ("edges", "edge_weights", "content_hash", "bits")
 
     def test_insert_keeps_vertex_set_caches(self, directed):
         g = _warmed_skeleton_copy(directed)
@@ -575,36 +591,38 @@ class TestDeltaInvalidation:
         g = _warmed_skeleton_copy(directed)
         for key in self._dropped(directed):
             assert key in g._cache
-        gen = g._generation
+        calls = _spy_edge_invalidations(g)
         g.add_edge(0, "iso")
-        assert g._generation == gen + 1
+        assert len(calls) == 1
         for key in self._dropped(directed):
             assert key not in g._cache
         g.add_edge(3, "iso", weight=0)
-        assert g._generation == gen + 2
+        assert len(calls) == 2
         assert not g._cache
 
     def test_duplicate_insert_changes_nothing(self, directed):
         g = _warmed_skeleton_copy(directed)
         before = dict(g._cache)
         vbefore = dict(g._vcache)
-        gen = g._generation
+        calls = _spy_edge_invalidations(g)
         g.add_edge(1, 2)
         g.add_edge(1, 2, weight=2.0)
-        assert g._generation == gen
+        assert not calls
         assert g._cache.keys() == before.keys()
         assert all(g._cache[k] is v for k, v in before.items())
         assert all(g._vcache[k] is v for k, v in vbefore.items())
 
     def test_weight_only_delta_keeps_csr(self, directed):
         g = _warmed_skeleton_copy(directed)
-        csr = g._cache["csr"]
-        gen = g._generation
+        view = g._cache.get("bits")
+        assert (view is None) == directed
+        calls = _spy_edge_invalidations(g)
         hash0 = g.content_hash()
         g.add_edge(1, 2, weight=5.0)
         g.add_vertex("iso", weight=0)
-        assert g._generation == gen
-        assert g.csr() is csr
+        assert not calls
+        if not directed:
+            assert g.bits() is view
         assert g.content_hash() != hash0
 
     def test_vertex_insert_drops_vertex_set_caches(self, directed):
@@ -618,14 +636,14 @@ class TestDiGraphAddEdges:
     """``DiGraph.add_edges``, the arc-delta path of the directed Steiner
     family, applies a whole delta with one cache invalidation."""
 
-    DROPPED = ("edge_weights", "content_hash", "csr")
+    DROPPED = ("edge_weights", "content_hash")
 
-    def test_bumps_generation_once(self):
+    def test_invalidates_once(self):
         g = _warmed_skeleton_copy(True)
         verts = g._vcache["sorted_vertices"]
-        gen = g._generation
+        calls = _spy_edge_invalidations(g)
         g.add_edges([(0, 2), (1, 3), (0, 3), (3, "iso")], weight=0)
-        assert g._generation == gen + 1
+        assert len(calls) == 1
         for key in self.DROPPED:
             assert key not in g._cache
         assert g._vcache["sorted_vertices"] is verts
@@ -634,34 +652,34 @@ class TestDiGraphAddEdges:
         g = _warmed_skeleton_copy(True)
         before = dict(g._cache)
         vbefore = dict(g._vcache)
-        gen = g._generation
+        calls = _spy_edge_invalidations(g)
         g.add_edges([(0, 1), (1, 2)], weight=2.0)
         g.add_edges([])
-        assert g._generation == gen
+        assert not calls
         assert g._cache.keys() == before.keys()
         assert all(g._cache[k] is v for k, v in before.items())
         assert all(g._vcache[k] is v for k, v in vbefore.items())
 
     def test_weight_only_keeps_csr(self):
         g = _warmed_skeleton_copy(True)
-        csr = g._cache["csr"]
-        gen = g._generation
+        vbefore = dict(g._vcache)
+        calls = _spy_edge_invalidations(g)
         hash0 = g.content_hash()
         g.add_edges([(0, 1), (2, 3)], weight=5.0)
-        assert g._generation == gen
-        assert g.csr() is csr
+        assert not calls
+        assert all(g._vcache[k] is v for k, v in vbefore.items())
         assert g.content_hash() != hash0
         assert g.edge_weight(2, 3) == 5.0
 
     def test_self_loop_raises(self):
         g = _warmed_skeleton_copy(True)
-        gen = g._generation
+        calls = _spy_edge_invalidations(g)
         with pytest.raises(GraphError):
             g.add_edges([(0, 2), (3, 3), (1, 3)])
         # the arc before the loop is in, and the caches saw it
         assert g.has_edge(0, 2) and not g.has_edge(1, 3)
-        assert g._generation == gen + 1
-        assert "csr" not in g._cache
+        assert len(calls) == 1
+        assert "content_hash" not in g._cache
 
     def test_matches_add_edge_loop(self):
         arcs = [(0, 2), (2, 0), (1, 2), ("iso", "x"), ("y", 0), (0, 2)]
@@ -674,11 +692,11 @@ class TestDiGraphAddEdges:
             assert bulk.content_hash() == loop.content_hash()
             assert bulk.vertices() == loop.vertices()
             assert list(bulk.edges()) == list(loop.edges())
-            assert bulk.csr().labels == loop.csr().labels
+            assert bulk.to_bytes() == loop.to_bytes()
 
 class TestBitGraphSharesCsr:
-    """``BitGraph`` reads the CSR's labels, index and neighbour masks
-    without copying them, and the vertex weights afresh on every call."""
+    """Solvers share one bitmask view per structure and read the vertex
+    weights afresh on every call."""
 
     @staticmethod
     def _graph():
@@ -694,37 +712,38 @@ class TestBitGraphSharesCsr:
 
     def test_weight_only_delta_shows_new_weights(self):
         from repro.core.family import _warm_graph_caches
-        from repro.solvers._bitmask import BitGraph
+        from repro.solvers._bitmask import vertex_weights
 
         skeleton = self._graph()
         _warm_graph_caches(skeleton)
-        before = BitGraph(skeleton).weights
+        before = vertex_weights(skeleton)
         copy = skeleton.copy()
         copy.set_vertex_weight(3, 9)
         copy.set_vertex_weight(8, 0)
-        assert copy.csr() is skeleton.csr()
-        bg = BitGraph(copy)
-        assert bg.adj is skeleton.csr().masks()
-        assert bg.weights[bg.index[3]] == 9
-        assert bg.weights[bg.index[8]] == 0
-        assert BitGraph(skeleton).weights == before
+        assert copy.bits() is skeleton.bits()
+        bg = copy.bits()
+        weights = vertex_weights(copy)
+        assert weights[bg.index[3]] == 9
+        assert weights[bg.index[8]] == 0
+        assert vertex_weights(skeleton) == before
 
     def test_node_weighted_family_pairs_see_their_weights(self):
         from repro.core.kmds import scomp, svert
         from repro.core.steiner_approx import NodeWeightedSteinerFamily
         from repro.covering.designs import build_covering_collection
-        from repro.solvers._bitmask import BitGraph
+        from repro.solvers._bitmask import vertex_weights
 
         fam = NodeWeightedSteinerFamily(
             build_covering_collection(universe_size=5, T=3, r=1, seed=2))
         for x, y in (((1, 0, 1), (0, 1, 1)), ((0, 0, 0), (1, 1, 1))):
             g = fam.build(x, y)
-            assert g.csr() is fam.skeleton().csr()
-            bg = BitGraph(g)
+            assert g.bits() is fam.skeleton().bits()
+            bg = g.bits()
+            weights = vertex_weights(g)
             for i in range(3):
-                assert bg.weights[bg.index[svert(i)]] == \
+                assert weights[bg.index[svert(i)]] == \
                     (1 if x[i] else fam.alpha)
-                assert bg.weights[bg.index[scomp(i)]] == \
+                assert weights[bg.index[scomp(i)]] == \
                     (1 if y[i] else fam.alpha)
 
     def test_solvers_leave_csr_unchanged(self):
@@ -733,10 +752,11 @@ class TestBitGraphSharesCsr:
         from repro.solvers import dominating, maxcut, mis, steiner
 
         g = self._graph()
-        csr = g.csr()
-        masks = list(csr.masks())
-        index = dict(csr.index)
-        labels = csr.labels
+        view = g.bits()
+        masks = list(view.adj)
+        index = dict(view.index)
+        vertices = view.vertices
+        balls = {k: list(view.ball_masks(k)) for k in (1, 2)}
         calls = [
             (steiner.min_node_weighted_steiner_cost, (g, [0, 4, 8])),
             (maxcut.max_cut_vectorized, (g,)),
@@ -752,10 +772,12 @@ class TestBitGraphSharesCsr:
         ]
         for fn, args in calls:
             inspect.unwrap(fn)(*args)
-            assert g.csr() is csr
-            assert csr.masks() == masks, fn.__name__
-            assert csr.index == index, fn.__name__
-            assert csr.labels == labels
+            assert g.bits() is view
+            assert list(view.adj) == masks, fn.__name__
+            assert view.index == index, fn.__name__
+            assert view.vertices == vertices
+            for k, ball in balls.items():
+                assert list(view.ball_masks(k)) == ball, fn.__name__
 
 
 class TestContentHash:

@@ -81,14 +81,14 @@ def _tabulated_node_weighted_cost(graph, terminals):
     """Differential reference: the cost-ordered scan the solver used
     before its best-first scan.  It tabulates every subset's cost by
     doubling and stable-sorts the whole table by cost."""
-    from repro.solvers._bitmask import BitGraph, iter_bits
+    from repro.solvers._bitmask import iter_bits, vertex_weights
     from repro.solvers.steiner import _reach
 
     terminals = list(dict.fromkeys(terminals))
     if not terminals:
         return 0.0
-    bg = BitGraph(graph)
-    weights = bg.weights
+    bg = graph.bits()
+    weights = vertex_weights(graph)
     terms = bg.mask_of(terminals)
     start = 1 << bg.index[terminals[0]]
     base_cost = sum(w for w in (weights[bg.index[t]] for t in terminals)
