@@ -3,8 +3,9 @@
 Acceptance gates for the observability layer:
 
 - an attached :class:`NullTracer` must cost ≤ 5% wall-clock versus an
-  untraced run (its ``enabled = False`` flag makes the simulator skip
-  event construction, so the hot message path is identical);
+  untraced run, as the median ratio over alternating pairs of runs
+  (its ``enabled = False`` flag makes the simulator skip event
+  construction, so the hot message path is identical);
 - the compact binary format must beat JSONL where the formats actually
   differ — the emit path: replaying the recorded event stream through a
   :class:`BinaryTracer` must take ≤ 40% of the :class:`JsonlTracer`
@@ -23,8 +24,10 @@ Run directly: ``PYTHONPATH=src python -m pytest benchmarks/bench_tracing_overhea
 
 from __future__ import annotations
 
+import gc
 import os
 import random
+import statistics
 import tempfile
 import time
 from typing import Callable, List, Optional
@@ -43,6 +46,8 @@ N_VERTICES = 500
 EDGE_PROB = 0.012
 HORIZON = 30
 REPEATS = 5
+#: runs of each side in the NullTracer gate, one pair per repeat
+OVERHEAD_REPEATS = 40
 
 
 class RepeatedBroadcast(NodeAlgorithm):
@@ -76,31 +81,58 @@ def _graph():
     return random_graph(N_VERTICES, EDGE_PROB, random.Random(0xBEAD))
 
 
-def _best_seconds(make_tracer: Callable[[], Optional[Tracer]],
-                  graph, repeats: int = REPEATS) -> float:
-    best = float("inf")
-    for __ in range(repeats):
-        tracer = make_tracer()
-        sim = CongestSimulator(graph, tracer=tracer)
+def _run_seconds(make_tracer: Callable[[], Optional[Tracer]],
+                 graph, pause_gc: bool = False) -> float:
+    """One timed run; ``pause_gc`` collects first and keeps the cyclic
+    collector off while the clock runs (as :mod:`timeit` does), so a
+    collection cannot land inside one side's run only."""
+    tracer = make_tracer()
+    sim = CongestSimulator(graph, tracer=tracer)
+    if pause_gc:
+        gc.collect()
+        gc.disable()
+    try:
         start = time.perf_counter()
         sim.run(RepeatedBroadcast)
-        best = min(best, time.perf_counter() - start)
-        if tracer is not None:
-            tracer.close()
-    return best
+        seconds = time.perf_counter() - start
+    finally:
+        if pause_gc:
+            gc.enable()
+    if tracer is not None:
+        tracer.close()
+    return seconds
+
+
+def _best_seconds(make_tracer: Callable[[], Optional[Tracer]],
+                  graph, repeats: int = REPEATS) -> float:
+    return min(_run_seconds(make_tracer, graph) for __ in range(repeats))
 
 
 def test_null_tracer_overhead_within_5_percent():
     g = _graph()
-    # interleave-insensitive: best-of-N on the identical workload
-    base = _best_seconds(lambda: None, g)
-    null = _best_seconds(NullTracer, g)
-    overhead = null / base - 1.0
-    print(f"\nbaseline {base:.3f}s  NullTracer {null:.3f}s  "
-          f"overhead {100 * overhead:+.2f}%")
+    # the two sides alternate repeat by repeat (swapping which goes
+    # first), and each NullTracer run is compared with the baseline run
+    # beside it: a slow phase of a shared machine slows both runs of a
+    # pair, where a best-of per side lets one lucky run decide
+    ratios = []
+    base = null = float("inf")
+    for rep in range(OVERHEAD_REPEATS):
+        if rep % 2:
+            n = _run_seconds(NullTracer, g, pause_gc=True)
+            b = _run_seconds(lambda: None, g, pause_gc=True)
+        else:
+            b = _run_seconds(lambda: None, g, pause_gc=True)
+            n = _run_seconds(NullTracer, g, pause_gc=True)
+        ratios.append(n / b)
+        base, null = min(base, b), min(null, n)
+    overhead = statistics.median(ratios) - 1.0
+    print(f"\nbaseline {base:.3f}s  NullTracer {null:.3f}s (best of "
+          f"{OVERHEAD_REPEATS})  overhead {100 * overhead:+.2f}% (median "
+          f"of {OVERHEAD_REPEATS} paired ratios)")
     assert overhead <= 0.05, (
         f"NullTracer overhead {100 * overhead:.2f}% exceeds 5% "
-        f"(baseline {base:.3f}s, null {null:.3f}s)")
+        f"(median of {OVERHEAD_REPEATS} paired ratios; best of each "
+        f"side: baseline {base:.3f}s, null {null:.3f}s)")
 
 
 def test_report_enabled_tracer_costs():

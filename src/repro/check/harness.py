@@ -294,7 +294,7 @@ def _build_checks() -> List[Check]:
         # -- batched kernels vs per-pair delta vs scratch -------------------
         # independent of the fuzz graph (seeded kernel-bearing families,
         # promise-violating pairs, invalidation leg); piggybacked on two
-        # er cases so both family triples get exercised per run
+        # er cases so both family sets get exercised per run
         Check("family:batch-equivalence", "family", _batch_kernels,
               lambda c: c.family == "er" and c.index < 2, shrinkable=False),
     ]

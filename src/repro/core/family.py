@@ -169,15 +169,20 @@ class DeltaBuildMixin:
         when the skeleton shows them all."""
         return ""
 
-    def skeleton(self) -> AnyGraph:
-        """A fresh copy of the cached skeleton (built once per instance,
-        derived caches warmed; the copy is safe to mutate)."""
+    def _skeleton_base(self) -> AnyGraph:
+        """The cached skeleton itself (built once per instance, derived
+        caches warmed); read-only — :meth:`skeleton` hands out copies."""
         store = getattr(self, "_skeleton_store", None)
         if store is None:
             store = self.build_skeleton()
             _warm_graph_caches(store)
             self._skeleton_store = store
-        return store.copy()
+        return store
+
+    def skeleton(self) -> AnyGraph:
+        """A fresh copy of the cached skeleton (built once per instance,
+        derived caches warmed; the copy is safe to mutate)."""
+        return self._skeleton_base().copy()
 
     def fixed_graph(self) -> AnyGraph:
         """Historical name for :meth:`skeleton` (a warmed mutable copy
@@ -305,8 +310,7 @@ class DeltaBuildMixin:
         if not self.supports_batch():
             return None
         if skeleton is None:
-            self.skeleton()  # ensure the cached store exists
-            skeleton = self._skeleton_store
+            skeleton = self._skeleton_base()
         kernel = self._batch_kernel_for(skeleton)
         if kernel is None:
             return None

@@ -19,7 +19,7 @@ weight 2 iff DISJ = FALSE, else > r.
 from __future__ import annotations
 
 import hashlib
-from typing import List, Sequence, Set, Tuple
+from typing import List, Sequence, Set
 
 from repro.core.family import LowerBoundGraphFamily
 from repro.core.kmds import (
@@ -178,42 +178,63 @@ class DirectedSteinerFamily(LowerBoundGraphFamily):
         va.update(svert(i) for i in range(self.collection.T))
         return va
 
-    def _cover_solver(self, graph: DiGraph):
-        """The set cover behind both answers.  Every element j needs a_j
-        and b_j, which one arc (a_j, b_j) / (b_j, a_j) links, so a cover
-        of the elements by the sets whose arcs ``graph`` holds (weight 1
-        each, bought with the arc into S_i or S̄_i) and the weight-α
-        fallbacks (a, a_j) is a Steiner tree of equal weight, and
-        conversely.  Each set's elements are read from its successor
-        set into a bitmask."""
-        from repro.solvers.dominating import _SetCoverSolver
-
-        sets: List[Tuple[int, float, int]] = []
+    def _graph_masks(self, graph: DiGraph) -> List[int]:
+        """The element mask of every cover set, in ``_cover_sides``
+        order.  Every element j needs a_j and b_j, which one arc
+        (a_j, b_j) / (b_j, a_j) links, so a cover of the elements by the
+        sets whose arcs ``graph`` holds (weight 1 each, bought with the
+        arc into S_i or S̄_i) and the weight-α fallbacks (a, a_j) is a
+        Steiner tree of equal weight, and conversely.  Each set's
+        elements are read from its successor set: S_i covers element j
+        iff the arc (S_i, a_j) is installed."""
+        masks: List[int] = []
         for vert, bits in self._cover_sides:
-            # S_i covers element j iff the arc (S_i, a_j) is installed
             mask = 0
             for w in graph.successors(vert):
                 mask |= bits.get(w, 0)
-            sets.append((mask, 1.0, len(sets)))
-        sets.extend(self._fallbacks)
-        return _SetCoverSolver(self.ell, sets)
+            masks.append(mask)
+        return masks
+
+    def make_batch_kernel(self, skeleton: DiGraph):
+        """The cover masks of both values of every bit: the skeleton's
+        (read as ``predicate`` reads a graph) for a 0-bit, and those
+        plus the element bits of the bit's input arcs for a 1-bit.  A
+        pair then picks its masks from its bits and builds no graph."""
+        from repro.solvers.batch_kernels import DirectedSteinerBatchKernel
+        base = self._graph_masks(skeleton)
+        a_bits, b_bits = self._cover_sides[0][1], self._cover_sides[1][1]
+
+        def sides(offs, table, bits):
+            out = []
+            for off, arcs in zip(offs, table):
+                on = off
+                for __, w in arcs:
+                    on |= bits[w]
+                out.append((off, on))
+            return out
+
+        return DirectedSteinerBatchKernel(
+            self.ell, sides(base[0::2], self._x_arcs, a_bits),
+            sides(base[1::2], self._y_arcs, b_bits), self._fallbacks)
 
     def optimum(self, graph: DiGraph) -> float:
         """Exact directed Steiner cost, as a float, via the cover of
-        :meth:`_cover_solver` (the generic reachability solver
+        :meth:`_graph_masks` (the generic reachability solver
         cross-checks it in the tests).  Experiments and tests read this
         value; sweeps decide through :meth:`predicate`, which stops short
         of the optimum."""
-        weight, choice = self._cover_solver(graph).solve()
+        from repro.solvers.batch_kernels import unit_cover_solver
+        weight, choice = unit_cover_solver(
+            self.ell, self._graph_masks(graph), self._fallbacks).solve()
         assert choice is not None
         return weight
 
     def predicate(self, graph: DiGraph) -> bool:
         """P: a directed Steiner tree of weight ≤ 2 exists (iff
-        DISJ = FALSE).  Decided at the threshold: the search only looks
-        for a cover cheaper than 3, so it prunes every branch that
-        cannot beat 3 instead of proving the exact optimum.  A cover it
-        returns is the cheapest one, and with integral α it costs at
-        most 2; the ``<= 2`` test keeps the answer exact for any α."""
-        weight, choice = self._cover_solver(graph).solve(3)
-        return choice is not None and weight <= 2
+        DISJ = FALSE).  Decided at the threshold by
+        :func:`repro.solvers.batch_kernels.unit_cover_within_two`, the
+        decision the batch kernel shares: only where the masks come
+        from differs (here the graph, there the input bits)."""
+        from repro.solvers.batch_kernels import unit_cover_within_two
+        return unit_cover_within_two(self.ell, self._graph_masks(graph),
+                                     self._fallbacks)

@@ -363,8 +363,7 @@ class WarmPool:
             digest = fkey.digest[:16]
             blob = pickle.dumps(family)
             try:
-                family.skeleton()  # populate _skeleton_store
-                skel_bytes = family._skeleton_store.to_bytes()
+                skel_bytes = family._skeleton_base().to_bytes()
             except NotImplementedError:
                 skel_bytes = None
             lanes = self.ensure(jobs)

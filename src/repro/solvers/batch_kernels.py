@@ -25,7 +25,12 @@ input-independent out of the loop **once per skeleton**:
   of the delta-touched vertices D*, collapsing the input-independent
   remainder into one ``g[d] = max fixed cut given D-assignment d``
   table; a pair reduces to ``max_d(g[d] + delta_cut_d)`` over numpy
-  rows of length ``2^|D|``.
+  rows of length ``2^|D|``;
+- :class:`DirectedSteinerBatchKernel` reads each S_i / S̄_i element
+  mask straight from the pair's bits (the arcs a 1-bit installs are
+  fixed by the covering collection), so a pair builds no graph and
+  goes straight to the set-cover decision that the family's
+  ``predicate`` shares (:func:`unit_cover_within_two`).
 
 A kernel instance is valid for exactly one skeleton (the family layer
 keys it on ``content_hash`` and rebuilds on mismatch) and must treat
@@ -36,7 +41,9 @@ family's predicate is monotone non-decreasing in every input bit —
 a grid from a few extremal solves.  Max-cut's predicate is not
 edge-monotone (0-bits add row edges, 1-bits add N-weight), so its
 kernel stays ``monotone = False`` and every pair is evaluated — still
-cheap, because only the delta term varies.
+cheap, because only the delta term varies.  The directed Steiner
+kernel is ``monotone = False`` too: every pair is solved and none is
+inferred.
 """
 
 from __future__ import annotations
@@ -325,3 +332,64 @@ class ThresholdCutBatchKernel:
                 acc += float(w) * np.abs(rows[dpos[u]] - rows[dpos[v]])
         # integral arithmetic in float64: >= target iff > target - 0.5
         return bool(np.max(self._g + acc) > self._target - 0.5)
+
+
+def unit_cover_solver(ell: int, masks: Sequence[int],
+                      fallbacks: Sequence[Tuple[int, float, int]]):
+    """The set cover over ``ell`` elements behind the Theorem 4.7
+    family: one weight-1 set per element mask in ``masks`` (in order),
+    then the ``fallbacks`` as given."""
+    from repro.solvers.dominating import _SetCoverSolver
+    sets: List[Tuple[int, float, int]] = [
+        (mask, 1.0, i) for i, mask in enumerate(masks)]
+    sets.extend(fallbacks)
+    return _SetCoverSolver(ell, sets)
+
+
+def unit_cover_within_two(ell: int, masks: Sequence[int],
+                          fallbacks: Sequence[Tuple[int, float, int]]
+                          ) -> bool:
+    """Whether the cover of :func:`unit_cover_solver` costs at most 2,
+    decided at the threshold: the search only looks for a cover cheaper
+    than 3, so it prunes every branch that cannot beat 3 instead of
+    proving the exact optimum.  A cover it returns is the cheapest one,
+    and the ``<= 2`` test keeps the answer exact for non-integral
+    fallback weights too.  The one decision behind both
+    ``DirectedSteinerFamily.predicate`` and
+    :class:`DirectedSteinerBatchKernel`."""
+    weight, choice = unit_cover_solver(ell, masks, fallbacks).solve(3)
+    return choice is not None and weight <= 2
+
+
+class DirectedSteinerBatchKernel:
+    """Theorem 4.7 / Lemma 4.6 decisions from the input bits alone.
+
+    The cover sets come in pairs per bit position i, S_i then S̄_i (the
+    family's ``_cover_sides`` order).  ``x_masks[i]`` is the pair of
+    element masks of S_i with x_i = 0 and with x_i = 1, read once from
+    the skeleton and the input-arc table; likewise ``y_masks[i]`` for
+    S̄_i.  A pair picks one mask per set by its bits and calls
+    :func:`unit_cover_within_two`: no graph copy, no arc insertion and
+    no successor reads.
+    """
+
+    monotone = False  # every pair is solved, none is inferred
+
+    def __init__(self, ell: int, x_masks: Sequence[Tuple[int, int]],
+                 y_masks: Sequence[Tuple[int, int]],
+                 fallbacks: Sequence[Tuple[int, float, int]]) -> None:
+        self._ell = ell
+        self._sides = list(zip(x_masks, y_masks))
+        self._fallbacks = list(fallbacks)
+
+    def masks(self, x: Bits, y: Bits) -> List[int]:
+        """The element mask of every cover set of G_{x,y}, in order."""
+        out: List[int] = []
+        for (x_side, y_side), xb, yb in zip(self._sides, x, y):
+            out.append(x_side[1] if xb else x_side[0])
+            out.append(y_side[1] if yb else y_side[0])
+        return out
+
+    def decide(self, x: Bits, y: Bits) -> bool:
+        return unit_cover_within_two(self._ell, self.masks(x, y),
+                                     self._fallbacks)

@@ -15,6 +15,7 @@ from repro.core.kmds import KMdsFamily
 from repro.covering.designs import build_covering_collection
 from repro.core.maxcut import MaxCutFamily
 from repro.core.mds import MdsFamily
+from repro.core.steiner_approx import DirectedSteinerFamily
 
 
 def _grid(k_bits):
@@ -28,12 +29,18 @@ def _kmds(k=2):
     return KMdsFamily(cc, k=k)
 
 
+def _directed_steiner():
+    cc = build_covering_collection(universe_size=16, T=6, r=2, seed=0)
+    return DirectedSteinerFamily(cc)
+
+
 FAMILIES = [
     pytest.param(lambda: MdsFamily(2), id="mds"),
     pytest.param(lambda: MaxCutFamily(2), id="maxcut"),
     pytest.param(lambda: HamiltonianCycleFamily(2), id="ham-cycle"),
     pytest.param(lambda: HamiltonianPathFamily(2), id="ham-path"),
     pytest.param(_kmds, id="kmds"),
+    pytest.param(_directed_steiner, id="directed-steiner"),
 ]
 
 

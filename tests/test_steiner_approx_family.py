@@ -9,16 +9,24 @@ from repro.cc.functions import (
     random_input_pairs,
     random_intersecting_pair,
 )
-from repro.core.family import validate_family, verify_iff
+from repro.core.family import DeltaBuildMixin, sweep, validate_family, verify_iff
 from repro.core.kmds import A_SPECIAL, R_SPECIAL, avert, bvert, scomp, svert
 from repro.core.steiner_approx import DirectedSteinerFamily, NodeWeightedSteinerFamily
 from repro.covering.designs import build_covering_collection
+from repro.graphs import DiGraph
 from repro.solvers.steiner import min_directed_steiner_reachability_cost
 
 
 @pytest.fixture(scope="module")
 def collection():
     return build_covering_collection(universe_size=16, T=6, r=2, seed=0)
+
+
+def _k2_grid():
+    def bits(v):
+        return tuple((v >> (5 - i)) & 1 for i in range(6))
+
+    return [(bits(p >> 6), bits(p & 63)) for p in range(4096)]
 
 
 class TestNodeWeighted:
@@ -131,3 +139,64 @@ class TestDirected:
             g = fam.build(x, y)
             assert fam.optimum(g) == min_directed_steiner_reachability_cost(
                 g, R_SPECIAL, fam.terminals())
+
+
+class TestDirectedBatchKernel:
+    """The kernel reads each pair's cover masks from its bits; the
+    decision after that is the one ``predicate`` makes."""
+
+    @pytest.fixture(scope="class")
+    def fam(self, collection):
+        return DirectedSteinerFamily(collection)
+
+    def test_masks_match_built_graph_on_k2_grid(self, fam):
+        kernel = fam.make_batch_kernel(fam.skeleton())
+        for x, y in _k2_grid():
+            assert kernel.masks(x, y) == fam._graph_masks(fam.build(x, y)), \
+                (x, y)
+
+    @pytest.mark.parametrize("alpha", [None, 1.5])
+    def test_decide_batch_matches_predicate_on_k2_grid(self, collection,
+                                                       alpha):
+        """α = 3 (the default r + 1) and α = 1.5, whose non-integral
+        fallbacks take the cover search's float path."""
+        fam = DirectedSteinerFamily(collection, alpha=alpha)
+        pairs = _k2_grid()
+        batched = fam.decide_batch(None, pairs)
+        assert len(batched) == len(pairs)
+        trues = 0
+        for x, y in pairs:
+            expected = fam.predicate(fam.build(x, y))
+            assert batched[(x, y)] == expected, (x, y)
+            trues += expected
+        assert trues == 3367
+
+    def test_not_monotone(self, fam):
+        assert fam.make_batch_kernel(fam.skeleton()).monotone is False
+
+    def test_sweep_serves_every_pair_from_the_kernel(self, collection, rng):
+        fam = DirectedSteinerFamily(collection)
+        pairs = random_input_pairs(fam.k_bits, 40, rng)
+        report = sweep(fam, pairs, memo=False, batch=True)
+        assert report.solved and report.batched == report.solved
+        plain = sweep(fam, pairs, memo=False, batch=False)
+        assert plain.batched == 0
+        assert report.decisions == plain.decisions
+
+    def test_decide_batch_builds_no_graph(self, collection, monkeypatch):
+        fam = DirectedSteinerFamily(collection)
+        fam.skeleton()  # the cached skeleton is built once, up front
+        calls = []
+
+        def spy(name, real):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(DeltaBuildMixin, "build",
+                            spy("build", DeltaBuildMixin.build))
+        monkeypatch.setattr(DiGraph, "copy", spy("copy", DiGraph.copy))
+        batched = fam.decide_batch(None, _k2_grid()[:64])
+        assert len(batched) == 64
+        assert calls == []
