@@ -22,8 +22,6 @@ check [--seed S] [--cases N] [--family F] [--deep] [--jobs N]
 report trace TRACE [--run N] [--cut UIDS] [--edges N]
                       render a simulator trace (binary or JSONL,
                       auto-detected) into a round-by-round summary
-report bench [FILE]   p50-per-SHA bench trajectory with deltas and
-                      regression flags (default: BENCH_simulator.json)
 report fuzz DIR       summarize a `check --report-dir` artifact dir
 report convert SRC DST
                       convert a trace between JSONL and binary
@@ -330,23 +328,6 @@ def _report_trace(path: str, args: argparse.Namespace) -> None:
     print(report)
 
 
-def _report_bench(args: argparse.Namespace) -> None:
-    from repro.obs.report import (BenchHistoryError, load_bench_history,
-                                  render_bench_report)
-
-    path = args.path or "BENCH_simulator.json"
-    try:
-        history = load_bench_history(path)
-    except BenchHistoryError as exc:
-        # corrupt/empty/truncated file: one-line nonzero exit, not a
-        # raw json traceback
-        raise SystemExit(str(exc))
-    if not history:
-        raise SystemExit(f"no bench history at {path!r} "
-                         "(run benchmarks/record.py --update)")
-    print(render_bench_report(history))
-
-
 def _report_fuzz(args: argparse.Namespace) -> None:
     from repro.obs.report import render_fuzz_report
 
@@ -378,15 +359,13 @@ def cmd_report(args: argparse.Namespace) -> None:
         if args.path is None:
             raise SystemExit("usage: repro report trace <trace-file>")
         _report_trace(args.path, args)
-    elif what == "bench":
-        _report_bench(args)
     elif what == "fuzz":
         _report_fuzz(args)
     elif what == "convert":
         _report_convert(args)
     else:
         raise SystemExit(f"unknown report view {what!r}; expected "
-                         "trace, bench, fuzz, or convert")
+                         "trace, fuzz, or convert")
 
 
 def main(argv: Optional[list] = None) -> None:
@@ -502,20 +481,17 @@ def main(argv: Optional[list] = None) -> None:
 
     p = sub.add_parser(
         "report",
-        help="analytics studio: render traces, bench trajectory, "
-             "fuzz artifacts",
+        help="analytics studio: render traces and fuzz artifacts",
         description="Views: `report trace FILE` renders a simulator "
                     "trace (binary or JSONL, auto-detected); `report "
-                    "bench [FILE]` renders the p50-per-SHA trajectory "
-                    "from BENCH_simulator.json; `report fuzz DIR` "
-                    "summarizes a `check --report-dir` directory; "
-                    "`report convert SRC DST` converts a trace between "
-                    "formats.")
+                    "fuzz DIR` summarizes a `check --report-dir` "
+                    "directory; `report convert SRC DST` converts a "
+                    "trace between formats.")
     p.add_argument("what", metavar="VIEW",
-                   help="trace | bench | fuzz | convert")
+                   help="trace | fuzz | convert")
     p.add_argument("path", nargs="?", default=None,
-                   help="trace file / bench history / fuzz report dir / "
-                        "conversion source, per the view")
+                   help="trace file / fuzz report dir / conversion "
+                        "source, per the view")
     p.add_argument("dst", nargs="?", default=None,
                    help="destination path (convert view only; format "
                         "inferred from extension)")

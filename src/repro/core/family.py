@@ -658,12 +658,13 @@ def sweep(
         from repro.experiments.warm_pool import pool_decisions
         decided = pool_decisions(family, todo, jobs, timeout=timeout,
                                  retries=retries, store=store, fkey=fkey,
-                                 batch=batch)
+                                 batch=batch, counters=counters)
         if decided is None:
             from repro.experiments.sweep import parallel_decisions
             decided = parallel_decisions(family, todo, jobs, timeout=timeout,
                                          retries=retries, store=store,
-                                         fkey=fkey, batch=batch)
+                                         fkey=fkey, batch=batch,
+                                         counters=counters)
     if decided is None:
         from repro.experiments.sweep import _decide_serial
         decided = _decide_serial(family, todo, store=store, fkey=fkey,

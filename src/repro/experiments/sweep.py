@@ -87,11 +87,22 @@ def _decide_serial(family, pairs: Sequence[Tuple[Bits, Bits]],
     return decisions
 
 
+def _decide_counted(family, pairs: Sequence[Tuple[Bits, Bits]], store,
+                    fkey, batch: bool) -> Tuple[List[bool], int]:
+    """:func:`_decide_serial` plus how many of ``pairs`` its batch
+    kernel answered."""
+    counters = {"batched": 0}
+    decisions = _decide_serial(family, pairs, store=store, fkey=fkey,
+                               batch=batch, counters=counters)
+    return decisions, counters["batched"]
+
+
 def _decide_shard(payload: Tuple[bytes, List[Tuple[Bits, Bits]],
                                  Optional[str], Optional[tuple], bool],
-                  ) -> List[bool]:
+                  ) -> Tuple[List[bool], int]:
     """Worker entry point: decide one shard, streaming decisions into
-    the store (when configured) as they complete."""
+    the store (when configured) as they complete.  Returns the
+    decisions and how many the batch kernel answered."""
     blob, shard, store_root, fkey_tuple, batch = payload
     family = pickle.loads(blob)
     store = fkey = None
@@ -99,7 +110,7 @@ def _decide_shard(payload: Tuple[bytes, List[Tuple[Bits, Bits]],
         from repro.experiments.sweep_store import FamilyKey, SweepStore
         store = SweepStore(store_root)
         fkey = FamilyKey(*fkey_tuple)
-    return _decide_serial(family, shard, store=store, fkey=fkey, batch=batch)
+    return _decide_counted(family, shard, store, fkey, batch)
 
 
 def split_shards(pairs: Sequence[Tuple[Bits, Bits]],
@@ -118,6 +129,7 @@ def parallel_decisions(
     store=None,
     fkey=None,
     batch: bool = True,
+    counters: Optional[Dict[str, int]] = None,
 ) -> Optional[List[bool]]:
     """Decide ``pairs`` over ``jobs`` fresh lanes, in request order.
 
@@ -125,7 +137,8 @@ def parallel_decisions(
     (unpicklable family, no worker process can start) so the caller can
     run serially.  Once any shard has run, a shard that fails on its
     lane is decided serially by the parent, and a complete decision
-    list is returned.
+    list is returned.  ``counters["batched"]`` (when given) grows by
+    the pairs the batch kernel answered, in the lanes or the parent.
     """
     if not pairs:
         return []
@@ -145,9 +158,11 @@ def parallel_decisions(
             # a shard that raised, hung or kept killing its lane: the
             # parent decides it, so a predicate error raises in the
             # caller's frame exactly like a serial sweep would
-            lambda idx, kind, detail: _decide_serial(
+            lambda idx, kind, detail: _decide_counted(
                 family, shards[idx], store, fkey, batch),
             timeout=timeout, retries=retries)
     if results is None:
         return None
-    return [decision for part in results for decision in part]
+    if counters is not None:
+        counters["batched"] += sum(batched for __, batched in results)
+    return [decision for part, __ in results for decision in part]

@@ -35,8 +35,8 @@ worker process can start) returns ``None`` and the caller falls back to
 the cold path — the pool is an optimisation, never a correctness
 concern.  :func:`pool_stats` (surfaced as
 ``repro.obs.warm_pool_stats``) exposes the broadcast/payload/warm-hit
-counters the payload-budget gate in ``benchmarks/record.py`` asserts
-on.
+counters; ``tests/test_warm_pool.py`` holds the per-pair payload to its
+byte budget through them.
 """
 
 from __future__ import annotations
@@ -346,12 +346,14 @@ class WarmPool:
     # -- sweep fan-out -------------------------------------------------
     def decide(self, family, pairs: Sequence[Tuple[Bits, Bits]], jobs: int,
                timeout: Optional[float] = None, retries: int = 1,
-               store=None, fkey=None,
-               batch: bool = True) -> Optional[List[bool]]:
+               store=None, fkey=None, batch: bool = True,
+               counters: Optional[Dict[str, int]] = None,
+               ) -> Optional[List[bool]]:
         """Decide ``pairs`` across warm lanes, in request order.
 
         Mirrors :func:`repro.experiments.sweep.parallel_decisions`:
-        ``None`` only when warm fan-out is impossible from the start.
+        ``None`` only when warm fan-out is impossible from the start,
+        and ``counters["batched"]`` grows by the kernel-answered pairs.
         """
         if not pairs:
             return []
@@ -398,7 +400,7 @@ class WarmPool:
             # raised, hung or kept losing its lane: the parent decides
             # it, so a predicate error raises in the caller's frame
             return _decide_serial(family, shards[idx], store, fkey,
-                                  batch=batch), None
+                                  batch=batch, counters=counters), None
 
         try:
             results = drain(lanes, range(len(shards)), submit, fallback,
@@ -408,16 +410,19 @@ class WarmPool:
         if results is None:
             return None
         out: List[bool] = []
-        for idx, (decisions, counters) in enumerate(results):
+        for idx, (decisions, shard_counts) in enumerate(results):
             out.extend(decisions)
+            if shard_counts is None:  # decided by the parent
+                continue
+            hits, kernel_pairs, state_hits, state_misses = shard_counts
             if counters is not None:
-                hits, kernel_pairs, state_hits, state_misses = counters
-                self.stats.warm_hits += hits
-                self.stats.shards += 1
-                self.stats.pairs_shipped += len(shards[idx])
-                self.stats.kernel_batched += kernel_pairs
-                self.stats.kernel_state_hits += state_hits
-                self.stats.kernel_state_misses += state_misses
+                counters["batched"] += kernel_pairs
+            self.stats.warm_hits += hits
+            self.stats.shards += 1
+            self.stats.pairs_shipped += len(shards[idx])
+            self.stats.kernel_batched += kernel_pairs
+            self.stats.kernel_state_hits += state_hits
+            self.stats.kernel_state_misses += state_misses
         return out
 
     # -- experiment fan-out --------------------------------------------
@@ -494,15 +499,16 @@ def _warmable() -> bool:
 
 def pool_decisions(family, pairs: Sequence[Tuple[Bits, Bits]], jobs: int,
                    timeout: Optional[float] = None, retries: int = 1,
-                   store=None, fkey=None,
-                   batch: bool = True) -> Optional[List[bool]]:
+                   store=None, fkey=None, batch: bool = True,
+                   counters: Optional[Dict[str, int]] = None,
+                   ) -> Optional[List[bool]]:
     """Warm-pool twin of :func:`repro.experiments.sweep.
     parallel_decisions` — ``None`` means fall back to the cold path."""
     if not _warmable():
         return None
     return get_pool().decide(family, pairs, jobs, timeout=timeout,
                              retries=retries, store=store, fkey=fkey,
-                             batch=batch)
+                             batch=batch, counters=counters)
 
 
 def run_experiments(ids: Sequence[str], quick: bool = True, jobs: int = 2,

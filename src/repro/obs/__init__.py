@@ -19,8 +19,8 @@ Three layers:
   solvers, surfaced through ``ExperimentRecord.measured``.
 
 ``repro report trace <trace>`` renders a trace into a round-by-round
-summary; ``repro report bench``/``repro report fuzz`` render the bench
-trajectory and fuzz artifacts (see :mod:`repro.obs.report`).
+summary; ``repro report fuzz`` renders fuzz artifacts (see
+:mod:`repro.obs.report`).
 """
 
 from repro.obs.trace import (
@@ -63,7 +63,6 @@ from repro.obs.profile import (
     top_profile,
 )
 from repro.obs.report import (
-    render_bench_report,
     render_fuzz_report,
     render_report,
     select_run,
@@ -103,6 +102,5 @@ __all__ = [
     "warm_pool_stats",
     "render_report",
     "select_run",
-    "render_bench_report",
     "render_fuzz_report",
 ]

@@ -2,23 +2,10 @@
 
 - :mod:`repro.obs.report.trace_view` — round-by-round summary of a
   simulator trace (JSONL or compact binary), streaming.
-- :mod:`repro.obs.report.bench_view` — p50-per-SHA bench trajectory
-  from ``BENCH_simulator.json``, with the delta/regression arithmetic
-  shared with ``benchmarks/record.py``.
 - :mod:`repro.obs.report.fuzz_view` — summary of a
   ``repro check --report-dir`` artifact directory.
 """
 
-from repro.obs.report.bench_view import (
-    DEFAULT_TOLERANCE,
-    BenchHistoryError,
-    bench_delta,
-    bench_rows,
-    format_entry,
-    latest_entry,
-    load_bench_history,
-    render_bench_report,
-)
 from repro.obs.report.fuzz_view import load_fuzz_report, render_fuzz_report
 from repro.obs.report.trace_view import read_trace, render_report, select_run
 
@@ -26,14 +13,6 @@ __all__ = [
     "render_report",
     "select_run",
     "read_trace",
-    "DEFAULT_TOLERANCE",
-    "BenchHistoryError",
-    "load_bench_history",
-    "latest_entry",
-    "bench_delta",
-    "bench_rows",
-    "format_entry",
-    "render_bench_report",
     "load_fuzz_report",
     "render_fuzz_report",
 ]

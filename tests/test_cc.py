@@ -96,10 +96,25 @@ class TestGamma:
 
 class TestTwoPartySimulation:
     def test_budget_respected(self, rng):
+        """Flooding on a random k=4 pair, and BFS from one root on the
+        zero pair at k=8."""
+        from repro.congest.algorithms.basic import BfsFromRoot
+        from repro.congest.model import CongestSimulator
+
         fam = MdsFamily(4)
         x, y = random_input_pairs(16, 2, rng)[0]
         g = fam.build(x, y)
         sim = simulate_two_party(g, fam.alice_vertices(), FloodMinId)
+        assert sim.within_budget
+        assert sim.cut_bits > 0
+        assert sim.ecut_size == len(fam.cut_edges())
+
+        fam = MdsFamily(8)
+        g = fam.build(fam.zero_input(), fam.zero_input())
+        root = sorted(g.vertices(), key=repr)[0]
+        root_uid = CongestSimulator(g).uid_of[root]
+        sim = simulate_two_party(g, fam.alice_vertices(), BfsFromRoot,
+                                 inputs={v: root_uid for v in g.vertices()})
         assert sim.within_budget
         assert sim.cut_bits > 0
         assert sim.ecut_size == len(fam.cut_edges())

@@ -92,7 +92,8 @@ class TestConstruction:
 class TestClaims:
     def test_iff_exhaustive_quarter(self, fam):
         """Claims 2.1 + 2.2 over a quarter of the full k=2 input space
-        (the full 256-pair sweep runs in the benchmark suite)."""
+        (CI's `verify hamiltonian-path -k 2 --grid` sweeps all 256
+        pairs)."""
         pairs = [(x, y) for x in product((0, 1), repeat=4)
                  for y in product((0, 1), repeat=4)
                  if x[0] == 0 and y[3] == 0]
@@ -106,10 +107,14 @@ class TestClaims:
         assert is_hamiltonian_path(fam.build(x, y), path)
 
     def test_witness_path_k4(self, rng):
-        fam4 = HamiltonianPathFamily(4)
-        x, y = random_intersecting_pair(16, rng)
-        path = fam4.witness_path(x, y)
-        assert len(path) == fam4.n_vertices()
+        """A random intersecting pair at k=4, and x_9 = y_9 = 1 at k=8
+        (n=390)."""
+        unit = tuple(int(i == 9) for i in range(64))
+        for k, (x, y) in ((4, random_intersecting_pair(16, rng)),
+                          (8, (unit, unit))):
+            famk = HamiltonianPathFamily(k)
+            path = famk.witness_path(x, y)
+            assert len(path) == famk.n_vertices()
 
     def test_no_witness_when_disjoint(self, fam, rng):
         x, y = random_disjoint_pair(4, rng)

@@ -357,35 +357,6 @@ class TestStudioCli:
         with pytest.raises(SystemExit):
             main(["report", "trace", str(path), "--run", "9"])
 
-    def test_report_bench(self, tmp_path, capsys):
-        from repro.cli import main
-
-        history = {
-            "bench_fast": [
-                {"sha": "aaa", "date": "2026-01-01", "p50_ms": 100.0},
-                {"sha": "bbb", "date": "2026-01-02", "p50_ms": 50.0},
-            ],
-            "bench_slow": [
-                {"sha": "aaa", "date": "2026-01-01", "p50_ms": 100.0},
-                {"sha": "bbb", "date": "2026-01-02", "p50_ms": 200.0},
-            ],
-        }
-        path = tmp_path / "hist.json"
-        path.write_text(json.dumps(history))
-        main(["report", "bench", str(path)])
-        out = capsys.readouterr().out
-        assert "Bench trajectory" in out
-        assert "| bench_fast | 50.0ms@bbb | 100.0ms@aaa | -50% |" in out
-        assert "improved" in out
-        assert "**REGRESSION**" in out
-        assert "1 regression(s)" in out
-
-    def test_report_bench_missing(self, tmp_path):
-        from repro.cli import main
-
-        with pytest.raises(SystemExit):
-            main(["report", "bench", str(tmp_path / "nope.json")])
-
     def test_report_fuzz(self, tmp_path, capsys):
         from repro.cli import main
 

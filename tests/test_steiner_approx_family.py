@@ -183,6 +183,27 @@ class TestDirectedBatchKernel:
         assert plain.batched == 0
         assert report.decisions == plain.decisions
 
+    def test_sweep_through_lanes_counts_kernel_pairs(self, collection):
+        """Pairs decided in warm-pool or cold lanes count as batched, as
+        they do on the serial path."""
+        from repro.experiments import warm_pool
+        from repro.experiments.sweep import parallel_decisions
+
+        pairs = _k2_grid()[::8]
+        warm_pool.shutdown_pool()
+        try:
+            report = sweep(DirectedSteinerFamily(collection), pairs,
+                           jobs=2, memo=False)
+        finally:
+            warm_pool.shutdown_pool()
+        assert report.solved == 512
+        assert report.batched == report.solved
+        counters = {"batched": 0}
+        cold = parallel_decisions(DirectedSteinerFamily(collection), pairs,
+                                  2, counters=counters)
+        assert cold == report.decisions
+        assert counters["batched"] == 512
+
     def test_decide_batch_builds_no_graph(self, collection, monkeypatch):
         fam = DirectedSteinerFamily(collection)
         fam.skeleton()  # the cached skeleton is built once, up front

@@ -50,6 +50,16 @@ def _serial_decisions(make, pairs):
     return [fam.predicate(fam.build(x, y)) for x, y in pairs]
 
 
+class CrashKernelInWorkers(MdsFamily):
+    """The batch kernel hard-kills any process that is not the test
+    parent."""
+
+    def decide_batch(self, skeleton, pairs, **kwargs):
+        if os.getpid() != PARENT_PID:
+            os._exit(17)
+        return super().decide_batch(skeleton, pairs, **kwargs)
+
+
 class CrashOnceInWorkers(MdsFamily):
     """Predicate hard-kills the first worker process that decides the
     trigger pair; later attempts (and the parent) decide normally."""
@@ -145,8 +155,8 @@ class TestBroadcastProtocol:
         assert pool_stats()["broadcasts"] > after_first
 
     def test_payload_budget(self):
-        # the fixed per-pair byte budget (mirrors the record.py CI gate);
-        # needs grid-sized shards so per-shard headers amortize
+        # the fixed per-pair byte budget of a steady-state shard; needs
+        # grid-sized shards so per-shard headers amortize
         from itertools import product
 
         k = MdsFamily(2).k_bits
@@ -199,6 +209,18 @@ class TestFailureSemantics:
         assert got == want
         assert time.monotonic() - start < 120  # wedged lanes torn down
         assert pool_stats()["lane_respawns"] >= 1
+
+    def test_parent_decided_shards_count_kernel_pairs(self):
+        # every lane dies in the kernel, so the parent decides each
+        # shard, and its kernel answers still reach the counter
+        fam = CrashKernelInWorkers(2)
+        pairs = _pairs(fam, 12, seed=8)
+        want = _serial_decisions(MdsFamily, pairs)
+        for decide in (pool_decisions, parallel_decisions):
+            counters = {"batched": 0}
+            assert decide(fam, pairs, 2, retries=0,
+                          counters=counters) == want
+            assert counters["batched"] == len(pairs)
 
     def test_unpicklable_family_returns_none(self):
         class Local(MdsFamily):
