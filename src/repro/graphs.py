@@ -642,10 +642,6 @@ class Graph:
                 self._edge_weight[key] = weight
                 self._dirty_edge_weights()
 
-    def add_edges(self, edges: Iterable[Edge], weight: Optional[float] = None) -> None:
-        for u, v in edges:
-            self.add_edge(u, v, weight=weight)
-
     def add_clique(self, vs: Iterable[Vertex], weight: Optional[float] = None) -> None:
         vs = list(vs)
         for i, u in enumerate(vs):

@@ -21,11 +21,11 @@ input-independent out of the loop **once per skeleton**:
   ball masks (the adjacency is input-independent for the k-MDS family —
   inputs only re-weight the S_i / S̄_i vertices);
 - :class:`ThresholdCutBatchKernel` enumerates the skeleton's cut
-  weights with a meet-in-the-middle matmul *grouped by the assignment
-  of the delta-touched vertices D*, collapsing the input-independent
-  remainder into one ``g[d] = max fixed cut given D-assignment d``
-  table; a pair reduces to ``max_d(g[d] + delta_cut_d)`` over numpy
-  rows of length ``2^|D|``;
+  weights with a blocked meet-in-the-middle matmul *grouped by the
+  assignment of the delta-touched vertices D*, collapsing the
+  input-independent remainder into one ``g[d] = max fixed cut given
+  D-assignment d`` table; a pair reduces to
+  ``max_d(g[d] + delta_cut_d)`` over numpy rows of length ``2^|D|``;
 - :class:`DirectedSteinerBatchKernel` reads each S_i / S̄_i element
   mask straight from the pair's bits (the arcs a 1-bit installs are
   fixed by the covering collection), so a pair builds no graph and
@@ -226,6 +226,12 @@ class ThresholdCutBatchKernel:
     numpy row over the ``2^|D|`` D-assignments.  Exact for integral
     edge weights (everything stays far below 2^53 in float64).
 
+    The ``2^h x 2^|D|`` cross table behind ``g`` is never held whole:
+    :func:`repro.solvers.maxcut.cut_table_blocks` yields it in row
+    blocks of at most ``max(2^16, 2^|D|)`` entries, and ``g`` keeps a
+    running column maximum, so the build holds a few ``2^h``- and
+    ``2^|D|``-long vectors plus one block (a 1 MiB traced peak at k = 2).
+
     Raises :class:`ValueError` when the instance is out of range
     (non-integral weights, blocks beyond ``2^20`` or their product
     beyond ``2^22``) and ``ImportError`` without numpy — callers degrade
@@ -235,7 +241,9 @@ class ThresholdCutBatchKernel:
     monotone = False  # 0-bits add row edges, 1-bits add N-weight
 
     _MAX_BLOCK_BITS = 20
-    _MAX_TOTAL_BITS = 22  # 32 MiB per 2^(b+h) table; k=2 max-cut is 20
+    # bounds the work: 2^(b+h) cut totals per build, about 4× the k=2
+    # max-cut table (2^20); the blocked table keeps memory flat anyway
+    _MAX_TOTAL_BITS = 22
 
     def __init__(self, skeleton, delta_vertices: Sequence[Vertex],
                  target: float,
@@ -243,6 +251,8 @@ class ThresholdCutBatchKernel:
                                           Iterable[Tuple[Vertex, Vertex,
                                                          float]]]) -> None:
         import numpy as np
+
+        from repro.solvers.maxcut import cut_table_blocks
 
         order = list(skeleton.vertices())
         dset = set(delta_vertices)
@@ -258,7 +268,6 @@ class ThresholdCutBatchKernel:
         if b > self._MAX_BLOCK_BITS or h > self._MAX_BLOCK_BITS:
             raise ValueError(f"blocks 2^{b} x 2^{h} too large to enumerate")
         if b + h > self._MAX_TOTAL_BITS:
-            # Q below is a dense 2^h x 2^b float64 matrix
             raise ValueError(f"cross table 2^{b} x 2^{h} too large")
         pos: Dict[Vertex, int] = {}
         for i, v in enumerate(low):
@@ -313,9 +322,13 @@ class ThresholdCutBatchKernel:
         col_w = W.sum(axis=0)                      # per low bit
         hi_vec = high_cut + row_w @ S_high         # (2^h,)
         lo_vec = low_cut + col_w @ S_low           # (2^b,)
-        Q = (W.T @ S_high).T @ S_low if h else np.zeros((1, 1 << b))
-        # g[m] = lo_vec[m] + max_t (hi_vec[t] - 2 Q[t, m])
-        self._g = lo_vec + np.max(hi_vec[:, None] - 2.0 * Q, axis=0)
+        # g[m] = max_t (hi_vec[t] + lo_vec[m] - 2 Q[t, m]) with
+        # Q = S_high.T @ W @ S_low, one block of rows t at a time
+        g = np.full(1 << b, -np.inf)
+        for __, block in cut_table_blocks(hi_vec, lo_vec, S_high.T @ W,
+                                          S_low):
+            np.maximum(g, block.max(axis=0), out=g)
+        self._g = g
         self._low_bits = S_low                     # (b, 2^b) float rows
         self._dpos = {v: i for i, v in enumerate(low)}
         self._target = float(target)

@@ -23,27 +23,57 @@ def cut_weight(graph: Graph, side: Sequence[Vertex]) -> float:
                for u, v in graph.edges() if (u in s) != (v in s))
 
 
-#: Masks per chunk of the vectorized sweep; bounds peak memory at
-#: roughly ``n`` uint8 rows of this length (≈26 MB at n = 25) instead of
-#: materializing all 2^(n-1) masks as int64 at once.
-_MAXCUT_CHUNK = 1 << 20
+#: Entries per block of every 2^(n-1)-cut table in this module: the
+#: meet-in-the-middle cross table (:func:`cut_table_blocks`) and the
+#: masks of the vectorized sweep.  One float64 block is 512 KiB, so a
+#: table's peak memory does not grow with n.
+_BLOCK = 1 << 16
+
+
+def cut_table_blocks(high, low, cross, low_bits):
+    """Yield ``(r0, block)`` over the meet-in-the-middle cut table
+    ``T[t, m] = high[t] + low[m] - 2 * (cross[t] @ low_bits[:, m])`` in
+    ascending blocks of rows: ``block`` is ``T[r0:r1]``.
+
+    ``cross`` is ``(2^h, b)`` and ``low_bits`` the ``(b, 2^b)`` bit
+    matrix of the low block.  Each block is one matmul into a single
+    reused buffer of at most ``max(_BLOCK, 2^b)`` float64 entries,
+    finished in place, so the caller must consume a block before asking
+    for the next.  Every value is an integer below 2^53, so each entry
+    is exact whatever the summation order.
+    """
+    import numpy as np
+
+    low_bits = np.ascontiguousarray(low_bits)
+    H, L = high.shape[0], low.shape[0]
+    rows_per = min(H, max(1, _BLOCK // L))
+    buf = np.empty((rows_per, L))
+    for r0 in range(0, H, rows_per):
+        r1 = min(r0 + rows_per, H)
+        block = buf[:r1 - r0]
+        np.matmul(cross[r0:r1], low_bits, out=block)
+        block *= -2.0
+        block += high[r0:r1, None]
+        block += low
+        yield r0, block
 
 
 def max_cut_vectorized(graph: Graph, limit: int = 25) -> Tuple[float, List[Vertex]]:
     """Exact max cut via a vectorized sweep over all 2^(n-1) sides.
 
-    The sweep is chunked: for each block of masks it extracts one uint8
-    membership row per vertex, XORs the two endpoint rows per edge, and
-    accumulates.  When every weight is integral (the Figure 3 instances
-    are unweighted) edges are grouped by weight and crossing edges are
-    *counted* in int16 before one multiply per distinct weight — every
-    intermediate is an integer below 2^53, so the float64 totals are
-    exact and identical to per-edge accumulation.  Otherwise it falls
-    back to accumulating ``w * xor`` per edge in ``graph.edges()`` order,
-    reproducing the historical float rounding bit-for-bit.  Either way
-    the first-maximum tie-breaking of a single whole-array ``argmax`` is
-    preserved: chunks are scanned in ascending mask order and a later
-    chunk wins only on a strictly greater total.
+    The sweep is chunked into ``_BLOCK`` masks at a time, so it holds
+    ``n`` uint8 rows of 64 KiB whatever n: for each chunk it extracts
+    one uint8 membership row per vertex, XORs the two endpoint rows per
+    edge, and accumulates.  When every weight is integral (the Figure 3
+    instances are unweighted) edges are grouped by weight and crossing
+    edges are *counted* in int16 before one multiply per distinct
+    weight — every intermediate is an integer below 2^53, so the float64
+    totals are exact and identical to per-edge accumulation.  Otherwise
+    it falls back to accumulating ``w * xor`` per edge in
+    ``graph.edges()`` order, reproducing the historical float rounding
+    bit-for-bit.  Either way the first-maximum tie-breaking of a single
+    whole-array ``argmax`` is preserved: chunks are scanned in ascending
+    mask order and a later chunk wins only on a strictly greater total.
     """
     import numpy as np
 
@@ -67,8 +97,8 @@ def max_cut_vectorized(graph: Graph, limit: int = 25) -> Tuple[float, List[Verte
     best = 0.0
     best_idx = 0
     have_best = False
-    for lo in range(0, total_masks, _MAXCUT_CHUNK):
-        hi = min(lo + _MAXCUT_CHUNK, total_masks)
+    for lo in range(0, total_masks, _BLOCK):
+        hi = min(lo + _BLOCK, total_masks)
         masks = np.arange(lo, hi, dtype=np.int64)
         # membership rows; vertex n-1 is pinned to side 0 so its row is 0
         rows = [((masks >> i) & 1).astype(np.uint8) for i in range(n - 1)]
@@ -107,18 +137,21 @@ def _max_cut_mitm(graph: Graph) -> Tuple[float, List[Vertex]]:
     only ``2^b``/``2^h`` masks), ``SL``/``SH`` the linear cross terms
     (``Σ w·a_i`` over cross edges; edges to the pinned vertex contribute
     to ``SL``/``SH`` only), and ``Q`` the bilinear term ``Σ w·a_i·c_j``
-    — one BLAS matmul over the bit matrices.  Everything is held in
+    — BLAS matmuls over the bit matrices.  Everything is held in
     float64 whose values are integers below 2^53, so each total is
     *exactly* the cut weight and comparisons agree bit-for-bit with the
     incremental Gray-code walk and the chunked sweep.
 
+    The table is evaluated in ascending row blocks of at most
+    ``_BLOCK`` totals by :func:`cut_table_blocks`, never whole.
     Tie-breaking replicates the historical path for each size window:
-    for ``n <= 16`` the totals are permuted into Gray-visit order and
-    the first argmax taken (the Gray walk keeps the earliest strict
-    maximum, starting from mask 0 at value 0.0); for ``16 < n <= 25``
-    blocks of ascending masks are scanned with a strictly-greater
-    running best, matching :func:`max_cut_vectorized`.  Requires
-    integral weights (checked by the caller).
+    for ``n <= 16`` the table fits in one block, whose totals are
+    permuted into Gray-visit order and the first argmax taken (the Gray
+    walk keeps the earliest strict maximum, starting from mask 0 at
+    value 0.0); above ``n = 16`` one path scans the ascending blocks
+    with a strictly-greater running best, matching
+    :func:`max_cut_vectorized`.  Requires integral weights (checked by
+    the caller).
     """
     import numpy as np
 
@@ -171,33 +204,27 @@ def _max_cut_mitm(graph: Graph) -> Tuple[float, List[Vertex]]:
     cut_h, C = block_cuts(h, H, high_edges, True)
     low_totals = cut_l + A @ sl
     high_totals = cut_h + C @ sh
-    CW = C @ W  # (H, b); Q[hi, lo] = (CW @ A.T)[hi, lo]
+    CW = C @ W  # (H, b); cross term of row hi is CW[hi] @ A.T
 
-    if free <= 20:
-        totals = (high_totals[:, None] + low_totals[None, :]
-                  - 2.0 * (CW @ A.T)).ravel()
-        if n <= 16:
-            # Gray-visit order: mask at step s is s ^ (s >> 1)
-            g = np.arange(1 << free, dtype=np.int64)
-            g ^= g >> 1
-            vals = totals[g]
-            idx = int(np.argmax(vals))
-            return float(vals[idx]), bg.unmask(int(g[idx]))
-        idx = int(np.argmax(totals))
-        return float(totals[idx]), bg.unmask(idx)
+    blocks = cut_table_blocks(high_totals, low_totals, CW, A.T)
+    if n <= 16:
+        # one block holds all 2^15 or fewer totals; take them in
+        # Gray-visit order: the mask at step s is s ^ (s >> 1)
+        __, table = next(blocks)
+        g = np.arange(1 << free, dtype=np.int64)
+        g ^= g >> 1
+        vals = table.ravel()[g]
+        idx = int(np.argmax(vals))
+        return float(vals[idx]), bg.unmask(int(g[idx]))
 
-    # large window: ascending blocks of hi rows, strictly-greater
-    # running best — the same first-argmax the chunked sweep computes
-    rows_per = max(1, _MAXCUT_CHUNK // L)
+    # ascending blocks, strictly-greater running best: the same first
+    # argmax the chunked sweep computes
     best = 0.0
     best_mask = 0
     have_best = False
-    for r0 in range(0, H, rows_per):
-        r1 = min(r0 + rows_per, H)
-        block = (high_totals[r0:r1, None] + low_totals[None, :]
-                 - 2.0 * (CW[r0:r1] @ A.T)).ravel()
+    for r0, block in blocks:
         idx = int(np.argmax(block))
-        value = float(block[idx])
+        value = float(block.flat[idx])
         if not have_best or value > best:
             best = value
             best_mask = r0 * L + idx

@@ -166,8 +166,9 @@ def test_verify_iff_batch_flag():
 
 
 def test_maxcut_kernel_declines_oversized_cross_table():
-    """At k=4 the cut-landscape table would be 2^18 x 2^18 float64
-    (512 GiB); the factory must decline before numpy allocates it."""
+    """At k=4 the cut-landscape table has 2^18 x 2^18 totals, far past
+    the work guard; the factory must decline before numpy allocates
+    anything."""
     import tracemalloc
 
     fam = MaxCutFamily(4)
@@ -179,3 +180,58 @@ def test_maxcut_kernel_declines_oversized_cross_table():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _dense_g_reference(skeleton, delta_vertices):
+    """``g[d] = max fixed cut over sides S with S ∩ D = d``, from the
+    whole 2^(n-1) cut table at once.  Bit i of d is ``delta_vertices[i]``;
+    the last non-D vertex in ``skeleton.vertices()`` order is pinned to
+    side 0, as in the kernel."""
+    import numpy as np
+
+    dset = set(delta_vertices)
+    free = [v for v in skeleton.vertices() if v not in dset]
+    bit = {v: i for i, v in enumerate(list(delta_vertices) + free[:-1])}
+    masks = np.arange(1 << len(bit), dtype=np.int64)
+
+    def side(v):
+        return (masks >> bit[v]) & 1 if v in bit else 0
+
+    totals = np.zeros(masks.shape[0])
+    for (u, v), w in skeleton.edge_weights().items():
+        totals += float(w) * (side(u) ^ side(v))
+    return totals.reshape(-1, 1 << len(delta_vertices)).max(axis=0)
+
+
+def test_maxcut_kernel_table_is_bit_identical_to_dense_reference():
+    """The blocked cross table must give exactly the ``g`` of the whole
+    table, byte for byte."""
+    fam = MaxCutFamily(2)
+    skeleton = fam.skeleton()
+    kernel = fam.make_batch_kernel(skeleton)
+    want = _dense_g_reference(skeleton, list(kernel._dpos))
+    assert kernel._g.dtype == want.dtype
+    assert kernel._g.tobytes() == want.tobytes()
+
+
+def test_maxcut_tables_stay_small():
+    """The k=2 kernel build and an exact k=2 solve each range over 2^20
+    cuts in fixed-size blocks; neither may hold the table whole (a dense
+    float64 table alone is 8 MiB)."""
+    import tracemalloc
+
+    from repro.solvers import max_cut
+
+    fam = MaxCutFamily(2)
+    skeleton = fam.skeleton()
+    graph = fam.build((1, 0, 0, 1), (0, 1, 1, 0))
+    peaks = []
+    for call in (lambda: fam.make_batch_kernel(skeleton),
+                 lambda: max_cut(graph)):
+        tracemalloc.start()
+        try:
+            assert call() is not None
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 4 << 20, peaks

@@ -121,6 +121,24 @@ class TestDispatch:
         monkeypatch.setattr(mc, "max_cut_vectorized", unexpected)
         assert mc.max_cut(g) == expected
 
+    @pytest.mark.parametrize("n", [17, 21, 22, 25])
+    def test_mitm_blocks_match_the_sweep_exactly(self, n):
+        """One table block at n = 17, then 16, 32 and 256 of them: the
+        blocked meet-in-the-middle must return the sweep's (value, side)
+        exactly, ties included (unit weights tie often, signed weights
+        drive totals negative)."""
+        import random
+
+        import repro.solvers.maxcut as mc
+
+        rng = random.Random(n)
+        unit = random_graph(n, 0.3, rng)
+        signed = random_graph(n, 0.3, rng)
+        for u, v in signed.edges():
+            signed.set_edge_weight(u, v, rng.randint(-3, 5))
+        for g in (unit, signed):
+            assert mc.max_cut(g) == mc.max_cut_vectorized(g)
+
     def test_caller_limit_still_enforced(self):
         g = self._mid_size_graph()
         with pytest.raises(ValueError):

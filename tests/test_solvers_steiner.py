@@ -224,7 +224,8 @@ class TestNodeWeightedSteiner:
 
     def test_chooses_cheaper_branch(self):
         g = Graph()
-        g.add_edges([("s", "a"), ("a", "t"), ("s", "b"), ("b", "t")])
+        for u, v in (("s", "a"), ("a", "t"), ("s", "b"), ("b", "t")):
+            g.add_edge(u, v)
         g.set_vertex_weight("s", 0)
         g.set_vertex_weight("t", 0)
         g.set_vertex_weight("a", 3)
@@ -252,7 +253,8 @@ class TestNodeWeightedSteiner:
 
     def test_disconnected_terminals(self):
         g = Graph()
-        g.add_edges([(0, 1), (2, 3)])
+        g.add_edge(0, 1)
+        g.add_edge(2, 3)
         assert min_node_weighted_steiner_cost(g, [0, 3]) == float("inf")
 
     @pytest.mark.parametrize("weights, want", [((1, 1, 0), "2"),
