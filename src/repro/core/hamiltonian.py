@@ -187,9 +187,10 @@ class HamiltonianPathFamily(LowerBoundGraphFamily):
         return x_arcs, y_arcs
 
     def make_batch_kernel(self, skeleton: DiGraph):
-        """Successor/predecessor bitmask rows once; each pair ORs its
-        input-arc bits and runs the mask-level search (path existence
-        via the hub reduction to the cycle solver)."""
+        """Successor/predecessor bitmask rows plus the hub of
+        :func:`repro.solvers.hamilton.with_hub`, once; each pair ORs its
+        input-arc bits and runs the cycle search that :meth:`predicate`
+        runs through :func:`find_hamiltonian_path`."""
         from repro.solvers.batch_kernels import HamiltonianPathBatchKernel
         x_arcs, y_arcs = self._input_arcs()
         return HamiltonianPathBatchKernel(skeleton, x_arcs, y_arcs)

@@ -43,7 +43,7 @@ def run_approx_maxis(quick: bool = True) -> ExperimentRecord:
     cross = 0
     for x, y in pairs[: 2 if quick else 6]:
         g = fam.build(x, y)
-        assert max_independent_set_weight(g, weighted=True) == \
+        assert max_independent_set_weight(g) == \
             fam.structured_max_weight(g)
         cross += 1
     ufam = UnweightedApproxMaxISFamily(2)
@@ -79,7 +79,7 @@ def run_linear_maxis(quick: bool = True) -> ExperimentRecord:
     cross = 0
     for x, y in pairs[: 2 if quick else 5]:
         g = fam.build(x, y)
-        assert max_independent_set_weight(g, weighted=True) == \
+        assert max_independent_set_weight(g) == \
             fam.structured_max_weight(g)
         cross += 1
     return ExperimentRecord(

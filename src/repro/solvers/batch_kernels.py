@@ -11,9 +11,11 @@ enumerations, then search.  The kernels here hoist everything
 input-independent out of the loop **once per skeleton**:
 
 - :class:`HamiltonianCycleBatchKernel` / :class:`HamiltonianPathBatchKernel`
-  precompute the skeleton's successor/predecessor bitmask rows and the
-  index pairs of each input arc; a pair costs two list copies and a few
-  OR's before the mask-level cycle search runs;
+  precompute the skeleton's successor/predecessor bitmask rows (the path
+  kernel's with the hub of :func:`repro.solvers.hamilton.with_hub`) and
+  the index pairs of each input arc; a pair costs two list copies and a
+  few OR's before the mask-level cycle search that the family's
+  ``predicate`` also runs;
 - :class:`DominationBatchKernel` precomputes the closed-neighbourhood
   ball masks of the fixed gadget; a pair patches the few balls its
   delta edges touch and runs the set-cover branch-and-bound directly;
@@ -67,21 +69,14 @@ class _HamiltonianKernelBase:
 
     def __init__(self, skeleton, x_arcs: Sequence[Tuple[Vertex, Vertex]],
                  y_arcs: Sequence[Tuple[Vertex, Vertex]]) -> None:
-        vertices = list(skeleton.vertices())
+        from repro.solvers.hamilton import _masks
+        vertices, self._succ, self._pred = _masks(skeleton)
         index = {v: i for i, v in enumerate(vertices)}
-        n = len(vertices)
-        succ = [0] * n
-        pred = [0] * n
-        for u, v in skeleton.edges():
-            succ[index[u]] |= 1 << index[v]
-            pred[index[v]] |= 1 << index[u]
-        self._n = n
-        self._succ = succ
-        self._pred = pred
         self._x_arcs = [(index[u], index[v]) for u, v in x_arcs]
         self._y_arcs = [(index[u], index[v]) for u, v in y_arcs]
 
-    def _masks(self, x: Bits, y: Bits) -> Tuple[List[int], List[int]]:
+    def decide(self, x: Bits, y: Bits) -> bool:
+        from repro.solvers.hamilton import _solve_cycle_masks
         succ = list(self._succ)
         pred = list(self._pred)
         for bits, arcs in ((x, self._x_arcs), (y, self._y_arcs)):
@@ -89,42 +84,26 @@ class _HamiltonianKernelBase:
                 if bit:
                     succ[iu] |= 1 << iv
                     pred[iv] |= 1 << iu
-        return succ, pred
+        return _solve_cycle_masks(succ, pred) is not None
 
 
 class HamiltonianCycleBatchKernel(_HamiltonianKernelBase):
     """Directed Hamiltonian cycle existence over delta-patched masks."""
 
-    def decide(self, x: Bits, y: Bits) -> bool:
-        from repro.solvers.hamilton import _solve_cycle_masks
-        succ, pred = self._masks(x, y)
-        return _solve_cycle_masks(succ, pred, self._n, [0]) is not None
-
 
 class HamiltonianPathBatchKernel(_HamiltonianKernelBase):
     """Directed Hamiltonian path existence via the hub reduction.
 
-    G has a Hamiltonian path iff G plus a hub vertex with arcs to and
-    from every vertex has a Hamiltonian cycle (the cycle enters the hub
-    after the path's last vertex and leaves it into the first), so the
-    path family reuses the contraction-based cycle search unchanged.
+    The skeleton's rows get the hub of
+    :func:`repro.solvers.hamilton.with_hub` once; input arcs never touch
+    the hub, so each pair patches the hubbed rows and runs the same
+    cycle search as :func:`repro.solvers.hamilton.find_hamiltonian_path`.
     """
 
     def __init__(self, skeleton, x_arcs, y_arcs) -> None:
+        from repro.solvers.hamilton import with_hub
         super().__init__(skeleton, x_arcs, y_arcs)
-        hub = self._n
-        full = (1 << self._n) - 1
-        self._succ.append(full)
-        self._pred.append(full)
-        for i in range(self._n):
-            self._succ[i] |= 1 << hub
-            self._pred[i] |= 1 << hub
-        self._n += 1
-
-    def decide(self, x: Bits, y: Bits) -> bool:
-        from repro.solvers.hamilton import _solve_cycle_masks
-        succ, pred = self._masks(x, y)
-        return _solve_cycle_masks(succ, pred, self._n, [0]) is not None
+        self._succ, self._pred = with_hub(self._succ, self._pred)
 
 
 class DominationBatchKernel:

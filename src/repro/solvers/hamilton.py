@@ -1,18 +1,22 @@
 """Exact Hamiltonian path / cycle search for directed and undirected graphs.
 
-The Figure 2 family (Theorem 2.2) is highly corridor-like: most vertices
-have out-degree 2-3 and wrong turns strand a vertex quickly.  A DFS with
-two structural prunes — reachability of all unvisited vertices from the
-current head, and at most one unvisited vertex with no remaining
-out-neighbour — decides these instances fast despite their size.
+Every question goes through one cycle search over bitmask rows,
+:func:`_solve_cycle_masks`.  The Figure 2 family (Theorem 2.2) is highly
+corridor-like: most vertices have in- or out-degree 1, so forced-edge
+contraction collapses most of the graph before any search, and an
+iterative DFS with two structural prunes — every unvisited vertex keeps
+an admissible successor, and all of them stay reachable from the head —
+decides the small residue.  A path is a cycle through a hub vertex with
+arcs to and from every vertex (:func:`with_hub`), which the path family's
+batch kernel shares.
 
 A Held–Karp dynamic program (n ≤ 18) is included as an independent
-cross-check used by the test-suite.
+cross-check used by the invariants and the test-suite.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.graphs import DiGraph, Graph, Vertex
 from repro.solvers._bitmask import popcount
@@ -52,6 +56,34 @@ def is_hamiltonian_cycle(graph: AnyGraph, cycle: Sequence[Vertex]) -> bool:
             and dg.has_edge(cycle[-1], cycle[0]))
 
 
+def _masks(dg: DiGraph) -> Tuple[List[Vertex], List[int], List[int]]:
+    """``dg``'s vertices with their successor and predecessor bitmask
+    rows: bit ``j`` of ``succ[i]`` is set iff ``vertices[i] ->
+    vertices[j]`` is an arc, and ``pred`` is its transpose."""
+    vertices = dg.vertices()
+    index = {v: i for i, v in enumerate(vertices)}
+    succ = [0] * len(vertices)
+    pred = [0] * len(vertices)
+    for u, v in dg.edges():
+        iu, iv = index[u], index[v]
+        succ[iu] |= 1 << iv
+        pred[iv] |= 1 << iu
+    return vertices, succ, pred
+
+
+def with_hub(succ: Sequence[int],
+             pred: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """New rows with a hub vertex, index ``len(succ)``, that has arcs to
+    and from every vertex.  G has a Hamiltonian path iff G plus the hub
+    has a Hamiltonian cycle: the cycle enters the hub after the path's
+    last vertex and leaves it into the first.  A vertex with in-degree 0
+    in G keeps only the hub's arc in, so contraction forces the path to
+    start there."""
+    hub = 1 << len(succ)
+    return ([m | hub for m in succ] + [hub - 1],
+            [m | hub for m in pred] + [hub - 1])
+
+
 def _byte_union_tables(masks: List[int], n: int) -> List[List[int]]:
     """Per-byte union tables over ``masks``: ``tables[c][b]`` is the
     union of ``masks[8c + i]`` for every bit ``i`` set in byte ``b``.
@@ -72,173 +104,8 @@ def _byte_union_tables(masks: List[int], n: int) -> List[List[int]]:
     return tables
 
 
-class _HamSolver:
-    """Bitmask DFS core.
-
-    The visited set and all adjacency live in integer bitmasks, so the
-    two structural prunes run as word-parallel mask algebra instead of
-    per-vertex list BFS — the dominant cost of the Figure 2 sweeps:
-
-    - *dead ends*: a vertex stripped of every admissible successor is
-      detected via ``unvisited & ~live`` where ``live`` (the union of
-      predecessor masks over the admissible set) comes from per-byte
-      union tables — a handful of lookups per check;
-    - *reachability*: every unvisited vertex must stay reachable from
-      the head; a frontier BFS ORs successor masks per round.
-
-    Both prunes are *sound* (they only cut subtrees that provably
-    contain no completion), so the solver may also skip them where they
-    cannot pay: forced moves (a single unvisited successor) are walked
-    iteratively without re-checking viability — each skipped check costs
-    at most the one forced step the prune could have saved, so the
-    search cannot blow up, and the first completion found is identical.
-
-    ``succ`` keeps the label-sorted successor *lists* as well: branch
-    points iterate options in that order with a stable most-constrained
-    sort, so the returned path/cycle is exactly what the historical
-    list-based implementation produced.
-    """
-
-    def __init__(self, dg: DiGraph) -> None:
-        self.vertices = list(dg.vertices())
-        self.index = {v: i for i, v in enumerate(self.vertices)}
-        self.n = len(self.vertices)
-        self.succ: List[List[int]] = [[] for __ in range(self.n)]
-        self.succ_mask: List[int] = [0] * self.n
-        self.pred_mask: List[int] = [0] * self.n
-        for u, v in dg.edges():
-            iu, iv = self.index[u], self.index[v]
-            self.succ[iu].append(iv)
-            self.succ_mask[iu] |= 1 << iv
-            self.pred_mask[iv] |= 1 << iu
-        self.full = (1 << self.n) - 1
-        #: successor mask keyed by isolated low bit — the BFS inner loop
-        #: avoids a bit_length() + list index per expanded vertex
-        self.succ_by_low: Dict[int, int] = {
-            1 << i: m for i, m in enumerate(self.succ_mask)}
-        self._pred_tables: Optional[List[List[int]]] = None
-        self._succ_tables: Optional[List[List[int]]] = None
-        self.nodes_expanded = 0
-
-    def _live_mask(self, allowed: int) -> int:
-        """Union of ``pred_mask`` over ``allowed``: every vertex with at
-        least one successor inside ``allowed``."""
-        pt = self._pred_tables
-        if pt is None:
-            pt = self._pred_tables = _byte_union_tables(self.pred_mask,
-                                                        self.n)
-        live = 0
-        c = 0
-        while allowed:
-            live |= pt[c][allowed & 255]
-            allowed >>= 8
-            c += 1
-        return live
-
-    def _reach_all(self, unvisited: int, head: int) -> bool:
-        """Is every ``unvisited`` vertex reachable from ``head`` through
-        unvisited vertices?  Bitmask BFS: each round ORs the successor
-        masks of the current frontier."""
-        sbl = self.succ_by_low
-        seen = 0
-        frontier = self.succ_mask[head] & unvisited
-        while frontier:
-            seen |= frontier
-            new = 0
-            m = frontier
-            while m:
-                low = m & -m
-                new |= sbl[low]
-                m ^= low
-            frontier = new & unvisited & ~seen
-        return not unvisited & ~seen
-
-    def _viable(self, visited: int, head: int, target: Optional[int]) -> bool:
-        """Prunes: at most one unvisited dead end (which must be
-        ``target`` if specified); every unvisited vertex reachable from
-        ``head``."""
-        unvisited = self.full & ~visited
-        dead = unvisited & ~self._live_mask(unvisited)
-        if dead:
-            if dead & (dead - 1):
-                return False
-            if target is not None and dead != 1 << target:
-                return False
-        return self._reach_all(unvisited, head)
-
-    def path(self, source: Optional[int], target: Optional[int]) -> Optional[List[int]]:
-        starts = [source] if source is not None else list(range(self.n))
-        for s in starts:
-            path = [s]
-            if self._dfs(1 << s, path, target):
-                return path
-        return None
-
-    def _dfs(self, visited: int, path: List[int],
-             target: Optional[int]) -> bool:
-        n = self.n
-        succ_mask = self.succ_mask
-        head = path[-1]
-        base_len = len(path)
-        while True:
-            self.nodes_expanded += 1
-            if len(path) == n:
-                if target is None or head == target:
-                    return True
-                break
-            avail = succ_mask[head] & ~visited
-            if not avail:
-                break
-            if avail & (avail - 1):  # branch point: prune, order, recurse
-                if not self._viable(visited, head, target):
-                    break
-                unvisited = self.full & ~visited
-                # most-constrained-successor ordering (stable, so ties
-                # keep the label-sorted successor order)
-                options = [w for w in self.succ[head]
-                           if not visited >> w & 1]
-                options.sort(key=lambda w: popcount(succ_mask[w] & unvisited))
-                for w in options:
-                    if target is not None and w == target \
-                            and len(path) != n - 1:
-                        continue
-                    path.append(w)
-                    if self._dfs(visited | 1 << w, path, target):
-                        return True
-                    path.pop()
-                break
-            # forced move — walk it without a viability check
-            w = avail.bit_length() - 1
-            if target is not None and w == target and len(path) != n - 1:
-                break
-            visited |= avail
-            path.append(w)
-            head = w
-        del path[base_len:]
-        return False
-
-    def cycle(self) -> Optional[List[int]]:
-        """Hamiltonian cycle as an index list (starting at vertex 0), or
-        None — forced-edge contraction plus the mask DFS, see
-        :func:`_solve_cycle_masks`."""
-        if self.n == 0:
-            return None
-        counter = [0]
-        path = _solve_cycle_masks(self.succ_mask, self.pred_mask, self.n,
-                                  counter)
-        self.nodes_expanded += counter[0]
-        return path
-
-    def _viable_cycle(self, visited: int, head: int, start: int) -> bool:
-        unvisited = self.full & ~visited
-        # in a cycle, an unvisited vertex may step back to `start`
-        if unvisited & ~self._live_mask(unvisited | 1 << start):
-            return False
-        return self._reach_all(unvisited, head)
-
-
-def _solve_cycle_masks(succ_mask: List[int], pred_mask: List[int], n: int,
-                       counter: List[int]) -> Optional[List[int]]:
+def _solve_cycle_masks(succ_mask: Sequence[int],
+                       pred_mask: Sequence[int]) -> Optional[List[int]]:
     """Hamiltonian cycle over a bitmask adjacency, as an index list
     rotated to start at vertex 0, or None.
 
@@ -257,8 +124,9 @@ def _solve_cycle_masks(succ_mask: List[int], pred_mask: List[int], n: int,
     almost every vertex sits on a degree-1 corridor — and the DFS only
     runs on the (much smaller) residue.  Contraction repeats via
     recursion until no forced edges remain, then :func:`_search_cycle_
-    masks` finishes.  ``counter[0]`` accrues expanded search nodes.
+    masks` finishes.
     """
+    n = len(succ_mask)
     # --- forced edges: nxt[u] = the successor every cycle must use
     nxt = [-1] * n
     for u in range(n):
@@ -288,9 +156,7 @@ def _solve_cycle_masks(succ_mask: List[int], pred_mask: List[int], n: int,
             prv[v] = u
             forced += 1
     if not forced:
-        path, expanded = _search_cycle_masks(succ_mask, pred_mask, n)
-        counter[0] += expanded
-        return path
+        return _search_cycle_masks(succ_mask, pred_mask, n)
     # --- maximal forced chains, walked from their heads.  `nxt` is
     # functional with functional inverse, so it decomposes into
     # vertex-disjoint simple paths and loops.
@@ -344,7 +210,7 @@ def _solve_cycle_masks(succ_mask: List[int], pred_mask: List[int], n: int,
             low = mm & -mm
             rpred[low.bit_length() - 1] |= 1 << i
             mm ^= low
-    sub = _solve_cycle_masks(rsucc, rpred, r, counter)
+    sub = _solve_cycle_masks(rsucc, rpred)
     if sub is None:
         return None
     out: List[int] = []
@@ -354,14 +220,14 @@ def _solve_cycle_masks(succ_mask: List[int], pred_mask: List[int], n: int,
     return out[k:] + out[:k]
 
 
-def _search_cycle_masks(succ_mask: List[int], pred_mask: List[int],
-                        n: int) -> Tuple[Optional[List[int]], int]:
+def _search_cycle_masks(succ_mask: Sequence[int], pred_mask: Sequence[int],
+                        n: int) -> Optional[List[int]]:
     """DFS for a Hamiltonian cycle from vertex 0 over bitmask adjacency
     — iterative with an explicit backtrack stack (this loop is the
     hottest code in the repo).  Forced moves walk without a viability
     check; branch points prune (dead-end test via pred union tables,
     reachability BFS) then try options in ascending-index order under a
-    stable most-constrained sort.  Returns ``(cycle or None, expanded)``.
+    stable most-constrained sort.  Returns the cycle or None.
     """
     sbl = {1 << i: m for i, m in enumerate(succ_mask)}
     pt = _byte_union_tables(pred_mask, n)
@@ -372,16 +238,14 @@ def _search_cycle_masks(succ_mask: List[int], pred_mask: List[int],
     visited = 1
     head = 0
     depth = 1
-    expanded = 0
     # one frame per branch point: untried options, the visited mask
     # and depth on *entry* to the node
     stack: List[Tuple[List[int], int, int]] = []
     while True:
-        expanded += 1
         ok = True
         if depth == n:
             if succ_mask[head] & 1:
-                return path, expanded
+                return path
             ok = False
         else:
             avail = succ_mask[head] & ~visited
@@ -464,56 +328,35 @@ def _search_cycle_masks(succ_mask: List[int], pred_mask: List[int],
                 break
             stack.pop()
         else:
-            return None, expanded
+            return None
 
 
 @profiled
-def find_hamiltonian_path(
-    graph: AnyGraph,
-    source: Optional[Vertex] = None,
-    target: Optional[Vertex] = None,
-) -> Optional[List[Vertex]]:
-    """Find a Hamiltonian path (optionally with fixed endpoints), or None."""
-    dg = _as_digraph(graph)
-    if dg.n == 0:
+def find_hamiltonian_path(graph: AnyGraph) -> Optional[List[Vertex]]:
+    """Find a Hamiltonian path, or None: the cycle search on the graph
+    plus a hub (:func:`with_hub`), with the hub cut out of the cycle."""
+    vertices, succ, pred = _masks(_as_digraph(graph))
+    cycle = _solve_cycle_masks(*with_hub(succ, pred))
+    if cycle is None:
         return None
-    if dg.n == 1:
-        only = dg.vertices()[0]
-        if source not in (None, only) or target not in (None, only):
-            return None
-        return [only]
-    solver = _HamSolver(dg)
-    src = solver.index[source] if source is not None else None
-    tgt = solver.index[target] if target is not None else None
-    if src is None:
-        # a vertex with in-degree 0 must start any Hamiltonian path
-        zero_in = [i for i in range(solver.n) if not solver.pred_mask[i]]
-        if len(zero_in) > 1:
-            return None
-        if len(zero_in) == 1:
-            src = zero_in[0]
-    result = solver.path(src, tgt)
-    if result is None:
-        return None
-    return [solver.vertices[i] for i in result]
+    k = cycle.index(len(vertices))
+    return [vertices[i] for i in cycle[k + 1:] + cycle[:k]]
 
 
 @profiled
 def find_hamiltonian_cycle(graph: AnyGraph) -> Optional[List[Vertex]]:
     """Find a Hamiltonian cycle (returned without repeating the start)."""
-    dg = _as_digraph(graph)
-    if dg.n < 2:
+    vertices, succ, pred = _masks(_as_digraph(graph))
+    if len(vertices) < 2:
         return None
-    solver = _HamSolver(dg)
-    result = solver.cycle()
-    if result is None:
+    cycle = _solve_cycle_masks(succ, pred)
+    if cycle is None:
         return None
-    return [solver.vertices[i] for i in result]
+    return [vertices[i] for i in cycle]
 
 
-def has_hamiltonian_path(graph: AnyGraph, source: Optional[Vertex] = None,
-                         target: Optional[Vertex] = None) -> bool:
-    return find_hamiltonian_path(graph, source=source, target=target) is not None
+def has_hamiltonian_path(graph: AnyGraph) -> bool:
+    return find_hamiltonian_path(graph) is not None
 
 
 def has_hamiltonian_cycle(graph: AnyGraph) -> bool:

@@ -393,9 +393,8 @@ def independence_number(graph: Graph) -> int:
     return _alpha(bg.adj, bg.full_mask, bg.full_mask, -1)
 
 
-def max_independent_set_weight(graph: Graph, weighted: bool = True) -> float:
-    """Weight (or size, for ``weighted=False``) of a maximum independent set."""
-    mis = max_independent_set(graph, weighted=weighted)
-    if weighted:
-        return sum(graph.vertex_weight(v) for v in mis)
-    return float(len(mis))
+def max_independent_set_weight(graph: Graph) -> float:
+    """Weight of a maximum-weight independent set (the unweighted α is
+    :func:`independence_number`)."""
+    mis = max_independent_set(graph, weighted=True)
+    return sum(graph.vertex_weight(v) for v in mis)

@@ -86,7 +86,7 @@ class TestLemma41:
         for x, y in random_input_pairs(4, 4, rng):
             g = fam.build(x, y)
             assert fam.structured_max_weight(g) == \
-                max_independent_set_weight(g, weighted=True)
+                max_independent_set_weight(g)
 
     def test_gap_values_exact(self, fam, rng):
         x, y = random_intersecting_pair(4, rng)
@@ -162,7 +162,7 @@ class TestLinearVariant:
         for x, y in random_input_pairs(4, 3, rng):
             g = lfam.build(x, y)
             assert lfam.structured_max_weight(g) == \
-                max_independent_set_weight(g, weighted=True)
+                max_independent_set_weight(g)
 
     def test_gap_ratio_five_sixths(self, lfam):
         assert lfam.gap_ratio() > 5 / 6

@@ -93,7 +93,7 @@ class TestMaxIndependentSet:
     def test_unweighted_ignores_weights(self):
         g = path_graph(3)
         g.set_vertex_weight(1, 100)
-        assert max_independent_set_weight(g, weighted=False) == 2
+        assert independence_number(g) == 2
 
     def test_negative_weight_rejected(self):
         g = path_graph(2)
