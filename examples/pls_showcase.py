@@ -11,10 +11,9 @@ Run:  python examples/pls_showcase.py
 
 import random
 
-import networkx as nx
-
 from repro import MdsFamily
 from repro.cc.functions import random_input_pairs
+from repro.experiments.limits import bfs_tree_edges
 from repro.graphs import random_graph
 from repro.pls import (
     AcyclicityPls,
@@ -36,7 +35,7 @@ def main() -> None:
     while not g.is_connected():
         g = random_graph(14, 0.3, rng)
     root = sorted(g.vertices(), key=repr)[0]
-    tree = list(nx.bfs_tree(g.to_networkx(), root).edges())
+    tree = bfs_tree_edges(g, root)
     tree_inst = PlsInstance(graph=g, subgraph=frozenset(
         edge_key(u, v) for u, v in tree))
 
@@ -75,7 +74,7 @@ def main() -> None:
     def build_instance(x, y):
         gg = fam.build(x, y)
         r = sorted(gg.vertices(), key=repr)[0]
-        t = list(nx.bfs_tree(gg.to_networkx(), r).edges())
+        t = bfs_tree_edges(gg, r)
         return PlsInstance(graph=gg, subgraph=frozenset(
             edge_key(a, b) for a, b in t))
 

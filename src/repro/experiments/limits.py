@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import Dict
+from typing import Dict, List, Tuple
 
 from repro.cc.alice_bob import implied_round_lower_bound, simulate_two_party
 from repro.cc.functions import DISJ, EQ, random_input_pairs
@@ -13,7 +13,7 @@ from repro.congest.algorithms.basic import FloodMinId
 from repro.core.maxcut import MaxCutFamily
 from repro.core.mds import MdsFamily
 from repro.experiments.runner import ExperimentRecord, experiment
-from repro.graphs import random_graph
+from repro.graphs import Graph, Vertex, random_graph
 from repro.limits import (
     PartitionedInstance,
     max_flow_at_least_protocol,
@@ -161,18 +161,35 @@ def run_nondeterminism(quick: bool = True) -> ExperimentRecord:
     )
 
 
+def bfs_tree_edges(g: Graph, root: Vertex) -> List[Tuple[Vertex, Vertex]]:
+    """The ``(parent, child)`` edges of a BFS tree of ``g`` from ``root``,
+    each vertex's neighbours scanned in :meth:`Graph.edges` order."""
+    nbrs: Dict[Vertex, List[Vertex]] = {v: [] for v in g.vertices()}
+    for u, v in g.edges():
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    seen = {root}
+    queue = [root]
+    tree = []
+    for u in queue:
+        for v in nbrs[u]:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+                tree.append((u, v))
+    return tree
+
+
 @experiment("E-T5.1-pls-compiler")
 def run_pls_compiler(quick: bool = True) -> ExperimentRecord:
     """Theorem 5.1: compile PLS into ND protocols over a family."""
     rng = random.Random(0x52)
     fam = MdsFamily(4)
     va = fam.alice_vertices()
-    import networkx as nx
 
     def build_instance(x, y):
         g = fam.build(x, y)
-        tree = list(nx.bfs_tree(g.to_networkx(),
-                                sorted(g.vertices(), key=repr)[0]).edges())
+        tree = bfs_tree_edges(g, min(g.vertices(), key=repr))
         return PlsInstance(
             graph=g,
             subgraph=frozenset(edge_key(u, v) for u, v in tree))

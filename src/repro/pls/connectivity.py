@@ -369,21 +369,34 @@ class NoECyclePls(ProofLabelingScheme):
 # ----------------------------------------------------------------------
 # bipartiteness (item 4)
 # ----------------------------------------------------------------------
+def _two_colouring(h: Graph) -> Optional[Dict[Vertex, int]]:
+    """A proper 2-colouring of ``h`` by BFS parity, or None if ``h`` has
+    an odd cycle.  The first vertex of each component gets colour 1 and
+    isolated vertices colour 0."""
+    colour: Dict[Vertex, int] = {}
+    for v in h.vertices():
+        if v in colour:
+            continue
+        if not h.neighbors(v):
+            colour[v] = 0
+            continue
+        for w, d in h.bfs_distances(v).items():
+            colour[w] = 1 - d % 2
+    if any(colour[u] == colour[v] for u, v in h.edges()):
+        return None
+    return colour
+
+
 class BipartitePls(ProofLabelingScheme):
     """H is bipartite: a 2-colouring."""
 
     name = "bipartite"
 
     def applies(self, instance: PlsInstance) -> bool:
-        import networkx as nx
-
-        return nx.is_bipartite(instance.h_graph().to_networkx())
+        return _two_colouring(instance.h_graph()) is not None
 
     def prove(self, instance: PlsInstance) -> Labels:
-        import networkx as nx
-
-        coloring = nx.algorithms.bipartite.color(
-            instance.h_graph().to_networkx())
+        coloring = _two_colouring(instance.h_graph())
         labels: Labels = {}
         for v in instance.graph.vertices():
             ensure_label(labels, v)["color"] = coloring.get(v, 0)

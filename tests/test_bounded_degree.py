@@ -142,6 +142,21 @@ class TestFullConstruction:
             assert (alpha == bd.alpha_target(inst)) == \
                 (not disjointness(x, y))
 
+    def test_graph_pinned(self, bd):
+        """G′ for four fixed pairs, content hash for content hash: the
+        expander gadgets (seeded cubic graphs) and every construction
+        step above them are pinned to the graphs networkx's sampler
+        gave."""
+        import random
+
+        pairs = random_input_pairs(4, 4, random.Random(0xDEADBEEF))
+        assert [bd.build(x, y).graph.content_hash() for x, y in pairs] == [
+            "1fc4d0abb63578e3ff714099d152266dab8c64d53107fe7d2767bac80e9a4d1a",
+            "ba4bdd5a154d793da611611e27bbe288a8446691989a7c261eee74a01b55f0dd",
+            "6c3aabd2f64eddedee3db1319fbdd11c68cfa085de3693eff79444708ada2014",
+            "9b590093283cfaeae0f95092ac1367263f98fe25f5367f136ba020b65c67a26b",
+        ]
+
     def test_claim_36_protocol(self, bd, rng):
         """Alice and Bob decide DISJ through a CONGEST MaxIS run."""
         x, y = random_input_pairs(4, 1, rng)[0]

@@ -90,6 +90,14 @@ class TestExpanders:
         assert g.is_connected()
         assert all(g.degree(v) == 3 for v in g.vertices())
 
+    def test_seeded_expander_pinned(self):
+        # the graph networkx 3.x's random_regular_graph(3, 12, seed=0)
+        # gives, and its certificate to the last bit
+        g, c = certified_cubic_expander(12, seed=0)
+        assert g.content_hash() == ("81fea2c60a1d762a60f50afdf0a5654f"
+                                    "14d447ca63622baff180b676af553f2c")
+        assert c == 0.16666666666666666
+
     def test_cycle_is_a_bad_expander(self):
         from repro.graphs import cycle_graph
 
