@@ -142,16 +142,33 @@ class KMdsFamily(LowerBoundGraphFamily):
         return min_dominating_set_weight(graph, k=self.k) <= self.yes_weight
 
     def make_batch_kernel(self, skeleton: Graph):
-        """Distance-k ball masks once; the deltas are weight-only
-        (``apply_inputs`` re-weights S_i / S̄_i), so each pair swaps 2T
-        weights before the set-cover search."""
+        """The set-cover index of the distance-k balls once; each pair
+        fills 2T weights and solves over it.  That is sound only while
+        the deltas are weight-only and the kernel's weights are those
+        ``apply_inputs`` installs, so both are checked here on three
+        pairs through :meth:`build`: all zeros, all ones, and ones
+        against zeros (x and y apart).  The built graph must keep the
+        skeleton's vertex order and radius-k balls, and its vertex
+        weights must equal the kernel's table; otherwise there is no
+        kernel and every pair takes the per-pair path."""
         from repro.solvers.batch_kernels import WeightedDominationBatchKernel
         T = self.collection.T
-        return WeightedDominationBatchKernel(
+        kernel = WeightedDominationBatchKernel(
             skeleton,
             x_vertices=[svert(i) for i in range(T)],
             y_vertices=[scomp(i) for i in range(T)],
             alpha=self.alpha, k=self.k, yes_weight=self.yes_weight)
+        base = skeleton.bits()
+        zeros, ones = (0,) * T, (1,) * T
+        for x, y in ((zeros, zeros), (ones, ones), (ones, zeros)):
+            graph = self.build(x, y)
+            bg = graph.bits()
+            if (bg.vertices != base.vertices
+                    or bg.ball_masks(self.k) != base.ball_masks(self.k)
+                    or kernel.weights(x, y) != [graph.vertex_weight(v)
+                                                for v in bg.vertices]):
+                return None
+        return kernel
 
     def optimum(self, graph: Graph) -> float:
         return min_dominating_set_weight(graph, k=self.k)

@@ -19,9 +19,11 @@ input-independent out of the loop **once per skeleton**:
 - :class:`DominationBatchKernel` precomputes the closed-neighbourhood
   ball masks of the fixed gadget; a pair patches the few balls its
   delta edges touch and runs the set-cover branch-and-bound directly;
-- :class:`WeightedDominationBatchKernel` precomputes the distance-k
-  ball masks (the adjacency is input-independent for the k-MDS family —
-  inputs only re-weight the S_i / S̄_i vertices);
+- :class:`WeightedDominationBatchKernel` builds the set-cover index of
+  the distance-k balls once (the adjacency is input-independent for the
+  k-MDS family — inputs only re-weight the S_i / S̄_i vertices, which
+  the family checks before it hands out the kernel); a pair fills 2T
+  weights and searches a reweighted solver that shares the index;
 - :class:`ThresholdCutBatchKernel` enumerates the skeleton's cut
   weights with a blocked meet-in-the-middle matmul *grouped by the
   assignment of the delta-touched vertices D*, collapsing the
@@ -150,9 +152,13 @@ class WeightedDominationBatchKernel:
     """Weight-bounded distance-k domination (Figure 5 k-MDS).
 
     The k-MDS deltas are weight-only (``apply_inputs`` re-weights the
-    S_i / S̄_i vertices), so the expensive part — the distance-k ball
-    masks of every vertex — is computed once from the skeleton and a
-    pair only swaps a handful of weights before the set-cover search.
+    S_i / S̄_i vertices), so the whole set-cover index — one set per
+    distance-k ball of the skeleton, filed under every element it
+    covers — is built once, here.  A pair fills the 2T input weights
+    (:meth:`weights`) and solves a :meth:`_SetCoverSolver.reweighted`
+    copy that shares that index.  The family checks the weight-only
+    claim before it hands out a kernel
+    (:meth:`repro.core.kmds.KMdsFamily.make_batch_kernel`).
     """
 
     monotone = True  # 1-bits lower weights, so the optimum only drops
@@ -160,11 +166,13 @@ class WeightedDominationBatchKernel:
     def __init__(self, skeleton, x_vertices: Sequence[Vertex],
                  y_vertices: Sequence[Vertex], alpha: int, k: int,
                  yes_weight: int) -> None:
+        from repro.solvers.dominating import _SetCoverSolver
         bg = skeleton.bits()
-        self._n = bg.n
-        self._balls = list(bg.ball_masks(k))
         self._weights = [float(skeleton.vertex_weight(v))
                          for v in bg.vertices]
+        self._cover = _SetCoverSolver(
+            bg.n, [(ball, w, i) for i, (ball, w)
+                   in enumerate(zip(bg.ball_masks(k), self._weights))])
         index = bg.index
         self._x_idx = [index[v] for v in x_vertices]
         self._y_idx = [index[v] for v in y_vertices]
@@ -173,16 +181,19 @@ class WeightedDominationBatchKernel:
         # below yes_weight + 0.5 exists
         self._budget = yes_weight + 0.5
 
-    def decide(self, x: Bits, y: Bits) -> bool:
-        from repro.solvers.dominating import _SetCoverSolver
+    def weights(self, x: Bits, y: Bits) -> List[float]:
+        """The vertex weights of G_{x,y} in the skeleton's ``bits()``
+        order: the skeleton's, with S_i / S̄_i at 1 for a 1-bit and α
+        for a 0-bit."""
         weights = list(self._weights)
         for bits, idxs in ((x, self._x_idx), (y, self._y_idx)):
             for bit, i in zip(bits, idxs):
                 weights[i] = 1.0 if bit else self._alpha
-        solver = _SetCoverSolver(
-            self._n,
-            [(self._balls[i], weights[i], i) for i in range(self._n)])
-        __, choice = solver.solve(self._budget)
+        return weights
+
+    def decide(self, x: Bits, y: Bits) -> bool:
+        __, choice = self._cover.reweighted(
+            self.weights(x, y)).solve(self._budget)
         return choice is not None
 
 

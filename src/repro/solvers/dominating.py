@@ -59,26 +59,24 @@ def is_dominating_set(graph: Graph, vs: Sequence[Vertex], k: int = 1) -> bool:
 
 class _SetCoverSolver:
     """Branch-and-bound minimum-weight set cover over bitmask sets, with
-    the two lower bounds of the module docstring (weights must be >= 0)."""
+    the two lower bounds of the module docstring (weights must be >= 0).
+
+    The state comes in two parts.  The element index -- ``n``, ``full``,
+    the set ``masks`` and, per element, the indices of its ``coverers``
+    -- depends only on the sets and is held in tuples, so solvers made
+    by :meth:`reweighted` share it read-only.  Everything a weight
+    touches (the check, the integer bounds, the packing tables and the
+    best cover) is per solver and set up by :meth:`_set_weights`.
+    """
 
     def __init__(self, n_elements: int, sets: List[Tuple[int, float, int]]):
         self.n = n_elements
         self.full = (1 << n_elements) - 1
-        self.masks = masks = []
-        self.weights = weights = []
-        # element -> list of set indices covering it
-        self.coverers: List[List[int]] = [[] for __ in range(n_elements)]
-        coverers = self.coverers
-        # one pass over the sets: check each weight, note whether all
-        # are integral, and file the set under each element it covers
-        integral = True
-        isfinite = math.isfinite
+        # element -> indices of the sets covering it
+        coverers: List[List[int]] = [[] for __ in range(n_elements)]
+        masks = []
+        weights = []
         for idx, (mask, w, __) in enumerate(sets):
-            if w < 0:
-                raise ValueError(f"set weight {w} is negative; the set "
-                                 "cover bounds need weights >= 0")
-            if integral and not (isfinite(w) and w == int(w)):
-                integral = False
             masks.append(mask)
             weights.append(w)
             # inlined iter_bits: this runs once per (set, element) pair
@@ -86,6 +84,36 @@ class _SetCoverSolver:
                 low = mask & -mask
                 coverers[low.bit_length() - 1].append(idx)
                 mask ^= low
+        self.masks: Tuple[int, ...] = tuple(masks)
+        self.coverers: Tuple[Tuple[int, ...], ...] = tuple(
+            map(tuple, coverers))
+        self._set_weights(weights)
+
+    def reweighted(self, weights: List[float]) -> "_SetCoverSolver":
+        """A solver over the same sets with set ``i`` weighing
+        ``weights[i]`` (one weight per set; the solver keeps the list):
+        it shares this one's element index and checks the weights as
+        the constructor does."""
+        solver = object.__new__(type(self))
+        solver.n = self.n
+        solver.full = self.full
+        solver.masks = self.masks
+        solver.coverers = self.coverers
+        solver._set_weights(weights)
+        return solver
+
+    def _set_weights(self, weights: List[float]) -> None:
+        """Check each weight, note whether all are integral, and reset
+        the per-solve state; the solver keeps ``weights`` as it is."""
+        integral = True
+        isfinite = math.isfinite
+        for w in weights:
+            if w < 0:
+                raise ValueError(f"set weight {w} is negative; the set "
+                                 "cover bounds need weights >= 0")
+            if integral and not (isfinite(w) and w == int(w)):
+                integral = False
+        self.weights = weights
         # integral weights whose total is below 2**53 (so every float sum
         # of them is exact): every cover costs an integer, so the bounds
         # are exact integers (the density bound rounds up).  Other weights
@@ -102,8 +130,8 @@ class _SetCoverSolver:
         self.best_choice: Optional[List[int]] = None
         # per element, filled on first use by the packing bound (most
         # batch-kernel solves end within a few nodes)
-        self.conflict: List[Optional[int]] = [None] * n_elements
-        self.min_weight: List[float] = [_INF] * n_elements
+        self.conflict: List[Optional[int]] = [None] * self.n
+        self.min_weight: List[float] = [_INF] * self.n
 
     def solve(self, budget: float = _INF) -> Tuple[float, Optional[List[int]]]:
         self.best_weight = budget

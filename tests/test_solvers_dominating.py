@@ -336,3 +336,62 @@ class TestMdsKernelSearch:
     def test_node_count(self, monkeypatch):
         __, nodes = self._decide(monkeypatch)
         assert nodes <= self.PARENT_NODES // 2
+
+
+class TestReweighted:
+    """``reweighted(w)`` shares the element index and answers as a fresh
+    solver over the same sets with weights ``w`` would."""
+
+    WEIGHTS = {
+        "integral": (0, 1, 2, 3),
+        "fractional": (0.1, 0.2, 0.3),
+        "zero": (0, 0, 1),
+        "inf": (1, 2, math.inf),
+        "nan": (1, 2, math.nan),
+    }
+    BUDGETS = (0.3, 0.6, 1.5, 2.5, 3.5)
+
+    @staticmethod
+    def _sets(rng, n, m):
+        return [sum(1 << e for e in range(n) if rng.random() < 0.35)
+                for __ in range(m)]
+
+    def test_equals_fresh_solver(self):
+        rng = random.Random("reweighted")
+        kinds = sorted(self.WEIGHTS)
+        solves = 0
+        for system in range(2000):
+            n, m = rng.randint(0, 9), rng.randint(0, 9)
+            masks = self._sets(rng, n, m)
+            first = self.WEIGHTS[kinds[system % len(kinds)]]
+            shared = dominating._SetCoverSolver(
+                n, [(mask, rng.choice(first), i)
+                    for i, mask in enumerate(masks)])
+            index = (shared.masks, shared.coverers)
+            for kind in (first, self.WEIGHTS[rng.choice(kinds)]):
+                weights = [rng.choice(kind) for __ in masks]
+                for budget in (math.inf, rng.choice(self.BUDGETS)):
+                    fresh = dominating._SetCoverSolver(
+                        n, [(mask, w, i) for i, (mask, w)
+                            in enumerate(zip(masks, weights))])
+                    solver = shared.reweighted(weights)
+                    assert solver.masks is shared.masks
+                    assert solver.coverers is shared.coverers
+                    assert solver.int_weights == fresh.int_weights
+                    assert solver.slack == fresh.slack
+                    assert solver.solve(budget) == fresh.solve(budget), \
+                        (n, masks, weights, budget)
+                    solves += 1
+            # the index is read-only: solves leave it as it was built
+            assert (shared.masks, shared.coverers) == index
+            assert all(type(c) is tuple for c in shared.coverers)
+        assert solves == 8000
+
+    @pytest.mark.parametrize("weights", [[-1.0, 1.0], [math.nan, -0.5],
+                                         [math.inf, -2]])
+    def test_negative_weight_raises(self, weights):
+        shared = dominating._SetCoverSolver(2, [(1, 1.0, 0), (3, 1.0, 1)])
+        with pytest.raises(ValueError, match="negative"):
+            shared.reweighted(weights)
+        # the failed call leaves the shared solver usable
+        assert shared.solve() == (1.0, [1])
