@@ -37,23 +37,25 @@ from typing import Optional
 
 
 def _families(index: int):
-    """Four kernel-bearing families per parity, covering unweighted
-    domination, weighted domination, max-cut, Hamiltonian cycles and
-    directed Steiner trees (integral α on even cases; α = 1.5 on odd
-    ones, which sends the cover search down its non-integral path)."""
+    """Five kernel-bearing families per parity, covering unweighted
+    domination, weighted domination, max-cut, Hamiltonian cycles,
+    Steiner trees (Claim 2.8) and directed Steiner trees (integral α on
+    even cases; α = 1.5 on odd ones, which sends the cover search down
+    its non-integral path)."""
     from repro.core.hamiltonian import HamiltonianCycleFamily
     from repro.core.kmds import KMdsFamily
     from repro.core.maxcut import MaxCutFamily
     from repro.core.mds import MdsFamily
+    from repro.core.steiner import SteinerTreeFamily
     from repro.core.steiner_approx import DirectedSteinerFamily
     from repro.covering.designs import build_covering_collection
 
     cc = build_covering_collection(universe_size=16, T=6, r=2, seed=0)
     if index % 2 == 0:
         return [MdsFamily(2), MaxCutFamily(2), KMdsFamily(cc, k=2),
-                DirectedSteinerFamily(cc)]
+                SteinerTreeFamily(2), DirectedSteinerFamily(cc)]
     return [MdsFamily(2), HamiltonianCycleFamily(2), KMdsFamily(cc, k=3),
-            DirectedSteinerFamily(cc, alpha=1.5)]
+            SteinerTreeFamily(2), DirectedSteinerFamily(cc, alpha=1.5)]
 
 
 def _sample_pairs(k_bits: int, rng: random.Random):

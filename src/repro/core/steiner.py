@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.core.family import LowerBoundGraphFamily
 from repro.core.mds import MdsFamily, fvert, row, tvert
 from repro.graphs import Graph, Vertex
-from repro.solvers.dominating import constrained_min_dominating_set
+from repro.solvers.dominating import min_size_over_cases
 from repro.solvers.steiner import is_steiner_tree
 
 
@@ -122,6 +122,17 @@ class SteinerTreeFamily(LowerBoundGraphFamily):
                     base.add_edge(plain_u, plain_v)
         return base
 
+    def _cases(self, base) -> List[Tuple[int, List[int]]]:
+        """The four ways X̃ stays connected, as ``(candidates mask,
+        forced indices)`` over the vertex order of ``base`` (a
+        ``bits()`` view of the MDS graph): X within VA, X within VB, or
+        X holding both endpoints of e₁ or of e₂."""
+        alice = self.mds.alice_vertices()
+        va = base.mask_of(v for v in base.vertices if v in alice)
+        return [(va, []), (base.full_mask & ~va, [])] + [
+            (base.full_mask, [base.index[u], base.index[v]])
+            for u, v in self.crossing_pairs]
+
     def min_steiner_size(self, graph: Graph,
                          budget: Optional[int] = None) -> Optional[int]:
         """Exact minimum Steiner tree size via the structured reduction.
@@ -129,25 +140,42 @@ class SteinerTreeFamily(LowerBoundGraphFamily):
         Returns the size, or None if it exceeds the domination ``budget``
         (budget counts |X|, the copies used).
         """
-        base = self._base_graph_from(graph)
-        va = self.mds.alice_vertices()
-        vb = set(base.vertices()) - va
+        base = self._base_graph_from(graph).bits()
         dom_budget = float("inf") if budget is None else budget + 0.5
-        best = float("inf")
-        cases = [
-            {"candidates": va},
-            {"candidates": vb},
-            {"forced": list(self.crossing_pairs[0])},
-            {"forced": list(self.crossing_pairs[1])},
-        ]
-        for case in cases:
-            weight, picked = constrained_min_dominating_set(
-                base, budget=min(dom_budget, best), **case)
-            if picked is not None:
-                best = min(best, len(picked))
-        if best == float("inf"):
+        size = min_size_over_cases(base.ball_masks(1), self._cases(base),
+                                   dom_budget)
+        if size is None:
             return None
-        return len(base.vertices()) - 1 + int(best)
+        return base.n - 1 + size
+
+    def make_batch_kernel(self, skeleton: Graph):
+        """The MDS graph's balls and the four cases once; each pair
+        patches the two balls of each input edge (bit p = i·k + j adds
+        {s^i_{A1}, s^j_{A2}}, likewise for B) and runs the case search
+        of :meth:`min_steiner_size`.  That is sound only while the
+        search gets what ``predicate`` would give it: the balls and
+        cases of ``_base_graph_from(build(x, y))``.  Both are checked
+        on three pairs: all zeros, all ones, and ones against zeros (x
+        and y apart).  Otherwise there is no kernel and every pair takes
+        the per-pair path."""
+        from repro.solvers.batch_kernels import SteinerBatchKernel
+        base = self._base_graph_from(skeleton).bits()
+        k = self.k
+        edges = [[(base.index[row(a, i)], base.index[row(b, j)])
+                  for i in range(k) for j in range(k)]
+                 for a, b in (("A1", "A2"), ("B1", "B2"))]
+        cases = self._cases(base)
+        kernel = SteinerBatchKernel(
+            base.ball_masks(1), edges[0], edges[1], cases,
+            max_size=self.target_edges - (base.n - 1),
+            budget=4 * self.log_k + 2 + 0.5)
+        zeros, ones = (0,) * self.k_bits, (1,) * self.k_bits
+        for x, y in ((zeros, zeros), (ones, ones), (ones, zeros)):
+            built = self._base_graph_from(self.build(x, y)).bits()
+            if (list(built.ball_masks(1)) != kernel.balls(x, y)
+                    or self._cases(built) != cases):
+                return None
+        return kernel
 
     def predicate(self, graph: Graph) -> bool:
         """P: a Steiner tree with exactly 4k + 16·log k + 1 edges exists

@@ -198,8 +198,11 @@ class DirectedSteinerFamily(LowerBoundGraphFamily):
     def make_batch_kernel(self, skeleton: DiGraph):
         """The cover masks of both values of every bit: the skeleton's
         (read as ``predicate`` reads a graph) for a 0-bit, and those
-        plus the element bits of the bit's input arcs for a 1-bit.  A
-        pair then picks its masks from its bits and builds no graph."""
+        plus the element bits of the bit's input arcs for a 1-bit.  The
+        kernel files the 1-bit masks in one cover index and prices a
+        0-bit's set out of it, which is exact only while every 0-bit
+        mask is empty; otherwise there is no kernel.  A pair then
+        re-weights that index from its bits and builds no graph."""
         from repro.solvers.batch_kernels import DirectedSteinerBatchKernel
         base = self._graph_masks(skeleton)
         a_bits, b_bits = self._cover_sides[0][1], self._cover_sides[1][1]
@@ -213,9 +216,12 @@ class DirectedSteinerFamily(LowerBoundGraphFamily):
                 out.append((off, on))
             return out
 
-        return DirectedSteinerBatchKernel(
-            self.ell, sides(base[0::2], self._x_arcs, a_bits),
-            sides(base[1::2], self._y_arcs, b_bits), self._fallbacks)
+        try:
+            return DirectedSteinerBatchKernel(
+                self.ell, sides(base[0::2], self._x_arcs, a_bits),
+                sides(base[1::2], self._y_arcs, b_bits), self._fallbacks)
+        except ValueError:  # a 0-bit mask is not empty
+            return None
 
     def optimum(self, graph: DiGraph) -> float:
         """Exact directed Steiner cost, as a float, via the cover of
@@ -232,9 +238,13 @@ class DirectedSteinerFamily(LowerBoundGraphFamily):
     def predicate(self, graph: DiGraph) -> bool:
         """P: a directed Steiner tree of weight ≤ 2 exists (iff
         DISJ = FALSE).  Decided at the threshold by
-        :func:`repro.solvers.batch_kernels.unit_cover_within_two`, the
-        decision the batch kernel shares: only where the masks come
-        from differs (here the graph, there the input bits)."""
-        from repro.solvers.batch_kernels import unit_cover_within_two
-        return unit_cover_within_two(self.ell, self._graph_masks(graph),
-                                     self._fallbacks)
+        :func:`repro.solvers.batch_kernels.cover_within_two`, the
+        decision the batch kernel shares: only where the cover's sets
+        and weights come from differs (here the graph, there one shared
+        index re-weighted by the input bits)."""
+        from repro.solvers.batch_kernels import (
+            cover_within_two,
+            unit_cover_solver,
+        )
+        return cover_within_two(unit_cover_solver(
+            self.ell, self._graph_masks(graph), self._fallbacks))

@@ -24,10 +24,10 @@ The persistent warm pool (:mod:`repro.experiments.warm_pool`) shares
 :func:`split_shards` and :func:`_decide_serial` with this cold path.
 
 When a :class:`repro.experiments.sweep_store.SweepStore` is passed,
-every worker persists each decision the moment it is made (one
-append to a log of the worker's own, so concurrent forks never share a
-file), so a campaign killed mid-grid resumes from the last completed
-pair instead of from zero.
+every worker persists each decision as soon as it exists (to a log of
+the worker's own, so concurrent forks never share a file: one append
+per batch-kernel call, one per per-pair solve), so a campaign killed
+mid-grid resumes from the last completed pair instead of from zero.
 """
 
 from __future__ import annotations
@@ -50,13 +50,15 @@ def _decide_serial(family, pairs: Sequence[Tuple[Bits, Bits]],
                    store=None, fkey=None, batch: bool = True,
                    timings: Optional[Dict[Tuple[Bits, Bits], float]] = None,
                    counters: Optional[Dict[str, int]] = None) -> List[bool]:
-    """Decide ``pairs`` in this process, persisting each decision as it
-    lands (the crash-resume property of the serial path).
+    """Decide ``pairs`` in this process, persisting each decision as
+    soon as it exists (the crash-resume property of the serial path).
 
     With ``batch`` on (the default), the family's batched decision
     kernel (:meth:`repro.core.family.DeltaBuildMixin.decide_batch`) is
     consulted first; pairs it answers skip the per-pair
-    ``predicate(build(x, y))`` path entirely.  This is the single
+    ``predicate(build(x, y))`` path entirely, and are stored with one
+    append, since all of them are decided before any is stored.  Each
+    per-pair decision is stored as it lands.  This is the single
     integration point for batching: the serial sweep, the cold fork
     shards (:func:`_decide_shard`), and every parent-side mop-up
     fallback all pass through here.
@@ -69,9 +71,13 @@ def _decide_serial(family, pairs: Sequence[Tuple[Bits, Bits]],
                 batched = decide_batch(None, pairs, timings=timings) or {}
             except NotImplementedError:
                 batched = {}
+    keys = [(tuple(x), tuple(y)) for x, y in pairs]
+    if store is not None and batched:
+        store.append(fkey, [(x, y, batched[key])
+                            for (x, y), key in zip(pairs, keys)
+                            if key in batched])
     decisions: List[bool] = []
-    for x, y in pairs:
-        key = (tuple(x), tuple(y))
+    for (x, y), key in zip(pairs, keys):
         if key in batched:
             decision = batched[key]
             if counters is not None:
@@ -81,8 +87,8 @@ def _decide_serial(family, pairs: Sequence[Tuple[Bits, Bits]],
             decision = family.predicate(family.build(x, y))
             if timings is not None:
                 timings[key] = time.perf_counter() - t0
-        if store is not None:
-            store.store(fkey, x, y, decision)
+            if store is not None:
+                store.store(fkey, x, y, decision)
         decisions.append(decision)
     return decisions
 

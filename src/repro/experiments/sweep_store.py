@@ -37,15 +37,20 @@ One directory per family key (named by its digest) under the store
 root (default ``~/.cache/repro/sweeps/``), holding a human-readable
 ``meta.json`` (written once through :func:`atomic_write_json`) and
 append-only decision logs.  Each decision is one line
-``<x bits>:<y bits>:<0|1>`` appended by a single ``os.write`` to the
-writer's own log, ``<pid>-<token>.log``, where the token is drawn once per
-:class:`SweepStore` instance.  Every write opens the log with
-``O_APPEND`` and closes it again, so no descriptor is held and a fork
-child (same token, new pid) lands in a file of its own without any
-bookkeeping; concurrent fork workers and processes therefore never
-share a file.  A decision reaches the kernel the moment it is made (no
-fsync), so a killed campaign keeps every completed pair; a writer
-killed mid-``write`` can leave at most a torn last line.
+``<x bits>:<y bits>:<0|1>`` in the writer's own log,
+``<pid>-<token>.log``, where the token is drawn once per
+:class:`SweepStore` instance.  :meth:`SweepStore.append` writes a batch
+of lines with a single ``os.write``; :meth:`SweepStore.store` is its
+one-pair case.  Every write opens the log with ``O_APPEND`` and closes
+it again, so no descriptor is held and a fork child (same token, new
+pid) lands in a file of its own without any bookkeeping; concurrent
+fork workers and processes therefore never share a file.  The sweep
+appends the decisions of a batch kernel, which are all in memory before
+any is stored, as one batch, and every per-pair solve the moment it is
+made.  A write reaches the operating system at once (no fsync), so a
+killed campaign keeps every completed pair and every completed batch;
+a writer killed mid-``write`` can leave at most a torn last line, and
+a torn batch loses only the lines after its tear.
 
 :meth:`SweepStore.load_pairs` reads every log once and skips a torn
 trailing line (no newline) and any malformed line.  A pair whose lines
@@ -65,7 +70,7 @@ import re
 import tempfile
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Dict, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Optional, Sequence, Set, Tuple
 
 Bits = Tuple[int, ...]
 Pair = Tuple[Bits, Bits]
@@ -230,12 +235,21 @@ class SweepStore:
 
     def store(self, fkey: FamilyKey, x: Sequence[int], y: Sequence[int],
               decision: bool) -> None:
-        """Append one decision to this writer's log with a single
-        ``write``; an unwritable store degrades to memory-only (the
-        sweep memo still holds the decision)."""
+        """Append one decision: the one-pair case of :meth:`append`."""
+        self.append(fkey, [(x, y, decision)])
+
+    def append(self, fkey: FamilyKey,
+               entries: Iterable[Tuple[Sequence[int], Sequence[int], bool]]
+               ) -> None:
+        """Append ``(x, y, decision)`` entries to this writer's log with
+        a single ``write``; an unwritable store degrades to memory-only
+        (the sweep memo still holds the decisions)."""
+        data = "".join(f"{_bits_str(x)}:{_bits_str(y)}:{int(bool(d))}\n"
+                       for x, y, d in entries).encode()
+        if not data:
+            return
         fdir = self.family_dir(fkey)
         path = os.path.join(fdir, f"{os.getpid()}-{self._token}.log")
-        line = f"{_bits_str(x)}:{_bits_str(y)}:{int(bool(decision))}\n"
         try:
             try:
                 fd = os.open(path, _APPEND, 0o644)
@@ -244,7 +258,7 @@ class SweepStore:
                 self._write_meta(fkey, fdir)
                 fd = os.open(path, _APPEND, 0o644)
             try:
-                os.write(fd, line.encode())
+                os.write(fd, data)
             finally:
                 os.close(fd)
         except OSError:

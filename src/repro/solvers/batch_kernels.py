@@ -30,11 +30,20 @@ input-independent out of the loop **once per skeleton**:
   input-independent remainder into one ``g[d] = max fixed cut given
   D-assignment d`` table; a pair reduces to
   ``max_d(g[d] + delta_cut_d)`` over numpy rows of length ``2^|D|``;
-- :class:`DirectedSteinerBatchKernel` reads each S_i / S̄_i element
-  mask straight from the pair's bits (the arcs a 1-bit installs are
-  fixed by the covering collection), so a pair builds no graph and
-  goes straight to the set-cover decision that the family's
-  ``predicate`` shares (:func:`unit_cover_within_two`).
+- :class:`SteinerBatchKernel` holds the ball masks of the MDS graph
+  that the Claim 2.8 family recovers from its skeleton; a pair patches
+  the two balls of each input edge and runs the four-case constrained
+  domination search that the family's ``predicate`` also runs
+  (:func:`repro.solvers.dominating.min_size_over_cases`), with no G′
+  build and no base-graph recovery;
+- :class:`DirectedSteinerBatchKernel` files one set-cover index for the
+  whole grid: the 2T masks that 1-bits install (the arcs a 1-bit
+  installs are fixed by the covering collection, and a 0-bit installs
+  none) plus the ℓ fallbacks.  A pair re-weights it from its bits —
+  weight 1 for a set its bits install, a weight at the search budget
+  for one they do not — so it builds no graph and no index before the
+  set-cover decision that the family's ``predicate`` shares
+  (:func:`cover_within_two`).
 
 A kernel instance is valid for exactly one skeleton (the family layer
 keys it on ``content_hash`` and rebuilds on mismatch) and must treat
@@ -45,9 +54,8 @@ family's predicate is monotone non-decreasing in every input bit —
 a grid from a few extremal solves.  Max-cut's predicate is not
 edge-monotone (0-bits add row edges, 1-bits add N-weight), so its
 kernel stays ``monotone = False`` and every pair is evaluated — still
-cheap, because only the delta term varies.  The directed Steiner
-kernel is ``monotone = False`` too: every pair is solved and none is
-inferred.
+cheap, because only the delta term varies.  Both Steiner kernels are
+``monotone = False`` too: every pair is solved and none is inferred.
 """
 
 from __future__ import annotations
@@ -108,6 +116,21 @@ class HamiltonianPathBatchKernel(_HamiltonianKernelBase):
         self._succ, self._pred = with_hub(self._succ, self._pred)
 
 
+def _patched_balls(balls: Sequence[int], x: Bits, y: Bits,
+                   x_edges: Sequence[Tuple[int, int]],
+                   y_edges: Sequence[Tuple[int, int]]) -> List[int]:
+    """A copy of the closed-neighbourhood masks ``balls`` with the input
+    edge of every 1-bit added: edge {u, v} grows exactly ``ball[u]`` and
+    ``ball[v]``."""
+    out = list(balls)
+    for bits, edges in ((x, x_edges), (y, y_edges)):
+        for bit, (iu, iv) in zip(bits, edges):
+            if bit:
+                out[iu] |= 1 << iv
+                out[iv] |= 1 << iu
+    return out
+
+
 class DominationBatchKernel:
     """Size-bounded domination (Figure 1 MDS) over patched ball masks.
 
@@ -136,12 +159,8 @@ class DominationBatchKernel:
 
     def decide(self, x: Bits, y: Bits) -> bool:
         from repro.solvers.dominating import _SetCoverSolver
-        balls = list(self._balls)
-        for bits, edges in ((x, self._x_edges), (y, self._y_edges)):
-            for bit, (iu, iv) in zip(bits, edges):
-                if bit:
-                    balls[iu] |= 1 << iv
-                    balls[iv] |= 1 << iu
+        balls = _patched_balls(self._balls, x, y, self._x_edges,
+                               self._y_edges)
         solver = _SetCoverSolver(
             self._n, [(balls[i], 1.0, i) for i in range(self._n)])
         __, choice = solver.solve(self._budget)
@@ -195,6 +214,46 @@ class WeightedDominationBatchKernel:
         __, choice = self._cover.reweighted(
             self.weights(x, y)).solve(self._budget)
         return choice is not None
+
+
+class SteinerBatchKernel:
+    """Theorem 2.7 / Claim 2.8 decisions over patched MDS ball masks.
+
+    ``balls`` are the closed neighbourhoods of the MDS graph G that the
+    family recovers from its skeleton, and ``x_edges``/``y_edges`` the
+    index pair of the input edge per bit position.  A pair patches the
+    two balls of each installed edge, as :class:`DominationBatchKernel`
+    does, then runs :func:`repro.solvers.dominating.min_size_over_cases`
+    over the family's connectivity ``cases``: the search behind
+    ``SteinerTreeFamily.min_steiner_size``.  TRUE iff some case
+    dominates with at most ``max_size`` vertices, searched below
+    ``budget``.
+    """
+
+    monotone = False  # every pair is solved, none is inferred
+
+    def __init__(self, balls: Sequence[int],
+                 x_edges: Sequence[Tuple[int, int]],
+                 y_edges: Sequence[Tuple[int, int]],
+                 cases: Sequence[Tuple[int, Sequence[int]]],
+                 max_size: int, budget: float) -> None:
+        self._balls = list(balls)
+        self._x_edges = list(x_edges)
+        self._y_edges = list(y_edges)
+        self._cases = list(cases)
+        self._max_size = max_size
+        self._budget = budget
+
+    def balls(self, x: Bits, y: Bits) -> List[int]:
+        """The ball masks of G_{x,y}, in the skeleton's vertex order."""
+        return _patched_balls(self._balls, x, y, self._x_edges,
+                              self._y_edges)
+
+    def decide(self, x: Bits, y: Bits) -> bool:
+        from repro.solvers.dominating import min_size_over_cases
+        size = min_size_over_cases(self.balls(x, y), self._cases,
+                                   self._budget)
+        return size is not None and size <= self._max_size
 
 
 class ThresholdCutBatchKernel:
@@ -349,18 +408,20 @@ def unit_cover_solver(ell: int, masks: Sequence[int],
     return _SetCoverSolver(ell, sets)
 
 
-def unit_cover_within_two(ell: int, masks: Sequence[int],
-                          fallbacks: Sequence[Tuple[int, float, int]]
-                          ) -> bool:
-    """Whether the cover of :func:`unit_cover_solver` costs at most 2,
-    decided at the threshold: the search only looks for a cover cheaper
-    than 3, so it prunes every branch that cannot beat 3 instead of
-    proving the exact optimum.  A cover it returns is the cheapest one,
-    and the ``<= 2`` test keeps the answer exact for non-integral
-    fallback weights too.  The one decision behind both
-    ``DirectedSteinerFamily.predicate`` and
+#: the search budget of :func:`cover_within_two`
+_WITHIN_TWO_BUDGET = 3
+
+
+def cover_within_two(solver) -> bool:
+    """Whether ``solver``'s cover costs at most 2, decided at the
+    threshold: the search only looks for a cover cheaper than 3, so it
+    prunes every branch that cannot beat 3 instead of proving the exact
+    optimum.  A cover it returns is the cheapest one, and the ``<= 2``
+    test keeps the answer exact for non-integral fallback weights too.
+    The one decision behind both ``DirectedSteinerFamily.predicate``
+    (on a :func:`unit_cover_solver`) and
     :class:`DirectedSteinerBatchKernel`."""
-    weight, choice = unit_cover_solver(ell, masks, fallbacks).solve(3)
+    weight, choice = solver.solve(_WITHIN_TWO_BUDGET)
     return choice is not None and weight <= 2
 
 
@@ -371,28 +432,50 @@ class DirectedSteinerBatchKernel:
     family's ``_cover_sides`` order).  ``x_masks[i]`` is the pair of
     element masks of S_i with x_i = 0 and with x_i = 1, read once from
     the skeleton and the input-arc table; likewise ``y_masks[i]`` for
-    S̄_i.  A pair picks one mask per set by its bits and calls
-    :func:`unit_cover_within_two`: no graph copy, no arc insertion and
-    no successor reads.
+    S̄_i.  Every 0-bit mask must be empty (the family checks it), so one
+    cover index serves the whole grid: it holds the 2T 1-bit masks and
+    the fallbacks.  A pair only re-weights it (:meth:`weights`) and
+    calls :func:`cover_within_two`: no graph copy, no arc insertion, no
+    successor reads and no index build.
     """
 
     monotone = False  # every pair is solved, none is inferred
 
+    #: the weight of a set whose bit is 0: the search budget of
+    #: :func:`cover_within_two`, so no cover under it picks the set,
+    #: and integral, so integral fallbacks keep the exact bounds
+    PRICED_OUT = float(_WITHIN_TWO_BUDGET)
+
     def __init__(self, ell: int, x_masks: Sequence[Tuple[int, int]],
                  y_masks: Sequence[Tuple[int, int]],
                  fallbacks: Sequence[Tuple[int, float, int]]) -> None:
-        self._ell = ell
-        self._sides = list(zip(x_masks, y_masks))
-        self._fallbacks = list(fallbacks)
+        on: List[int] = []
+        for (x_off, x_on), (y_off, y_on) in zip(x_masks, y_masks):
+            if x_off or y_off:
+                raise ValueError("a 0-bit cover mask is not empty")
+            on += [x_on, y_on]
+        self._cover = unit_cover_solver(ell, on, fallbacks)
+        self._fallback_weights = [w for __, w, __ in fallbacks]
 
     def masks(self, x: Bits, y: Bits) -> List[int]:
-        """The element mask of every cover set of G_{x,y}, in order."""
-        out: List[int] = []
-        for (x_side, y_side), xb, yb in zip(self._sides, x, y):
-            out.append(x_side[1] if xb else x_side[0])
-            out.append(y_side[1] if yb else y_side[0])
+        """The element mask of every cover set of G_{x,y}, in order, as
+        the shared index and the pair's weights give it: empty for a
+        priced-out set."""
+        weights = self.weights(x, y)
+        return [mask if w == 1.0 else 0 for mask, w
+                in zip(self._cover.masks, weights[:2 * len(x)])]
+
+    def weights(self, x: Bits, y: Bits) -> List[float]:
+        """The weight of every set of the shared index for G_{x,y}: 1
+        for a set the pair's bits install, :attr:`PRICED_OUT` for one
+        they do not, then the fallbacks' own."""
+        out: List[float] = []
+        priced_out = self.PRICED_OUT
+        for xb, yb in zip(x, y):
+            out.append(1.0 if xb else priced_out)
+            out.append(1.0 if yb else priced_out)
+        out.extend(self._fallback_weights)
         return out
 
     def decide(self, x: Bits, y: Bits) -> bool:
-        return unit_cover_within_two(self._ell, self.masks(x, y),
-                                     self._fallbacks)
+        return cover_within_two(self._cover.reweighted(self.weights(x, y)))

@@ -269,25 +269,54 @@ def _solve_domination(
     budget: float,
     targets: Optional[Iterable[Vertex]] = None,
 ) -> Tuple[float, Optional[List[Vertex]]]:
+    """The graph wrapper of :func:`dominate_masks`: vertices to indices
+    of ``graph.bits()`` and back."""
     bg = graph.bits()
-    balls = bg.ball_masks(k)
     weights = vertex_weights(graph) if weighted else [1.0] * bg.n
-    cand = set(candidates) if candidates is not None else set(bg.vertices)
-    forced = list(forced) if forced is not None else []
+    cand_mask = bg.full_mask
+    if candidates is not None:
+        index = bg.index
+        cand_mask = bg.mask_of([v for v in set(candidates) if v in index])
     target_mask = bg.full_mask
     if targets is not None:
         target_mask = bg.mask_of(list(targets))
-    covered = ~target_mask & bg.full_mask
+    forced_idx = [bg.index[v] for v in forced] if forced is not None else []
+    weight, picked = dominate_masks(bg.ball_masks(k), weights, cand_mask,
+                                    forced_idx, budget, target_mask)
+    if picked is None:
+        return weight, None
+    return weight, [bg.vertices[i] for i in picked]
+
+
+def dominate_masks(
+    balls: Sequence[int],
+    weights: Sequence[float],
+    candidates: int,
+    forced: Sequence[int],
+    budget: float,
+    targets: Optional[int] = None,
+) -> Tuple[float, Optional[List[int]]]:
+    """Minimum weight domination over vertex indices: ``balls[i]`` is
+    the mask vertex ``i`` dominates, ``candidates`` the mask of indices
+    that may be picked, ``forced`` the indices that must be, and
+    ``targets`` (default: every vertex) the mask to dominate.  Returns
+    ``(weight, forced + picked indices)``, or ``(budget, None)`` when no
+    such set weighs less than ``budget``.  The search behind
+    :func:`constrained_min_dominating_set` and the Steiner batch kernel
+    alike."""
+    full = (1 << len(balls)) - 1
+    target_mask = full if targets is None else targets
+    covered = ~target_mask & full
     base_weight = 0.0
-    for v in forced:
-        i = bg.index[v]
+    for i in forced:
         covered |= balls[i]
         base_weight += weights[i]
+    forced_set = set(forced)
     sets = []
-    for i, v in enumerate(bg.vertices):
-        if v in cand and v not in forced:
-            sets.append((balls[i] & ~covered, weights[i], i))
-    remaining = bg.full_mask & ~covered
+    for i, ball in enumerate(balls):
+        if candidates >> i & 1 and i not in forced_set:
+            sets.append((ball & ~covered, weights[i], i))
+    remaining = full & ~covered
     # re-index remaining elements compactly (inlined iter_bits: this is
     # once per (set, element) pair on the hot solver path)
     remap = {}
@@ -310,8 +339,25 @@ def _solve_domination(
     weight, choice = solver.solve(budget - base_weight)
     if choice is None:
         return budget, None
-    picked = forced + [bg.vertices[compact_sets[i][2]] for i in choice]
-    return base_weight + weight, picked
+    return base_weight + weight, list(forced) + [compact_sets[i][2]
+                                                 for i in choice]
+
+
+def min_size_over_cases(balls: Sequence[int],
+                        cases: Sequence[Tuple[int, Sequence[int]]],
+                        budget: float = _INF) -> Optional[int]:
+    """The fewest vertices that dominate under any of ``cases``, each a
+    ``(candidates mask, forced indices)`` pair of :func:`dominate_masks`
+    with unit weights, or None when every case needs at least
+    ``budget``.  Each case searches below the best size so far."""
+    weights = [1.0] * len(balls)
+    best = _INF
+    for candidates, forced in cases:
+        __, picked = dominate_masks(balls, weights, candidates, forced,
+                                    min(budget, best))
+        if picked is not None:
+            best = min(best, len(picked))
+    return None if best == _INF else int(best)
 
 
 def constrained_min_dominating_set(

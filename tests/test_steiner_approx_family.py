@@ -221,3 +221,44 @@ class TestDirectedBatchKernel:
         batched = fam.decide_batch(None, _k2_grid()[:64])
         assert len(batched) == 64
         assert calls == []
+
+    def test_one_cover_index_for_the_grid(self, collection, monkeypatch):
+        """The kernel files its sets once; a pair only re-weights them."""
+        from repro.solvers import dominating
+
+        fam = DirectedSteinerFamily(collection)
+        kernel = fam.make_batch_kernel(fam.skeleton())
+        built = []
+        real = dominating._SetCoverSolver.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(None)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(dominating._SetCoverSolver, "__init__", spy)
+        for x, y in _k2_grid()[:64]:
+            kernel.decide(x, y)
+        assert built == []
+
+    def test_nonempty_zero_bit_mask_gets_no_kernel(self, collection):
+        sub = _SkeletonArc(collection)
+        assert sub.supports_batch()
+        assert sub.make_batch_kernel(sub.skeleton()) is None
+        pairs = _k2_grid()[::97]
+        assert sub.decide_batch(None, pairs) is None
+        report = sweep(sub, pairs, memo=False, batch=True)
+        assert report.batched == 0
+        assert report.decisions == [sub.predicate(sub.build(x, y))
+                                    for x, y in pairs]
+
+
+class _SkeletonArc(DirectedSteinerFamily):
+    """The skeleton also holds the arc (S_0, a_j) for every element j
+    outside S_0, so S_0 covers all of them with x_0 = 0 too."""
+
+    def build_skeleton(self):
+        g = super().build_skeleton()
+        for j in range(self.ell):
+            if j not in self.collection.sets[0]:
+                g.add_edge(svert(0), avert(j), weight=0)
+        return g

@@ -229,6 +229,96 @@ class TestStoreBasics:
 
 
 # ----------------------------------------------------------------------
+# batch appends: one write per batch-kernel call
+# ----------------------------------------------------------------------
+def _count_writes(monkeypatch):
+    """Record the size of every ``os.write`` the store makes."""
+    from repro.experiments import sweep_store
+
+    writes = []
+    real = os.write
+
+    def counted(fd, data):
+        writes.append(len(data))
+        return real(fd, data)
+
+    monkeypatch.setattr(sweep_store.os, "write", counted)
+    return writes
+
+
+class TestBatchAppend:
+    def test_append_is_one_write(self, tmp_path, monkeypatch):
+        store = SweepStore(str(tmp_path))
+        fkey = family_key(MdsFamily(2))
+        entries = [((0,) * 4, (1,) * 4, True), ((1,) * 4, (1,) * 4, True),
+                   ((0,) * 4, (0,) * 4, False)]
+        writes = _count_writes(monkeypatch)
+        store.append(fkey, entries)
+        store.append(fkey, [])  # nothing to write, no write
+        assert writes == [3 * len("0000:1111:1\n")]
+        assert store.load_pairs(fkey) == {(x, y): d for x, y, d in entries}
+
+    def test_kernel_grid_is_one_write(self, tmp_path, monkeypatch):
+        store = SweepStore(str(tmp_path))
+        fam = MdsFamily(2)
+        writes = _count_writes(monkeypatch)
+        report = sweep(fam, _grid(fam.k_bits), store=store)
+        assert report.batched == 256
+        assert len(writes) == 1
+        assert len(store.load_pairs(family_key(fam))) == 256
+
+    def test_per_pair_path_writes_each_decision(self, tmp_path,
+                                                monkeypatch):
+        store = SweepStore(str(tmp_path))
+        fam = MdsFamily(2)
+        pairs = _pairs(fam, 5)
+        writes = _count_writes(monkeypatch)
+        report = sweep(fam, pairs, store=store, batch=False)
+        assert report.batched == 0
+        assert len(writes) == report.solved
+
+    def test_torn_batch_tail_skipped_and_resolved(self, tmp_path,
+                                                  monkeypatch):
+        """A writer killed mid-batch leaves the lines before the tear;
+        the sweep serves those and re-solves the rest."""
+        from repro.experiments import sweep_store
+
+        store = SweepStore(str(tmp_path))
+        fam = MdsFamily(2)
+        fkey = family_key(fam)
+        pairs = _grid(fam.k_bits)[:8]
+        want = sweep(MdsFamily(2), pairs).decisions
+        real = os.write
+        line = len("0000:0000:0\n")
+        monkeypatch.setattr(sweep_store.os, "write",
+                            lambda fd, data: real(fd, data[:3 * line + 5]))
+        sweep(fam, pairs, store=store)
+        monkeypatch.undo()
+        assert store.load_pairs(fkey) == {
+            (tuple(x), tuple(y)): d
+            for (x, y), d in zip(pairs[:3], want[:3])}
+        resumed = sweep(MdsFamily(2), pairs, store=store)
+        assert resumed.decisions == want
+        assert resumed.store_hits == 3 and resumed.solved == 5
+
+    def test_conflicting_pair_in_a_batch_is_resolved(self, tmp_path):
+        store = SweepStore(str(tmp_path))
+        fam = MdsFamily(2)
+        fkey = family_key(fam)
+        pairs = _grid(fam.k_bits)[:6]
+        want = sweep(MdsFamily(2), pairs).decisions
+        entries = [(x, y, d) for (x, y), d in zip(pairs, want)]
+        x, y, d = entries[2]
+        store.append(fkey, entries + [(x, y, not d)])
+        report = sweep(fam, pairs, store=store)
+        assert report.decisions == want
+        assert report.store_hits == 5 and report.solved == 1
+        # the re-solved decision is appended once more; the pair stays
+        # in conflict, so it is never served
+        assert (x, y) not in store.load_pairs(fkey)
+
+
+# ----------------------------------------------------------------------
 # sweep() integration: restore, persist, report counters
 # ----------------------------------------------------------------------
 class TestSweepWithStore:
