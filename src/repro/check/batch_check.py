@@ -37,25 +37,40 @@ from typing import Optional
 
 
 def _families(index: int):
-    """Five kernel-bearing families per parity, covering unweighted
-    domination, weighted domination, max-cut, Hamiltonian cycles,
-    Steiner trees (Claim 2.8) and directed Steiner trees (integral α on
-    even cases; α = 1.5 on odd ones, which sends the cover search down
-    its non-integral path)."""
+    """Seven or eight kernel-bearing families per parity, covering
+    unweighted domination, weighted domination, max-cut, Hamiltonian
+    cycles, Steiner trees (Claim 2.8), the approx-MaxIS trio (weighted
+    and linear on even cases, unweighted on odd ones), and
+    node-weighted and directed Steiner trees (integral α on even cases;
+    α = 1.5 on odd ones, which sends the directed cover search down its
+    non-integral path and fits a 0-bit set under the node-weighted
+    threshold of 2)."""
+    from repro.core.approx_maxis import (
+        LinearApproxMaxISFamily,
+        UnweightedApproxMaxISFamily,
+        WeightedApproxMaxISFamily,
+    )
     from repro.core.hamiltonian import HamiltonianCycleFamily
     from repro.core.kmds import KMdsFamily
     from repro.core.maxcut import MaxCutFamily
     from repro.core.mds import MdsFamily
     from repro.core.steiner import SteinerTreeFamily
-    from repro.core.steiner_approx import DirectedSteinerFamily
+    from repro.core.steiner_approx import (
+        DirectedSteinerFamily,
+        NodeWeightedSteinerFamily,
+    )
     from repro.covering.designs import build_covering_collection
 
     cc = build_covering_collection(universe_size=16, T=6, r=2, seed=0)
     if index % 2 == 0:
         return [MdsFamily(2), MaxCutFamily(2), KMdsFamily(cc, k=2),
-                SteinerTreeFamily(2), DirectedSteinerFamily(cc)]
+                SteinerTreeFamily(2), DirectedSteinerFamily(cc),
+                NodeWeightedSteinerFamily(cc), WeightedApproxMaxISFamily(2),
+                LinearApproxMaxISFamily(2)]
     return [MdsFamily(2), HamiltonianCycleFamily(2), KMdsFamily(cc, k=3),
-            SteinerTreeFamily(2), DirectedSteinerFamily(cc, alpha=1.5)]
+            SteinerTreeFamily(2), DirectedSteinerFamily(cc, alpha=1.5),
+            NodeWeightedSteinerFamily(cc, alpha=1.5),
+            UnweightedApproxMaxISFamily(2)]
 
 
 def _sample_pairs(k_bits: int, rng: random.Random):

@@ -25,13 +25,17 @@ joined to the remaining rows by DISJ_k, giving a 5/6 + ε gap at Ω̃(n).
 Verification: the structured exact solver below enumerates the ≤ 1
 row-per-clique choices and solves each gadget column independently
 (justified by Claim 4.1, which tests re-verify against the generic
-branch-and-bound solver on the smallest instances).
+branch-and-bound solver on the smallest instances).  It reads a graph
+only through which row pairs are adjacent, and an input edge joins a
+row pair exactly when its bit is 0, so the batch kernel runs the same
+solver on the input bits themselves.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from abc import abstractmethod
+from typing import List, Sequence, Set, Tuple
 
 from repro.codes.gf import PrimeField, next_prime
 from repro.codes.reed_solomon import ReedSolomonCode
@@ -72,10 +76,19 @@ def _is_prime(n: int) -> bool:
     return is_prime(n)
 
 
-class WeightedApproxMaxISFamily(LowerBoundGraphFamily):
-    """Theorem 4.3 family: (7/8 + ε)-approximate weighted MaxIS."""
+class _CodeGadgetFamily(LowerBoundGraphFamily):
+    """What the three Section 4.1 families share: the code parameters,
+    the structured solver's column values, the predicate and the batch
+    kernel.
 
-    cli_name = "approx-maxis"
+    A subclass reads a graph's row adjacency with :meth:`free_rows` --
+    per side a bit tuple shaped like that side's input, bit p being 1
+    iff the row pair of input bit p is *not* adjacent -- and maximises
+    over row choices with :meth:`max_weight_of_rows`.  On a family graph
+    the free bits are the input bits themselves (an input edge is added
+    exactly for a 0-bit), which is what the batch kernel feeds the same
+    solver.
+    """
 
     def __init__(self, k: int) -> None:
         self.k = k
@@ -85,6 +98,72 @@ class WeightedApproxMaxISFamily(LowerBoundGraphFamily):
         if self.code.size < k:
             raise ValueError("code too small to name all rows")
         self.codewords = [self.code.encode_int(i) for i in range(k)]
+
+    @property
+    def n_coords(self) -> int:
+        return self.ell + self.t
+
+    def column_values(self) -> List[List[int]]:
+        """``[a][b]``: the gadget columns' weight when the A-side clique
+        takes row a and the B-side clique row b (index k: no row).  A
+        column adds 2 if the allowed symbols of its two sides meet, else
+        1.  It depends on the codewords only, so it is computed once."""
+        table = getattr(self, "_column_values", None)
+        if table is None:
+            n = self.n_coords
+            words = self.codewords + [None]
+            table = self._column_values = [
+                [n + sum(a is None or b is None or a[j] == b[j]
+                         for j in range(n)) for b in words]
+                for a in words]
+        return table
+
+    @abstractmethod
+    def free_rows(self, graph: Graph) -> Tuple[Tuple[int, ...], ...]:
+        """Per side (A, then B), the free bit of each input position."""
+
+    @abstractmethod
+    def max_weight_of_rows(self, a_free: Sequence[int],
+                           b_free: Sequence[int]) -> int:
+        """The maximum weight of an independent set when only the row
+        pairs whose free bit is 1 may be taken together."""
+
+    def structured_max_weight(self, graph: Graph) -> int:
+        """Exact maximum weight of an independent set of a family graph:
+        :meth:`max_weight_of_rows` over the graph's :meth:`free_rows`."""
+        return self.max_weight_of_rows(*self.free_rows(graph))
+
+    def predicate(self, graph: Graph) -> bool:
+        """P: an independent set of weight :attr:`alpha_yes` exists (iff
+        DISJ = FALSE)."""
+        return self.structured_max_weight(graph) >= self.alpha_yes
+
+    def gap_ratio(self) -> float:
+        """The inapproximability ratio alpha_no / alpha_yes."""
+        return self.alpha_no / self.alpha_yes
+
+    def make_batch_kernel(self, skeleton: Graph):
+        """The structured solver on the input bits: a pair's free row
+        bits are its input bits, with no graph built.  That holds only
+        while :meth:`free_rows` of a built graph returns its inputs, so
+        this is checked on three pairs through :meth:`build`: all zeros,
+        all ones, and ones against zeros (x and y apart); otherwise there
+        is no kernel and every pair takes the per-pair path."""
+        from repro.solvers.batch_kernels import RowChoiceBatchKernel
+        zeros, ones = (0,) * self.k_bits, (1,) * self.k_bits
+        for x, y in ((zeros, zeros), (ones, ones), (ones, zeros)):
+            if self.free_rows(self.build(x, y)) != (x, y):
+                return None
+        return RowChoiceBatchKernel(self.max_weight_of_rows, self.alpha_yes)
+
+
+class WeightedApproxMaxISFamily(_CodeGadgetFamily):
+    """Theorem 4.3 family: (7/8 + ε)-approximate weighted MaxIS."""
+
+    cli_name = "approx-maxis"
+
+    def __init__(self, k: int) -> None:
+        super().__init__(k)
         self.alpha_yes = 8 * self.ell + 4 * self.t
         #: ceiling for DISJOINT inputs (attained when some x- or y-bit is 1)
         self.alpha_no = 7 * self.ell + 4 * self.t
@@ -92,10 +171,6 @@ class WeightedApproxMaxISFamily(LowerBoundGraphFamily):
     @property
     def k_bits(self) -> int:
         return self.k * self.k
-
-    @property
-    def n_coords(self) -> int:
-        return self.ell + self.t
 
     # ------------------------------------------------------------------
     def build_skeleton(self) -> Graph:
@@ -148,53 +223,48 @@ class WeightedApproxMaxISFamily(LowerBoundGraphFamily):
     # ------------------------------------------------------------------
     # structured exact solver (Claim 4.1 + Lemma 4.1 decomposition)
     # ------------------------------------------------------------------
-    def structured_max_weight(self, graph: Graph) -> int:
-        """Exact maximum weight of an independent set of a family graph.
+    def _row_vertex(self, set_name: str, i: int) -> Vertex:
+        """The vertex whose adjacency stands for row i of ``set_name``."""
+        return row(set_name, i)
 
-        Enumerates one-or-no row per clique; given the row choices the
-        gadget columns decompose independently, each contributing 2 if
-        the allowed symbol sets on the two sides intersect, else 1.
-        """
+    def free_rows(self, graph: Graph) -> Tuple[Tuple[int, ...], ...]:
+        """Per side (A, then B), bit i·k + j is 1 iff rows (·1, i) and
+        (·2, j) are not adjacent in ``graph``."""
         k = self.k
-        choices = list(range(k)) + [None]
+        has_edge = graph.has_edge
+        rv = self._row_vertex
+        return tuple(
+            tuple(0 if has_edge(rv(s1, i), rv(s2, j)) else 1
+                  for i in range(k) for j in range(k))
+            for s1, s2 in (("A1", "A2"), ("B1", "B2")))
+
+    def max_weight_of_rows(self, a_free: Sequence[int],
+                           b_free: Sequence[int]) -> int:
+        """Enumerates one-or-no row per clique (row pairs of a side only
+        where their bit in ``a_free``/``b_free`` is 1); given the row
+        choices the gadget columns decompose independently
+        (:meth:`column_values`)."""
+        values = self.column_values()
+        b_choices = self._row_choices(b_free)
         best = 0
-        for ia1 in choices:
-            for ia2 in choices:
-                if ia1 is not None and ia2 is not None \
-                        and graph.has_edge(row("A1", ia1), row("A2", ia2)):
-                    continue
-                for ib1 in choices:
-                    for ib2 in choices:
-                        if ib1 is not None and ib2 is not None \
-                                and graph.has_edge(row("B1", ib1),
-                                                   row("B2", ib2)):
-                            continue
-                        val = self._value_for(ia1, ia2, ib1, ib2)
-                        if val > best:
-                            best = val
+        for ia1, ia2, wa in self._row_choices(a_free):
+            v1, v2 = values[ia1], values[ia2]
+            for ib1, ib2, wb in b_choices:
+                val = wa + wb + v1[ib1] + v2[ib2]
+                if val > best:
+                    best = val
         return best
 
-    def _value_for(self, ia1: Optional[int], ia2: Optional[int],
-                   ib1: Optional[int], ib2: Optional[int]) -> int:
-        rows_taken = sum(v is not None for v in (ia1, ia2, ib1, ib2))
-        total = self.ell * rows_taken
-        for a_row, b_row in ((ia1, ib1), (ia2, ib2)):
-            for j in range(self.n_coords):
-                a_sym = None if a_row is None else self.codewords[a_row][j]
-                b_sym = None if b_row is None else self.codewords[b_row][j]
-                if a_sym is None or b_sym is None or a_sym == b_sym:
-                    total += 2
-                else:
-                    total += 1
-        return total
-
-    def predicate(self, graph: Graph) -> bool:
-        """P: a weighted IS of weight 8ℓ + 4t exists (iff DISJ = FALSE)."""
-        return self.structured_max_weight(graph) >= self.alpha_yes
-
-    def gap_ratio(self) -> float:
-        """The inapproximability ratio (7ℓ+4t)/(8ℓ+4t) → 7/8."""
-        return self.alpha_no / self.alpha_yes
+    def _row_choices(self, free: Sequence[int]) -> List[Tuple[int, int, int]]:
+        """``(row of ·1, row of ·2, their weight)`` for every choice of at
+        most one row per clique of a side (index k: no row)."""
+        k, ell = self.k, self.ell
+        out = [(k, k, 0)]
+        out += [(i, k, ell) for i in range(k)]
+        out += [(k, j, ell) for j in range(k)]
+        out += [(i, j, 2 * ell) for i in range(k) for j in range(k)
+                if free[i * k + j]]
+        return out
 
 
 class UnweightedApproxMaxISFamily(WeightedApproxMaxISFamily):
@@ -245,31 +315,14 @@ class UnweightedApproxMaxISFamily(WeightedApproxMaxISFamily):
                       for a in range(self.q))
         return va
 
-    def structured_max_weight(self, graph: Graph) -> int:
+    def _row_vertex(self, set_name: str, i: int) -> Vertex:
         """Batches behave exactly like weight-ℓ vertices (all twins share
-        their neighbourhood), so the weighted enumeration carries over;
-        row-row adjacency is read off the batch representatives."""
-        k = self.k
-        choices = list(range(k)) + [None]
-        best = 0
-        for ia1 in choices:
-            for ia2 in choices:
-                if ia1 is not None and ia2 is not None and graph.has_edge(
-                        batch_row("A1", ia1, 0), batch_row("A2", ia2, 0)):
-                    continue
-                for ib1 in choices:
-                    for ib2 in choices:
-                        if ib1 is not None and ib2 is not None \
-                                and graph.has_edge(batch_row("B1", ib1, 0),
-                                                   batch_row("B2", ib2, 0)):
-                            continue
-                        val = self._value_for(ia1, ia2, ib1, ib2)
-                        if val > best:
-                            best = val
-        return best
+        their neighbourhood), so the weighted solver carries over, with
+        row-row adjacency read off the batch representatives."""
+        return batch_row(set_name, i, 0)
 
 
-class LinearApproxMaxISFamily(LowerBoundGraphFamily):
+class LinearApproxMaxISFamily(_CodeGadgetFamily):
     """Theorem 4.2: a (5/6 + ε) gap already at Ω̃(n), from DISJ_k.
 
     Only the A2/B2 sides and their code gadgets remain; batches
@@ -283,11 +336,7 @@ class LinearApproxMaxISFamily(LowerBoundGraphFamily):
     cli_name = "approx-maxis-linear"
 
     def __init__(self, k: int) -> None:
-        self.k = k
-        self.ell, self.t, self.q = choose_code_params(k)
-        self.field = PrimeField(self.q)
-        self.code = ReedSolomonCode(self.field, n=self.ell + self.t, k=self.t)
-        self.codewords = [self.code.encode_int(i) for i in range(k)]
+        super().__init__(k)
         self.alpha_yes = 6 * self.ell + 2 * self.t
         #: ceiling for DISJOINT inputs
         self.alpha_no = 5 * self.ell + 2 * self.t
@@ -295,10 +344,6 @@ class LinearApproxMaxISFamily(LowerBoundGraphFamily):
     @property
     def k_bits(self) -> int:
         return self.k
-
-    @property
-    def n_coords(self) -> int:
-        return self.ell + self.t
 
     def _batch(self, tag: str) -> List[Vertex]:
         return [("batch", tag, xi) for xi in range(self.ell)]
@@ -347,35 +392,36 @@ class LinearApproxMaxISFamily(LowerBoundGraphFamily):
                   for a in range(self.q))
         return va
 
-    def structured_max_weight(self, graph: Graph) -> int:
-        choices = list(range(self.k)) + [None]
+    def free_rows(self, graph: Graph) -> Tuple[Tuple[int, ...], ...]:
+        """Per side (A, then B), bit i is 1 iff the batch of v_A (v_B)
+        is not adjacent to row A2 (B2) i in ``graph``."""
+        has_edge = graph.has_edge
+        return tuple(
+            tuple(0 if has_edge(("batch", tag, 0), row(s, i)) else 1
+                  for i in range(self.k))
+            for tag, s in ((self.V_A, "A2"), (self.V_B, "B2")))
+
+    def max_weight_of_rows(self, a_free: Sequence[int],
+                           b_free: Sequence[int]) -> int:
+        """One-or-no row per side and whether to take its batch (only
+        beside a row whose bit in ``a_free``/``b_free`` is 1); the gadget
+        columns then decompose as in the weighted family."""
+        values = self.column_values()
+        b_choices = self._row_choices(b_free)
         best = 0
-        for ia in choices:
-            for take_va in (False, True):
-                if take_va and ia is not None and graph.has_edge(
-                        ("batch", self.V_A, 0), row("A2", ia)):
-                    continue
-                for ib in choices:
-                    for take_vb in (False, True):
-                        if take_vb and ib is not None and graph.has_edge(
-                                ("batch", self.V_B, 0), row("B2", ib)):
-                            continue
-                        val = self.ell * (int(take_va) + int(take_vb)
-                                          + (ia is not None)
-                                          + (ib is not None))
-                        for j in range(self.n_coords):
-                            a_sym = None if ia is None else self.codewords[ia][j]
-                            b_sym = None if ib is None else self.codewords[ib][j]
-                            if a_sym is None or b_sym is None or a_sym == b_sym:
-                                val += 2
-                            else:
-                                val += 1
-                        best = max(best, val)
+        for ia, wa in self._row_choices(a_free):
+            va = values[ia]
+            for ib, wb in b_choices:
+                val = wa + wb + va[ib]
+                if val > best:
+                    best = val
         return best
 
-    def predicate(self, graph: Graph) -> bool:
-        """P: an IS of weight 6ℓ + 2t exists (iff DISJ_k = FALSE)."""
-        return self.structured_max_weight(graph) >= self.alpha_yes
-
-    def gap_ratio(self) -> float:
-        return self.alpha_no / self.alpha_yes
+    def _row_choices(self, free: Sequence[int]) -> List[Tuple[int, int]]:
+        """``(row, weight of the row and the batch taken)`` for every
+        choice on a side (index k: no row)."""
+        k, ell = self.k, self.ell
+        out = [(k, 0), (k, ell)]
+        out += [(i, ell) for i in range(k)]
+        out += [(i, 2 * ell) for i in range(k) if free[i]]
+        return out

@@ -37,7 +37,7 @@ from typing import List, Sequence, Set, Tuple
 from repro.core.family import LowerBoundGraphFamily
 from repro.core.mds import _check_power_of_two
 from repro.graphs import Graph, Vertex
-from repro.solvers.mis import is_independent_set, max_independent_set
+from repro.solvers.mis import independence_number, is_independent_set
 
 SETS = ("A1", "A2", "B1", "B2")
 W_A = ("conn", "A")
@@ -135,7 +135,7 @@ class MvcMaxISFamily(LowerBoundGraphFamily):
 
     def predicate(self, graph: Graph) -> bool:
         """P: α(G) = 4·log k + 6 (iff DISJ = FALSE)."""
-        return len(max_independent_set(graph)) >= self.alpha_yes
+        return independence_number(graph) >= self.alpha_yes
 
     # ------------------------------------------------------------------
     def witness_independent_set(self, x: Sequence[int], y: Sequence[int],

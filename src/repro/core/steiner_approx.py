@@ -33,6 +33,7 @@ from repro.core.kmds import (
 )
 from repro.covering.designs import CoveringCollection
 from repro.graphs import DiGraph, Graph, Vertex
+from repro.solvers._bitmask import vertex_weights
 from repro.solvers.steiner import min_node_weighted_steiner_cost
 
 
@@ -40,6 +41,9 @@ class NodeWeightedSteinerFamily(LowerBoundGraphFamily):
     """Theorem 4.6 / Lemma 4.5 family."""
 
     cli_name = "node-weighted-steiner"
+
+    #: Lemma 4.5's threshold: a Steiner tree of weight 2 iff DISJ = FALSE
+    YES_COST = 2
 
     def __init__(self, collection: CoveringCollection,
                  alpha: int = None) -> None:  # type: ignore[assignment]
@@ -99,8 +103,38 @@ class NodeWeightedSteinerFamily(LowerBoundGraphFamily):
 
     def predicate(self, graph: Graph) -> bool:
         """P: a node-weighted Steiner tree of weight ≤ 2 exists (iff
-        DISJ = FALSE)."""
-        return self.optimum(graph) <= 2
+        DISJ = FALSE).  Decided at the threshold: the best-first scan
+        stops once every subset costing at most 2 is refuted."""
+        return min_node_weighted_steiner_cost(
+            graph, self.terminals(), cap=self.YES_COST) <= self.YES_COST
+
+    def make_batch_kernel(self, skeleton: Graph):
+        """The skeleton's ``bits()`` adjacency once; each pair sets the
+        2T S_i / S̄_i weights and runs the capped scan of
+        :meth:`predicate` over it.  That is sound only while the deltas
+        are weight-only and the kernel's weights are those
+        ``apply_inputs`` installs, so both are checked here on three
+        pairs through :meth:`build`: all zeros, all ones, and ones
+        against zeros (x and y apart).  The built graph must keep the
+        skeleton's vertex order and adjacency, and its vertex weights
+        must equal the kernel's; otherwise there is no kernel and every
+        pair takes the per-pair path."""
+        from repro.solvers.batch_kernels import NodeWeightedSteinerBatchKernel
+        T = self.collection.T
+        kernel = NodeWeightedSteinerBatchKernel(
+            skeleton, self.terminals(),
+            x_vertices=[svert(i) for i in range(T)],
+            y_vertices=[scomp(i) for i in range(T)],
+            alpha=self.alpha, yes_cost=self.YES_COST)
+        base = skeleton.bits()
+        zeros, ones = (0,) * T, (1,) * T
+        for x, y in ((zeros, zeros), (ones, ones), (ones, zeros)):
+            graph = self.build(x, y)
+            bg = graph.bits()
+            if (bg.vertices != base.vertices or bg.adj != base.adj
+                    or kernel.weights(x, y) != vertex_weights(graph)):
+                return None
+        return kernel
 
 
 class DirectedSteinerFamily(LowerBoundGraphFamily):

@@ -1218,17 +1218,25 @@ def _content_hash(graph) -> str:
     for v in verts:
         tname, rep = keys[v]
         h.update(f"V|{tname}|{rep}|{vweights.get(v, 1.0)!r};".encode())
-    # Graph.edges() already yields canonical (sorted-endpoint) keys;
-    # DiGraph.edges() yields arcs, whose direction is part of the key.
+    # Edges in (position of u, position of v) order, u the tail of an
+    # arc or the lower-keyed endpoint of an edge (the canonical key).
     # Sorting by cached canonical *position* is equivalent to sorting by
     # label_sort_key (the positions are assigned in key order and the
-    # collision guard above makes the order strict).
-    arcs = sorted(graph.edges(), key=lambda e: (pos[e[0]], pos[e[1]]))
+    # collision guard above makes the order strict), so each vertex's
+    # out-neighbours are sorted by position alone.
     eweights = graph._edge_weight
-    for u, v in arcs:
+    getpos = pos.__getitem__
+    directed = graph.directed
+    out = graph._succ if directed else graph._adj
+    for u in verts:
         tu, ru = keys[u]
-        tv, rv = keys[v]
-        h.update(f"E|{tu}|{ru}|{tv}|{rv}|{eweights.get((u, v), 1.0)!r};".encode())
+        nbrs = out[u]
+        if not directed:
+            pu = pos[u]
+            nbrs = [v for v in nbrs if pos[v] > pu]
+        for v in sorted(nbrs, key=getpos):
+            tv, rv = keys[v]
+            h.update(f"E|{tu}|{ru}|{tv}|{rv}|{eweights.get((u, v), 1.0)!r};".encode())
     return h.hexdigest()
 
 

@@ -43,7 +43,14 @@ input-independent out of the loop **once per skeleton**:
   weight 1 for a set its bits install, a weight at the search budget
   for one they do not — so it builds no graph and no index before the
   set-cover decision that the family's ``predicate`` shares
-  (:func:`cover_within_two`).
+  (:func:`cover_within_two`);
+- :class:`NodeWeightedSteinerBatchKernel` keeps the skeleton's bitmask
+  adjacency (the node-weighted Steiner deltas are weight-only); a pair
+  fills 2T weights and runs the best-first subset scan capped at the
+  threshold, as the family's ``predicate`` does;
+- :class:`RowChoiceBatchKernel` runs the approx-MaxIS families'
+  structured solver on the input bits themselves, which are exactly
+  the row pairs the solver may take together.
 
 A kernel instance is valid for exactly one skeleton (the family layer
 keys it on ``content_hash`` and rebuilds on mismatch) and must treat
@@ -54,8 +61,9 @@ family's predicate is monotone non-decreasing in every input bit —
 a grid from a few extremal solves.  Max-cut's predicate is not
 edge-monotone (0-bits add row edges, 1-bits add N-weight), so its
 kernel stays ``monotone = False`` and every pair is evaluated — still
-cheap, because only the delta term varies.  Both Steiner kernels are
-``monotone = False`` too: every pair is solved and none is inferred.
+cheap, because only the delta term varies.  The Steiner and
+approx-MaxIS kernels are ``monotone = False`` too: every pair is solved
+and none is inferred.
 """
 
 from __future__ import annotations
@@ -167,7 +175,34 @@ class DominationBatchKernel:
         return choice is not None
 
 
-class WeightedDominationBatchKernel:
+class _InputWeights:
+    """The vertex weights of G_{x,y} for a Figure 5 skeleton, whose
+    deltas are weight-only: ``weights`` (the skeleton's, in its
+    ``bits()`` order) with the S_i / S̄_i vertices at 1 for a 1-bit and
+    α for a 0-bit.  The family checks against ``build`` that these are
+    the weights ``apply_inputs`` installs before it hands out a kernel."""
+
+    def __init__(self, skeleton, weights: Sequence[float],
+                 x_vertices: Sequence[Vertex], y_vertices: Sequence[Vertex],
+                 alpha: float) -> None:
+        index = skeleton.bits().index
+        self._weights = list(weights)
+        self._x_idx = [index[v] for v in x_vertices]
+        self._y_idx = [index[v] for v in y_vertices]
+        self._alpha = alpha
+
+    def weights(self, x: Bits, y: Bits) -> List[float]:
+        """The vertex weights of G_{x,y} in the skeleton's ``bits()``
+        order."""
+        weights = list(self._weights)
+        alpha = self._alpha
+        for bits, idxs in ((x, self._x_idx), (y, self._y_idx)):
+            for bit, i in zip(bits, idxs):
+                weights[i] = 1.0 if bit else alpha
+        return weights
+
+
+class WeightedDominationBatchKernel(_InputWeights):
     """Weight-bounded distance-k domination (Figure 5 k-MDS).
 
     The k-MDS deltas are weight-only (``apply_inputs`` re-weights the
@@ -187,28 +222,15 @@ class WeightedDominationBatchKernel:
                  yes_weight: int) -> None:
         from repro.solvers.dominating import _SetCoverSolver
         bg = skeleton.bits()
-        self._weights = [float(skeleton.vertex_weight(v))
-                         for v in bg.vertices]
+        weights = [float(skeleton.vertex_weight(v)) for v in bg.vertices]
+        super().__init__(skeleton, weights, x_vertices, y_vertices,
+                         float(alpha))
         self._cover = _SetCoverSolver(
             bg.n, [(ball, w, i) for i, (ball, w)
-                   in enumerate(zip(bg.ball_masks(k), self._weights))])
-        index = bg.index
-        self._x_idx = [index[v] for v in x_vertices]
-        self._y_idx = [index[v] for v in y_vertices]
-        self._alpha = float(alpha)
+                   in enumerate(zip(bg.ball_masks(k), weights))])
         # integer weights: min weight <= yes_weight iff a cover strictly
         # below yes_weight + 0.5 exists
         self._budget = yes_weight + 0.5
-
-    def weights(self, x: Bits, y: Bits) -> List[float]:
-        """The vertex weights of G_{x,y} in the skeleton's ``bits()``
-        order: the skeleton's, with S_i / S̄_i at 1 for a 1-bit and α
-        for a 0-bit."""
-        weights = list(self._weights)
-        for bits, idxs in ((x, self._x_idx), (y, self._y_idx)):
-            for bit, i in zip(bits, idxs):
-                weights[i] = 1.0 if bit else self._alpha
-        return weights
 
     def decide(self, x: Bits, y: Bits) -> bool:
         __, choice = self._cover.reweighted(
@@ -396,6 +418,63 @@ class ThresholdCutBatchKernel:
         return bool(np.max(self._g + acc) > self._target - 0.5)
 
 
+class NodeWeightedSteinerBatchKernel(_InputWeights):
+    """Theorem 4.6 / Lemma 4.5 decisions from the input bits alone.
+
+    The node-weighted Steiner deltas are weight-only (``apply_inputs``
+    re-weights the S_i / S̄_i vertices), so the skeleton's ``bits()``
+    adjacency and terminal indices serve every pair.  A pair fills the
+    2T input weights (:meth:`weights`) and runs the capped best-first
+    scan that the family's ``predicate`` runs
+    (:func:`repro.solvers.steiner.node_weighted_steiner_masks`).  The
+    family checks the weight-only claim before it hands out a kernel
+    (:meth:`repro.core.steiner_approx.NodeWeightedSteinerFamily.make_batch_kernel`).
+    """
+
+    monotone = False  # every pair is solved, none is inferred
+
+    def __init__(self, skeleton, terminals: Sequence[Vertex],
+                 x_vertices: Sequence[Vertex], y_vertices: Sequence[Vertex],
+                 alpha: float, yes_cost: float) -> None:
+        from repro.solvers._bitmask import vertex_weights
+        super().__init__(skeleton, vertex_weights(skeleton), x_vertices,
+                         y_vertices, alpha)
+        bg = skeleton.bits()
+        self._adj = bg.adj
+        self._terminals = [bg.index[v] for v in dict.fromkeys(terminals)]
+        self._yes_cost = yes_cost
+
+    def decide(self, x: Bits, y: Bits) -> bool:
+        from repro.solvers.steiner import node_weighted_steiner_masks
+        cost = node_weighted_steiner_masks(
+            self._adj, self.weights(x, y), self._terminals,
+            cap=self._yes_cost)
+        return cost <= self._yes_cost
+
+
+class RowChoiceBatchKernel:
+    """Section 4.1 (Theorems 4.1-4.3) decisions from the input bits.
+
+    The approx-MaxIS families' structured solver reads a graph only
+    through which row pairs are adjacent, and an input edge joins a row
+    pair exactly when its bit is 0.  So a pair's bits are the solver's
+    input as they are: ``max_weight(x, y)`` is the family's
+    ``max_weight_of_rows``, and a pair is TRUE iff it reaches
+    ``threshold``.  The family checks the bits-for-adjacency claim
+    through ``build`` before it hands out a kernel.
+    """
+
+    monotone = False  # every pair is solved, none is inferred
+
+    def __init__(self, max_weight: Callable[[Bits, Bits], int],
+                 threshold: int) -> None:
+        self._max_weight = max_weight
+        self._threshold = threshold
+
+    def decide(self, x: Bits, y: Bits) -> bool:
+        return self._max_weight(x, y) >= self._threshold
+
+
 def unit_cover_solver(ell: int, masks: Sequence[int],
                       fallbacks: Sequence[Tuple[int, float, int]]):
     """The set cover over ``ell`` elements behind the Theorem 4.7
@@ -442,8 +521,9 @@ class DirectedSteinerBatchKernel:
     monotone = False  # every pair is solved, none is inferred
 
     #: the weight of a set whose bit is 0: the search budget of
-    #: :func:`cover_within_two`, so no cover under it picks the set,
-    #: and integral, so integral fallbacks keep the exact bounds
+    #: :func:`cover_within_two`, so no cover under it picks the set and
+    #: the search's bounds leave the set out, and integral, so integral
+    #: fallbacks keep the exact bounds
     PRICED_OUT = float(_WITHIN_TWO_BUDGET)
 
     def __init__(self, ell: int, x_masks: Sequence[Tuple[int, int]],

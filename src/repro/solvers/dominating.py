@@ -21,6 +21,13 @@ raise ``ValueError``):
   best weight per newly covered element.  With integral weights every
   cover costs an integer, so this is computed exactly and rounded up.
 
+Both bounds range only over the sets cheaper than the budget of the
+solve: a set at or above it is in no cover strictly below it, so an
+element whose every coverer is priced out makes the bound infinite.
+The pivot is the uncovered element with the fewest sets the node can
+still afford, counted as the popcount of its coverer mask against the
+affordable mask.
+
 A valid bound only cuts subtrees that hold no strictly better cover, so
 tightening one leaves the visit order, the pivots and the sequence of
 improving covers -- and hence every ``(weight, choice)`` -- unchanged.
@@ -61,12 +68,15 @@ class _SetCoverSolver:
     """Branch-and-bound minimum-weight set cover over bitmask sets, with
     the two lower bounds of the module docstring (weights must be >= 0).
 
-    The state comes in two parts.  The element index -- ``n``, ``full``,
-    the set ``masks`` and, per element, the indices of its ``coverers``
-    -- depends only on the sets and is held in tuples, so solvers made
-    by :meth:`reweighted` share it read-only.  Everything a weight
-    touches (the check, the integer bounds, the packing tables and the
-    best cover) is per solver and set up by :meth:`_set_weights`.
+    The state comes in three parts.  The element index -- ``n``,
+    ``full``, the set ``masks`` and, per element, the indices of its
+    ``coverers`` (and, filled on first use, the same as a mask) --
+    depends only on the sets, so solvers made by :meth:`reweighted`
+    share it.  The weights (the check, the integer flag and the best
+    cover) are per solver and set up by :meth:`_set_weights`.  The
+    bound tables are per budget: :meth:`solve` keeps only the sets
+    cheaper than its budget (the *affordable* ones) for them, since a
+    set at or above the budget is in no cover strictly below it.
     """
 
     def __init__(self, n_elements: int, sets: List[Tuple[int, float, int]]):
@@ -87,6 +97,11 @@ class _SetCoverSolver:
         self.masks: Tuple[int, ...] = tuple(masks)
         self.coverers: Tuple[Tuple[int, ...], ...] = tuple(
             map(tuple, coverers))
+        # per element, the mask of its coverers' indices, filled on first
+        # use by the pivot choice (most batch-kernel solves end within a
+        # few nodes); it depends only on the sets, so reweighted solvers
+        # share the list
+        self.coverer_masks: List[Optional[int]] = [None] * n_elements
         self._set_weights(weights)
 
     def reweighted(self, weights: List[float]) -> "_SetCoverSolver":
@@ -99,15 +114,19 @@ class _SetCoverSolver:
         solver.full = self.full
         solver.masks = self.masks
         solver.coverers = self.coverers
+        solver.coverer_masks = self.coverer_masks
         solver._set_weights(weights)
         return solver
 
     def _set_weights(self, weights: List[float]) -> None:
         """Check each weight, note whether all are integral, and reset
         the per-solve state; the solver keeps ``weights`` as it is."""
+        # one builtin pass over the weights; a grid's weights take few
+        # distinct values, so the checks below see only those
         integral = True
         isfinite = math.isfinite
-        for w in weights:
+        distinct = set(weights)
+        for w in distinct:
             if w < 0:
                 raise ValueError(f"set weight {w} is negative; the set "
                                  "cover bounds need weights >= 0")
@@ -124,35 +143,85 @@ class _SetCoverSolver:
         self.int_weights: Optional[List[int]] = None
         self.slack = 1.0 - 1e-9
         if integral and sum(weights) < 2 ** 53:
-            self.int_weights = [int(w) for w in weights]
+            self.int_weights = list(map(int, weights))
             self.slack = 1.0
         self.best_weight = _INF
         self.best_choice: Optional[List[int]] = None
-        # per element, filled on first use by the packing bound (most
-        # batch-kernel solves end within a few nodes)
-        self.conflict: List[Optional[int]] = [None] * self.n
-        self.min_weight: List[float] = [_INF] * self.n
+        self._distinct = distinct
+        self._budget: Optional[float] = None
 
     def solve(self, budget: float = _INF) -> Tuple[float, Optional[List[int]]]:
         self.best_weight = budget
         self.best_choice = None
+        if budget != self._budget:
+            self._budget = budget
+            self._set_budget(budget)
         self._search(0, [], 0.0)
         return self.best_weight, self.best_choice
 
+    def _set_budget(self, budget: float) -> None:
+        """The bound tables over the sets cheaper than ``budget``: their
+        mask (``affordable``), the density bound's ``(mask, weight)``
+        list, the weight levels of the pivot choice, and the packing
+        tables, filled per element on first use."""
+        weights = self.weights
+        bound_weights = self.int_weights or weights
+        cheap = sorted(w for w in self._distinct if w < budget)
+        if len(cheap) == len(self._distinct):
+            affordable = (1 << len(weights)) - 1
+            self.priced = list(zip(self.masks, bound_weights))
+        else:
+            affordable = 0
+            for i, w in enumerate(weights):
+                if w < budget:
+                    affordable |= 1 << i
+            self.priced = [(self.masks[i], bound_weights[i])
+                           for i in range(len(weights))
+                           if affordable >> i & 1]
+        self.affordable = affordable
+        # ascending distinct weights, each with the mask of the
+        # affordable sets weighing at most it: the sets a node can still
+        # afford are one of these masks, since fl(w + weight) grows with w
+        if len(cheap) == 1:
+            self.levels = [(cheap[0], affordable)]
+        else:
+            by_weight = dict.fromkeys(cheap, 0)
+            for i, w in enumerate(weights):
+                if affordable >> i & 1:
+                    by_weight[w] |= 1 << i
+            upto = 0
+            self.levels = []
+            for w in cheap:
+                upto |= by_weight[w]
+                self.levels.append((w, upto))
+        self.conflict: List[Optional[int]] = [None] * self.n
+        self.min_weight: List[float] = [_INF] * self.n
+
     def _element(self, e: int) -> int:
-        """Fill element ``e``'s conflict mask (every element sharing a
-        set with it, itself included) and its cheapest coverer's weight."""
+        """Fill element ``e``'s conflict mask (every element sharing an
+        affordable set with it, itself included) and its cheapest
+        affordable coverer's weight."""
         masks = self.masks
         weights = self.int_weights or self.weights
+        affordable = self.affordable
         conflict = 1 << e
         cheapest = _INF
         for i in self.coverers[e]:
-            conflict |= masks[i]
-            if weights[i] < cheapest:
-                cheapest = weights[i]
+            if affordable >> i & 1:
+                conflict |= masks[i]
+                if weights[i] < cheapest:
+                    cheapest = weights[i]
         self.conflict[e] = conflict
         self.min_weight[e] = cheapest
         return conflict
+
+    def _coverer_mask(self, e: int) -> int:
+        """Fill element ``e``'s coverer mask: bit i for set i covering it."""
+        mask = 0
+        for i in self.coverers[e]:
+            mask |= 1 << i
+        self.coverer_masks[e] = mask
+        return mask
 
     def _packing_bound(self, uncovered: int) -> float:
         """Greedy packing: pairwise set-disjoint uncovered elements need
@@ -171,11 +240,10 @@ class _SetCoverSolver:
 
     def _density_bound(self, uncovered: int) -> float:
         """Fractional density bound: every uncovered element costs at least
-        the best weight-per-new-element density among remaining sets."""
-        int_weights = self.int_weights
-        if int_weights is None:
+        the best weight-per-new-element density among affordable sets."""
+        if self.int_weights is None:
             best_density = _INF
-            for mask, weight in zip(self.masks, self.weights):
+            for mask, weight in self.priced:
                 band = mask & uncovered
                 if band:
                     density = weight / popcount(band)
@@ -187,7 +255,7 @@ class _SetCoverSolver:
         # best density best_w / best_b by cross-multiplying; 1/0 stands
         # for "no set meets the uncovered elements"
         best_w, best_b = 1, 0
-        for mask, weight in zip(self.masks, int_weights):
+        for mask, weight in self.priced:
             band = mask & uncovered
             if band:
                 b = popcount(band)
@@ -209,27 +277,40 @@ class _SetCoverSolver:
             return
         if weight + self._density_bound(uncovered) >= best_weight:
             return
-        # branch on the uncovered element with fewest remaining coverers
-        pivot_opts: Optional[List[int]] = None
-        coverers = self.coverers
-        weights = self.weights
+        # the sets this node can afford: those with weight + w below the
+        # best, a prefix of the weight levels
+        afford = 0
+        for w, upto in self.levels:
+            if w + weight < best_weight:
+                afford = upto
+            else:
+                break
+        # branch on the uncovered element with fewest affordable coverers
+        coverer_masks = self.coverer_masks
+        pivot = -1
+        fewest = -1
         m = uncovered
         while m:
             low = m & -m
             m ^= low
-            opts = [i for i in coverers[low.bit_length() - 1]
-                    if weights[i] + weight < best_weight]
-            if pivot_opts is None or len(opts) < len(pivot_opts):
-                pivot_opts = opts
-                if len(opts) <= 1:
+            e = low.bit_length() - 1
+            c = coverer_masks[e]
+            if c is None:
+                c = self._coverer_mask(e)
+            count = popcount(c & afford)
+            if fewest < 0 or count < fewest:
+                pivot, fewest = e, count
+                if count <= 1:
                     break
-        if not pivot_opts:
+        if not fewest:
             return
-        # prefer cheap, high-coverage sets first
+        # prefer cheap, high-coverage sets first (the sort is stable, so
+        # ties keep the ascending index order of the coverers)
+        weights = self.weights
         masks = self.masks
-        pivot_opts.sort(key=lambda i: (weights[i],
-                                       -popcount(masks[i] & uncovered)))
-        for i in pivot_opts:
+        opts = [i for i in self.coverers[pivot] if afford >> i & 1]
+        opts.sort(key=lambda i: (weights[i], -popcount(masks[i] & uncovered)))
+        for i in opts:
             chosen.append(i)
             self._search(covered | masks[i], chosen, weight + weights[i])
             chosen.pop()
@@ -317,25 +398,29 @@ def dominate_masks(
         if candidates >> i & 1 and i not in forced_set:
             sets.append((ball & ~covered, weights[i], i))
     remaining = full & ~covered
-    # re-index remaining elements compactly (inlined iter_bits: this is
-    # once per (set, element) pair on the hot solver path)
-    remap = {}
-    j = 0
-    m = remaining
-    while m:
-        low = m & -m
-        remap[low.bit_length() - 1] = j
-        j += 1
-        m ^= low
-    compact_sets = []
-    for mask, w, i in sets:
-        cmask = 0
-        while mask:
-            low = mask & -mask
-            cmask |= 1 << remap[low.bit_length() - 1]
-            mask ^= low
-        compact_sets.append((cmask, w, i))
-    solver = _SetCoverSolver(len(remap), compact_sets)
+    if remaining == full:
+        # nothing is covered yet: the compact index is the identity
+        compact_sets = sets
+    else:
+        # re-index remaining elements compactly (inlined iter_bits: this
+        # is once per (set, element) pair on the hot solver path)
+        remap = {}
+        j = 0
+        m = remaining
+        while m:
+            low = m & -m
+            remap[low.bit_length() - 1] = j
+            j += 1
+            m ^= low
+        compact_sets = []
+        for mask, w, i in sets:
+            cmask = 0
+            while mask:
+                low = mask & -mask
+                cmask |= 1 << remap[low.bit_length() - 1]
+                mask ^= low
+            compact_sets.append((cmask, w, i))
+    solver = _SetCoverSolver(popcount(remaining), compact_sets)
     weight, choice = solver.solve(budget - base_weight)
     if choice is None:
         return budget, None

@@ -153,17 +153,36 @@ def _reach(adj: List[int], allowed: int, start: int) -> int:
 
 @profiled
 def min_node_weighted_steiner_cost(graph: Graph, terminals: Sequence[Vertex],
-                                   limit_candidates: int = 16) -> float:
+                                   limit_candidates: int = 16,
+                                   cap: float = _INF) -> float:
     """Minimum total *vertex* weight of a connected subgraph spanning
-    ``terminals`` (terminal weights are charged too, matching §4.4).
+    ``terminals`` (terminal weights are charged too, matching §4.4), or
+    ``inf`` when it exceeds ``cap``: the graph wrapper of
+    :func:`node_weighted_steiner_masks` over :meth:`Graph.bits`."""
+    terminals = list(dict.fromkeys(terminals))
+    if not terminals:
+        return 0.0
+    bg = graph.bits()
+    return node_weighted_steiner_masks(
+        bg.adj, vertex_weights(graph), [bg.index[t] for t in terminals],
+        limit_candidates, cap)
+
+
+def node_weighted_steiner_masks(adj: Sequence[int], weights: Sequence[float],
+                                terminals: Sequence[int],
+                                limit_candidates: int = 16,
+                                cap: float = _INF) -> float:
+    """The scan behind :func:`min_node_weighted_steiner_cost`, over
+    vertex indices: ``adj[i]`` is the neighbour mask of vertex i,
+    ``weights[i]`` its weight and ``terminals`` a nonempty list of
+    distinct terminal indices.
 
     Zero-weight vertices are free and always available; the enumeration
     ranges over the positive-weight optional vertices p_0 < … < p_{m-1}
     (≤ ``limit_candidates`` paid vertices).  Subsets are scanned
     best-first in cost order; the first whose vertices (with the free
     ones and the terminals) connect every terminal is optimal, so the
-    scan stops there.  Connectivity is a bitmask BFS over
-    :meth:`Graph.bits`.
+    scan stops there.  Connectivity is a bitmask BFS.
 
     The scan walks a tree over the subsets: a subset's parent is the
     subset without its highest-index paid vertex, and its cost is the
@@ -176,19 +195,21 @@ def min_node_weighted_steiner_cost(graph: Graph, terminals: Sequence[Vertex],
     ties in index order: the value returned, type included, is that of
     the first connecting subset in that order, as it was when the whole
     cost table was built and stably sorted.
+
+    With a finite ``cap`` the scan decides "optimum <= cap" instead: a
+    subset costing more than ``cap`` is never pushed, so the heap pops
+    the same subsets up to the cap, in the same order, and the first
+    connecting one is the optimum as above; if none connects, the
+    optimum exceeds the cap and the answer is ``inf``.
     """
-    terminals = list(dict.fromkeys(terminals))
-    if not terminals:
-        return 0.0
-    bg = graph.bits()
-    weights = vertex_weights(graph)
-    paid = [i for i in range(bg.n) if weights[i] > 0]
+    paid = [i for i, w in enumerate(weights) if w > 0]
     if len(paid) > limit_candidates:
         raise ValueError("too many positive-weight vertices to enumerate")
-    terms = bg.mask_of(terminals)
-    start = 1 << bg.index[terminals[0]]
-    base_cost = sum(w for w in (weights[bg.index[t]] for t in terminals)
-                    if w > 0)
+    terms = 0
+    for t in terminals:
+        terms |= 1 << t
+    start = 1 << terminals[0]
+    base_cost = sum(w for w in (weights[t] for t in terminals) if w > 0)
     paid_optional = [i for i in paid if not terms >> i & 1]
     fixed = terms  # always allowed: terminals and zero-weight vertices
     for i, w in enumerate(weights):
@@ -197,7 +218,7 @@ def min_node_weighted_steiner_cost(graph: Graph, terminals: Sequence[Vertex],
     everything = fixed
     for i in paid_optional:
         everything |= 1 << i
-    if _reach(bg.adj, everything, start) & terms != terms:
+    if _reach(adj, everything, start) & terms != terms:
         return _INF
     # heap entries (cost, allowed mask, j of the highest paid vertex in
     # the subset); the masks of two subsets compare as their subset
@@ -205,15 +226,18 @@ def min_node_weighted_steiner_cost(graph: Graph, terminals: Sequence[Vertex],
     bits = [1 << i for i in paid_optional]
     paid_w = [weights[i] for i in paid_optional]
     m = len(bits)
-    adj = bg.adj
     heap = [(0, fixed, -1)]
     while heap:
         cost, allowed, top = heapq.heappop(heap)
         if _reach(adj, allowed, start) & terms == terms:
             return base_cost + cost
         for j in range(top + 1, m):
-            heapq.heappush(heap, (cost + paid_w[j], allowed | bits[j], j))
-    raise AssertionError("unreachable: the full subset connects")
+            child = cost + paid_w[j]
+            if base_cost + child <= cap:
+                heapq.heappush(heap, (child, allowed | bits[j], j))
+    if cap == _INF:
+        raise AssertionError("unreachable: the full subset connects")
+    return _INF
 
 
 @profiled

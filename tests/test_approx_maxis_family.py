@@ -1,5 +1,7 @@
 """Section 4.1 code-gadget family tests (Theorems 4.1-4.3, Lemma 4.1)."""
 
+import random
+
 import pytest
 
 from repro.cc.functions import (
@@ -12,11 +14,13 @@ from repro.core.approx_maxis import (
     LinearApproxMaxISFamily,
     UnweightedApproxMaxISFamily,
     WeightedApproxMaxISFamily,
+    batch_row,
     choose_code_params,
     gadget,
     row,
 )
-from repro.core.family import validate_family, verify_iff
+from repro.core.family import DeltaBuildMixin, sweep, validate_family, verify_iff
+from repro.graphs import Graph
 from repro.solvers import max_independent_set, max_independent_set_weight
 
 
@@ -167,3 +171,151 @@ class TestLinearVariant:
     def test_gap_ratio_five_sixths(self, lfam):
         assert lfam.gap_ratio() > 5 / 6
         assert lfam.alpha_yes - lfam.alpha_no == lfam.ell
+
+
+def _all_pairs(k_bits):
+    def bits(v):
+        return tuple((v >> (k_bits - 1 - i)) & 1 for i in range(k_bits))
+
+    return [(bits(p >> k_bits), bits(p & ((1 << k_bits) - 1)))
+            for p in range(1 << (2 * k_bits))]
+
+
+def _boundary_pairs(k_bits):
+    """The k=4 boundary set: the minimal intersecting pairs (x = y =
+    e_i), maximal disjoint pairs (y = x̄: every e_i and a seeded eight
+    more) and the all-zero pair."""
+    def unit(i):
+        return tuple(int(j == i) for j in range(k_bits))
+
+    def flip(bits):
+        return tuple(1 - b for b in bits)
+
+    rng = random.Random(0x4131)
+    pairs = [(unit(i), unit(i)) for i in range(k_bits)]
+    pairs += [(unit(i), flip(unit(i))) for i in range(k_bits)]
+    for __ in range(8):
+        x = tuple(rng.randint(0, 1) for __ in range(k_bits))
+        pairs.append((x, flip(x)))
+    pairs.append(((0,) * k_bits, (0,) * k_bits))
+    return pairs
+
+
+FAMILIES = [
+    pytest.param(WeightedApproxMaxISFamily, id="weighted"),
+    pytest.param(UnweightedApproxMaxISFamily, id="unweighted"),
+    pytest.param(LinearApproxMaxISFamily, id="linear"),
+]
+
+
+class TestBatchKernel:
+    """The kernel runs the structured solver on the input bits, read as
+    the free row pairs; the family checks that reading against built
+    graphs before it hands the kernel out."""
+
+    @pytest.mark.parametrize("cls", FAMILIES)
+    def test_kernel_equals_predicate_on_k2_grid(self, cls):
+        fam = cls(2)
+        kernel = fam.make_batch_kernel(fam._skeleton_base())
+        assert kernel is not None and kernel.monotone is False
+        pairs = _all_pairs(fam.k_bits)
+        trues = 0
+        for x, y in pairs:
+            graph = fam.build(x, y)
+            assert fam.free_rows(graph) == (x, y)
+            expected = fam.predicate(graph)
+            assert kernel.decide(x, y) == expected, (x, y)
+            assert expected == (not disjointness(x, y)), (x, y)
+            trues += expected
+        assert trues == {4: 175, 2: 7}[fam.k_bits]
+
+    @pytest.mark.parametrize("cls", FAMILIES[:2])
+    def test_kernel_equals_predicate_and_disj_on_k4_boundary(self, cls):
+        fam = cls(4)
+        assert fam.k_bits == 16
+        kernel = fam.make_batch_kernel(fam._skeleton_base())
+        assert kernel is not None
+        for x, y in _boundary_pairs(fam.k_bits):
+            expected = not disjointness(x, y)
+            assert kernel.decide(x, y) == expected, (x, y)
+            assert fam.predicate(fam.build(x, y)) == expected, (x, y)
+
+    def test_column_values_are_computed_once(self):
+        fam = WeightedApproxMaxISFamily(2)
+        table = fam.column_values()
+        assert fam.column_values() is table
+        # no row on a side leaves every column its two symbols: 2 each
+        assert table[fam.k][0] == table[0][fam.k] == 2 * fam.n_coords
+
+    @pytest.mark.parametrize("cls", FAMILIES)
+    def test_sweep_serves_every_pair_from_the_kernel(self, cls):
+        pairs = _all_pairs(cls(2).k_bits)[::3]
+        report = sweep(cls(2), pairs, memo=False, batch=True)
+        assert report.solved and report.batched == report.solved
+        plain = sweep(cls(2), pairs, memo=False, batch=False)
+        assert plain.batched == 0
+        assert report.decisions == plain.decisions
+
+    @pytest.mark.parametrize("cls", FAMILIES)
+    def test_decide_batch_builds_no_graph(self, cls, monkeypatch):
+        fam = cls(2)
+        # the kernel's own check builds three graphs, up front
+        assert fam._batch_kernel_for(fam._skeleton_base()) is not None
+        calls = []
+        real_build = DeltaBuildMixin.build
+        real_copy = Graph.copy
+
+        def build(self, *args):
+            calls.append("build")
+            return real_build(self, *args)
+
+        def copy(self):
+            calls.append("copy")
+            return real_copy(self)
+
+        monkeypatch.setattr(DeltaBuildMixin, "build", build)
+        monkeypatch.setattr(Graph, "copy", copy)
+        batched = fam.decide_batch(None, _all_pairs(fam.k_bits)[:16])
+        assert len(batched) == 16
+        assert calls == []
+
+    @pytest.mark.parametrize("sub", [
+        pytest.param(lambda: _ExtraRowEdge(2), id="weighted"),
+        pytest.param(lambda: _ExtraTwinEdge(2), id="unweighted"),
+        pytest.param(lambda: _ExtraBatchEdge(2), id="linear"),
+    ])
+    def test_extra_input_edge_gets_no_kernel(self, sub):
+        fam = sub()
+        assert fam.supports_batch()
+        assert fam.make_batch_kernel(fam.skeleton()) is None
+        pairs = _all_pairs(fam.k_bits)[::7]
+        assert fam.decide_batch(None, pairs) is None
+        report = sweep(fam, pairs, memo=False, batch=True)
+        assert report.batched == 0
+        assert report.decisions == [fam.predicate(fam.build(x, y))
+                                    for x, y in pairs]
+
+
+class _ExtraRowEdge(WeightedApproxMaxISFamily):
+    """Rows A1^0 and A2^1 are joined whatever x_{0,1} is."""
+
+    def apply_inputs(self, g, x, y):
+        super().apply_inputs(g, x, y)
+        g.add_edge(row("A1", 0), row("A2", 1))
+
+
+class _ExtraTwinEdge(UnweightedApproxMaxISFamily):
+    """The batch representatives of B1^1 and B2^0 are joined whatever
+    y_{1,0} is."""
+
+    def apply_inputs(self, g, x, y):
+        super().apply_inputs(g, x, y)
+        g.add_edge(batch_row("B1", 1, 0), batch_row("B2", 0, 0))
+
+
+class _ExtraBatchEdge(LinearApproxMaxISFamily):
+    """v_A's batch is joined to A2^0 whatever x_0 is."""
+
+    def apply_inputs(self, g, x, y):
+        super().apply_inputs(g, x, y)
+        g.add_edge(("batch", self.V_A, 0), row("A2", 0))

@@ -15,7 +15,15 @@ from repro.core.kmds import KMdsFamily
 from repro.covering.designs import build_covering_collection
 from repro.core.maxcut import MaxCutFamily
 from repro.core.mds import MdsFamily
-from repro.core.steiner_approx import DirectedSteinerFamily
+from repro.core.approx_maxis import (
+    LinearApproxMaxISFamily,
+    UnweightedApproxMaxISFamily,
+    WeightedApproxMaxISFamily,
+)
+from repro.core.steiner_approx import (
+    DirectedSteinerFamily,
+    NodeWeightedSteinerFamily,
+)
 
 
 def _grid(k_bits):
@@ -34,6 +42,11 @@ def _directed_steiner():
     return DirectedSteinerFamily(cc)
 
 
+def _node_weighted_steiner():
+    cc = build_covering_collection(universe_size=16, T=6, r=2, seed=0)
+    return NodeWeightedSteinerFamily(cc)
+
+
 FAMILIES = [
     pytest.param(lambda: MdsFamily(2), id="mds"),
     pytest.param(lambda: MaxCutFamily(2), id="maxcut"),
@@ -41,6 +54,12 @@ FAMILIES = [
     pytest.param(lambda: HamiltonianPathFamily(2), id="ham-path"),
     pytest.param(_kmds, id="kmds"),
     pytest.param(_directed_steiner, id="directed-steiner"),
+    pytest.param(lambda: WeightedApproxMaxISFamily(2), id="approx-maxis"),
+    pytest.param(lambda: UnweightedApproxMaxISFamily(2),
+                 id="approx-maxis-unweighted"),
+    pytest.param(lambda: LinearApproxMaxISFamily(2),
+                 id="approx-maxis-linear"),
+    pytest.param(_node_weighted_steiner, id="node-weighted-steiner"),
 ]
 
 

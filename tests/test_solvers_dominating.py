@@ -298,6 +298,62 @@ class TestSetCoverAgainstBruteForce:
         assert min_set_cover(9, sets, budget=1.0) == (0.6, [8, 6, 0, 3])
 
 
+class TestSetCoverSolverAgainstBruteForce:
+    """``_SetCoverSolver`` itself, fresh and :meth:`reweighted`, against
+    exhaustive enumeration: the optimum under each budget, and a choice
+    that covers every element at exactly the returned weight."""
+
+    WEIGHTS = ((1, 2, 3), (0, 1, 2), (0.5, 1, 1.5), (0.1, 0.2, 0.3, 0.7),
+               (1 / 3, 2 / 3, 1), (1.0, 3.0, 1.5))
+    BUDGETS = (math.inf, 0.5, 1, 1.5, 2, 2.5, 3, 4, 6)
+
+    @staticmethod
+    def _check(n, masks, weights, budget, got):
+        opt = _brute_force_cover(
+            n, [([e for e in range(n) if mask >> e & 1], w)
+                for mask, w in zip(masks, weights)])
+        weight, choice = got
+        # a cover equal to the budget in reals may sum to either side of
+        # it in floats, so there either answer stands
+        tie = opt == pytest.approx(budget)
+        if choice is None:
+            assert weight == budget
+            assert tie or not opt < budget, (n, masks, weights, budget)
+            return
+        assert weight < budget
+        assert weight == pytest.approx(opt)
+        covered = 0
+        for i in choice:
+            covered |= masks[i]
+        assert covered == (1 << n) - 1
+        assert weight == sum(weights[i] for i in choice)
+
+    def test_differential(self):
+        rng = random.Random("set-cover-solver")
+        solves = 0
+        for __ in range(300):
+            n, m = rng.randint(0, 8), rng.randint(0, 9)
+            masks = [sum(1 << e for e in range(n) if rng.random() < 0.35)
+                     for __ in range(m)]
+            kind = rng.choice(self.WEIGHTS)
+            weights = [rng.choice(kind) for __ in masks]
+            shared = dominating._SetCoverSolver(
+                n, [(mask, w, i) for i, (mask, w)
+                    in enumerate(zip(masks, weights))])
+            budget = rng.choice(self.BUDGETS)
+            self._check(n, masks, weights, budget, shared.solve(budget))
+            solves += 1
+            for __ in range(2):
+                kind = rng.choice(self.WEIGHTS)
+                weights = [rng.choice(kind) for __ in masks]
+                solver = shared.reweighted(weights)
+                for budget in (math.inf, rng.choice(self.BUDGETS)):
+                    self._check(n, masks, weights, budget,
+                                solver.solve(budget))
+                    solves += 1
+        assert solves == 1500
+
+
 class TestMdsKernelSearch:
     """One ``MdsFamily(4)`` batch-kernel solve (n = 40, budget 10.5):
     x and y share bit 0, so a size-10 dominating set exists."""

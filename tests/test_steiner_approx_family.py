@@ -14,6 +14,7 @@ from repro.core.kmds import A_SPECIAL, R_SPECIAL, avert, bvert, scomp, svert
 from repro.core.steiner_approx import DirectedSteinerFamily, NodeWeightedSteinerFamily
 from repro.covering.designs import build_covering_collection
 from repro.graphs import DiGraph
+from repro.solvers._bitmask import vertex_weights
 from repro.solvers.steiner import min_directed_steiner_reachability_cost
 
 
@@ -52,6 +53,93 @@ class TestNodeWeighted:
         assert fam.optimum(fam.build(x, y)) == 2
         x, y = random_disjoint_pair(fam.k_bits, rng)
         assert fam.optimum(fam.build(x, y)) > fam.collection.r
+
+
+class TestNodeWeightedBatchKernel:
+    """The kernel sets each pair's 2T weights on the skeleton's bitmask
+    view and runs the capped scan of ``predicate``."""
+
+    @pytest.mark.parametrize("alpha", [None, 1.5, 5])
+    def test_decide_batch_matches_predicate_on_k2_grid(self, collection,
+                                                       alpha):
+        """α = 3 (the default r + 1), α = 1.5, whose 0-bit sets fit under
+        the threshold of 2, and α = 5."""
+        fam = NodeWeightedSteinerFamily(collection, alpha=alpha)
+        pairs = _k2_grid()
+        batched = fam.decide_batch(None, pairs)
+        assert len(batched) == len(pairs)
+        kernel = fam.make_batch_kernel(fam.skeleton())
+        trues = 0
+        for x, y in pairs:
+            graph = fam.build(x, y)
+            assert kernel.weights(x, y) == vertex_weights(graph), (x, y)
+            expected = fam.predicate(graph)
+            assert batched[(x, y)] == expected, (x, y)
+            trues += expected
+        assert trues == 3367
+
+    def test_capped_predicate_matches_optimum(self, collection):
+        """The scan capped at 2 decides exactly ``optimum <= 2``."""
+        fam = NodeWeightedSteinerFamily(collection, alpha=1.5)
+        for x, y in _k2_grid()[::16]:
+            graph = fam.build(x, y)
+            assert fam.predicate(graph) == (fam.optimum(graph) <= 2), (x, y)
+
+    def test_sweep_serves_every_pair_from_the_kernel(self, collection, rng):
+        fam = NodeWeightedSteinerFamily(collection)
+        pairs = random_input_pairs(fam.k_bits, 40, rng)
+        report = sweep(fam, pairs, memo=False, batch=True)
+        assert report.solved and report.batched == report.solved
+        plain = sweep(fam, pairs, memo=False, batch=False)
+        assert plain.batched == 0
+        assert report.decisions == plain.decisions
+
+    def test_decide_batch_builds_no_graph(self, collection, monkeypatch):
+        fam = NodeWeightedSteinerFamily(collection)
+        # the kernel's own check builds three graphs, up front
+        assert fam._batch_kernel_for(fam._skeleton_base()) is not None
+        calls = []
+        real = DeltaBuildMixin.build
+
+        def build(self, *args):
+            calls.append(None)
+            return real(self, *args)
+
+        monkeypatch.setattr(DeltaBuildMixin, "build", build)
+        assert len(fam.decide_batch(None, _k2_grid()[:64])) == 64
+        assert calls == []
+
+    @pytest.mark.parametrize("sub", [
+        pytest.param(lambda cc: _ExtraEdge(cc), id="extra-edge"),
+        pytest.param(lambda cc: _SwappedWeights(cc), id="swapped-weights"),
+    ])
+    def test_other_delta_gets_no_kernel(self, collection, sub):
+        sub = sub(collection)
+        assert sub.supports_batch()
+        assert sub.make_batch_kernel(sub.skeleton()) is None
+        pairs = _k2_grid()[::97]
+        assert sub.decide_batch(None, pairs) is None
+        report = sweep(sub, pairs, memo=False, batch=True)
+        assert report.batched == 0
+        assert report.decisions == [sub.predicate(sub.build(x, y))
+                                    for x, y in pairs]
+
+
+class _ExtraEdge(NodeWeightedSteinerFamily):
+    """x_0 = 1 also joins S_0 to b_0: no longer a weight-only delta."""
+
+    def apply_inputs(self, g, x, y):
+        super().apply_inputs(g, x, y)
+        if x[0]:
+            g.add_edge(svert(0), bvert(0))
+
+
+class _SwappedWeights(NodeWeightedSteinerFamily):
+    """x re-weights the S̄_i and y the S_i: still weight-only, but not
+    the weights the kernel sets."""
+
+    def apply_inputs(self, g, x, y):
+        super().apply_inputs(g, y, x)
 
 
 class TestDirected:
