@@ -76,7 +76,7 @@ def simulate_two_party(
     Theorem 1.1 accounting is cross-checked on every simulation.  Neither
     count needs the event stream, so an untraced run stays on the
     simulator's fast path; an explicit ``tracer`` (e.g. a
-    ``JsonlTracer``) receives the full event stream, from which
+    ``BinaryTracer``) receives the full event stream, from which
     :class:`repro.obs.metrics.CutBitCounter` recounts the same numbers.
     """
     va_set: Set[Vertex] = set(va)

@@ -464,32 +464,31 @@ def _run_cases(cases: Sequence[Case],
 
 
 def _run_cases_traced(cases: Sequence[Case], do_shrink: bool,
-                      trace_dir: Optional[str], trace_format: str,
-                      prefix: str,
+                      trace_dir: Optional[str], prefix: str,
                       ) -> Tuple[Dict[str, int], Dict[str, List[float]],
                                  List[CheckFailure]]:
     """``_run_cases`` inside an ambient trace region when requested, so
     every CONGEST simulator the checks construct streams its events to
-    ``trace_dir/<prefix>-NNNN.*``."""
+    ``trace_dir/<prefix>-NNNN.rtb``."""
     if trace_dir is None:
         return _run_cases(cases, do_shrink=do_shrink)
     from repro.obs.trace import trace_to_directory
-    with trace_to_directory(trace_dir, prefix=prefix, fmt=trace_format):
+    with trace_to_directory(trace_dir, prefix=prefix):
         return _run_cases(cases, do_shrink=do_shrink)
 
 
 def _parallel_worker(args: Tuple[int, str, List[Tuple[str, int]], bool, bool,
-                                 Optional[str], str, int],
+                                 Optional[str], int],
                      ) -> Tuple[Dict[str, int], Dict[str, List[float]],
                                 List[CheckFailure]]:
     """Rebuild a chunk of cases from their keys and check them."""
-    seed, __, keys, deep, do_shrink, trace_dir, trace_format, chunk_no = args
+    seed, __, keys, deep, do_shrink, trace_dir, chunk_no = args
     cases = [make_case(seed, fam, idx, deep=deep) for fam, idx in keys]
     try:
         # per-chunk prefix: fork workers share the parent's cwd and the
         # trace directory, so sequence numbers alone would collide
         return _run_cases_traced(
-            cases, do_shrink, trace_dir, trace_format,
+            cases, do_shrink, trace_dir,
             prefix=f"check-seed{seed}-w{chunk_no:02d}")
     except Exception:
         failure = CheckFailure(
@@ -501,7 +500,6 @@ def _parallel_worker(args: Tuple[int, str, List[Tuple[str, int]], bool, bool,
 
 def _run_chunks(cases: Sequence[Case], jobs: int, seed: int, family: str,
                 deep: bool, do_shrink: bool, trace_dir: Optional[str],
-                trace_format: str,
                 ) -> Optional[List[Tuple[Dict[str, int],
                                          Dict[str, List[float]],
                                          List[CheckFailure]]]]:
@@ -526,15 +524,14 @@ def _run_chunks(cases: Sequence[Case], jobs: int, seed: int, family: str,
             lanes, range(len(chunks)),
             lambda lane, no: lane.executor.submit(
                 _parallel_worker, (seed, family, chunks[no], deep, do_shrink,
-                                   trace_dir, trace_format, no)),
+                                   trace_dir, no)),
             fallback)
 
 
 def run_check(seed: int = 0, cases: int = 50, family: str = "all",
               deep: bool = False, jobs: int = 1, do_shrink: bool = True,
               report_dir: Optional[str] = None,
-              trace_dir: Optional[str] = None,
-              trace_format: str = "binary") -> CheckReport:
+              trace_dir: Optional[str] = None) -> CheckReport:
     """Run the full differential harness; see the module docstring.
 
     ``jobs > 1`` fans one case chunk per job over the lane scheduler
@@ -545,8 +542,7 @@ def run_check(seed: int = 0, cases: int = 50, family: str = "all",
     ``check-report.json`` and one ``failure-NNN.json`` per failure —
     the artifacts the nightly deep-fuzz job uploads (render them with
     ``repro report fuzz``).  ``trace_dir`` streams every CONGEST
-    simulator the checks construct to trace files there (compact binary
-    by default; ``trace_format="jsonl"`` for JSON lines).
+    simulator the checks construct to ``.rtb`` trace files there.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -557,11 +553,10 @@ def run_check(seed: int = 0, cases: int = 50, family: str = "all",
     parts = None
     if jobs > 1 and len(all_cases) > 1:
         parts = _run_chunks(all_cases, jobs, seed, family, deep, do_shrink,
-                            trace_dir, trace_format)
+                            trace_dir)
     if parts is None:
         parts = [_run_cases_traced(
-            all_cases, do_shrink, trace_dir, trace_format,
-            prefix=f"check-seed{seed}")]
+            all_cases, do_shrink, trace_dir, prefix=f"check-seed{seed}")]
     for counts, latencies, failures in parts:
         for name, count in counts.items():
             report.check_counts[name] = \

@@ -20,11 +20,9 @@ check [--seed S] [--cases N] [--family F] [--deep] [--jobs N]
                       metamorphic invariants, shrink failures to minimal
                       reproducers (see repro.check)
 report trace TRACE [--run N] [--cut UIDS] [--edges N]
-                      render a simulator trace (binary or JSONL,
-                      auto-detected) into a round-by-round summary
+                      render a simulator trace (.rtb) into a
+                      round-by-round summary
 report fuzz DIR       summarize a `check --report-dir` artifact dir
-report convert SRC DST
-                      convert a trace between JSONL and binary
 """
 
 from __future__ import annotations
@@ -283,8 +281,7 @@ def cmd_experiments(args: argparse.Namespace) -> None:
                       profile=args.profile,
                       jobs=args.jobs,
                       timeout=args.timeout,
-                      retries=args.retries,
-                      trace_format=args.trace_format)
+                      retries=args.retries)
     print(format_markdown(records))
     failed = [r.experiment_id for r in records if not r.passed]
     if failed:
@@ -298,8 +295,7 @@ def cmd_check(args: argparse.Namespace) -> None:
                        deep=args.deep, jobs=args.jobs,
                        do_shrink=not args.no_shrink,
                        report_dir=args.report_dir,
-                       trace_dir=args.trace_dir,
-                       trace_format=args.trace_format)
+                       trace_dir=args.trace_dir)
     print(report.summary())
     if not report.ok:
         raise SystemExit(1)
@@ -307,7 +303,6 @@ def cmd_check(args: argparse.Namespace) -> None:
 
 def _report_trace(path: str, args: argparse.Namespace) -> None:
     from repro.obs import iter_trace, render_report
-    from repro.obs.binary import TraceFormatError
 
     alice = None
     if args.cut:
@@ -320,9 +315,8 @@ def _report_trace(path: str, args: argparse.Namespace) -> None:
                                top_edges=args.edges, run=args.run)
     except OSError as exc:
         raise SystemExit(f"cannot read trace {path!r}: {exc}")
-    except TraceFormatError as exc:
-        raise SystemExit(f"corrupt trace {path!r}: {exc}")
     except ValueError as exc:
+        # TraceFormatError (not a binary trace, a corrupt record), or
         # render_report: empty trace, or --run beyond the last run
         raise SystemExit(f"trace {path!r}: {exc}")
     print(report)
@@ -339,20 +333,6 @@ def _report_fuzz(args: argparse.Namespace) -> None:
         raise SystemExit(str(exc))
 
 
-def _report_convert(args: argparse.Namespace) -> None:
-    from repro.obs import convert_trace
-
-    if args.path is None or args.dst is None:
-        raise SystemExit("usage: repro report convert <src> <dst> "
-                         "(dst format inferred from extension: "
-                         ".jsonl → JSON lines, else binary)")
-    try:
-        out = convert_trace(args.path, args.dst)
-    except OSError as exc:
-        raise SystemExit(f"cannot convert {args.path!r}: {exc}")
-    print(f"wrote {out}")
-
-
 def cmd_report(args: argparse.Namespace) -> None:
     what = args.what
     if what == "trace":
@@ -361,11 +341,9 @@ def cmd_report(args: argparse.Namespace) -> None:
         _report_trace(args.path, args)
     elif what == "fuzz":
         _report_fuzz(args)
-    elif what == "convert":
-        _report_convert(args)
     else:
         raise SystemExit(f"unknown report view {what!r}; expected "
-                         "trace, fuzz, or convert")
+                         "trace or fuzz")
 
 
 def main(argv: Optional[list] = None) -> None:
@@ -425,12 +403,7 @@ def main(argv: Optional[list] = None) -> None:
     p.add_argument("--full", action="store_true")
     p.add_argument("--only", nargs="*", default=None)
     p.add_argument("--trace-dir", default=None, metavar="DIR",
-                   help="write one simulator trace per CONGEST run "
-                        "(compact binary by default; see --trace-format)")
-    p.add_argument("--trace-format", choices=("binary", "jsonl"),
-                   default="binary",
-                   help="trace file format for --trace-dir "
-                        "(default: binary)")
+                   help="write one .rtb simulator trace per CONGEST run")
     p.add_argument("--profile", action="store_true",
                    help="record exact-solver wall-clock/call-count profile "
                         "in each record")
@@ -472,29 +445,19 @@ def main(argv: Optional[list] = None) -> None:
                         "per failure to DIR (render with `repro report "
                         "fuzz DIR`)")
     p.add_argument("--trace-dir", default=None, metavar="DIR",
-                   help="write one simulator trace per CONGEST run the "
-                        "checks perform")
-    p.add_argument("--trace-format", choices=("binary", "jsonl"),
-                   default="binary",
-                   help="trace file format for --trace-dir "
-                        "(default: binary)")
+                   help="write one .rtb simulator trace per CONGEST run "
+                        "the checks perform")
 
     p = sub.add_parser(
         "report",
         help="analytics studio: render traces and fuzz artifacts",
         description="Views: `report trace FILE` renders a simulator "
-                    "trace (binary or JSONL, auto-detected); `report "
-                    "fuzz DIR` summarizes a `check --report-dir` "
-                    "directory; `report convert SRC DST` converts a "
-                    "trace between formats.")
+                    "trace (.rtb); `report fuzz DIR` summarizes a "
+                    "`check --report-dir` directory.")
     p.add_argument("what", metavar="VIEW",
-                   help="trace | fuzz | convert")
+                   help="trace | fuzz")
     p.add_argument("path", nargs="?", default=None,
-                   help="trace file / fuzz report dir / conversion "
-                        "source, per the view")
-    p.add_argument("dst", nargs="?", default=None,
-                   help="destination path (convert view only; format "
-                        "inferred from extension)")
+                   help="trace file / fuzz report dir, per the view")
     p.add_argument("--run", type=int, default=None, metavar="N",
                    help="restrict the trace view to the N-th run "
                         "(1-based) of a multi-run trace")

@@ -230,9 +230,8 @@ class CongestSimulator:
         consults the ambient :func:`repro.obs.trace.default_tracer`
         (active inside ``trace_to_directory`` regions); pass
         ``NullTracer()`` to force tracing off.  A ``str``/path tracer
-        opens a file tracer at that path via
-        :func:`repro.obs.trace.open_tracer` (format inferred from the
-        extension: ``.jsonl`` → JSON lines, else compact binary).
+        writes a :class:`repro.obs.binary.BinaryTracer` (``.rtb``)
+        trace at that path.
         ``cut`` is Alice's side of a bipartition, as simulator uids (see
         :attr:`cut`)."""
         self.graph = graph
@@ -261,8 +260,8 @@ class CongestSimulator:
             from repro.obs.trace import default_tracer
             tracer = default_tracer()
         elif isinstance(tracer, (str, os.PathLike)):
-            from repro.obs.trace import open_tracer
-            tracer = open_tracer(tracer)
+            from repro.obs.binary import BinaryTracer
+            tracer = BinaryTracer(tracer)
         self.tracer = tracer
         #: the active event sink during :meth:`run`, or ``None`` when
         #: tracing is disabled (the hot path then skips event

@@ -264,7 +264,7 @@ def drain(lanes: Sequence[Lane], tasks: Sequence[Any],
 # experiment fan-out
 # ----------------------------------------------------------------------
 def _worker(experiment_id: str, quick: bool, trace_dir: Optional[str],
-            profile: bool, trace_format: str) -> ExperimentRecord:
+            profile: bool) -> ExperimentRecord:
     """Lane entry point: run one experiment, never raise.
 
     Ordinary exceptions become FAIL records here so only genuine worker
@@ -272,8 +272,7 @@ def _worker(experiment_id: str, quick: bool, trace_dir: Optional[str],
     """
     try:
         return run_experiment(experiment_id, quick=quick,
-                              trace_dir=trace_dir, profile=profile,
-                              trace_format=trace_format)
+                              trace_dir=trace_dir, profile=profile)
     except Exception:
         return ExperimentRecord(
             experiment_id=experiment_id,
@@ -305,11 +304,11 @@ def _fail_record(experiment_id: str, kind: str, detail: str,
 
 def run_on_lanes(lanes: Sequence[Lane], ids: Sequence[str], quick: bool,
                  timeout: Optional[float], retries: int,
-                 trace_dir: Optional[str], profile: bool,
-                 trace_format: str) -> Optional[List[ExperimentRecord]]:
+                 trace_dir: Optional[str],
+                 profile: bool) -> Optional[List[ExperimentRecord]]:
     """Run experiments ``ids`` over ``lanes`` with the record semantics
     of :func:`run_parallel`; ``None`` when no lane could start."""
-    args = (quick, trace_dir, profile, trace_format)
+    args = (quick, trace_dir, profile)
     return drain(
         lanes, ids,
         lambda lane, eid: lane.executor.submit(_worker, eid, *args),
@@ -324,8 +323,7 @@ def run_parallel(ids: Sequence[str],
                  timeout: Optional[float] = None,
                  retries: int = 1,
                  trace_dir: Optional[str] = None,
-                 profile: bool = False,
-                 trace_format: str = "binary") -> List[ExperimentRecord]:
+                 profile: bool = False) -> List[ExperimentRecord]:
     """Run ``ids`` over ``jobs`` worker processes; records in ``ids`` order.
 
     ``timeout`` is per-experiment wall clock in seconds (``None`` = no
@@ -342,8 +340,7 @@ def run_parallel(ids: Sequence[str],
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     with open_lanes(min(jobs, len(order))) as lanes:
         records = run_on_lanes(lanes, order, quick, timeout, retries,
-                               trace_dir, profile, trace_format)
+                               trace_dir, profile)
     if records is None:
-        records = [_worker(eid, quick, trace_dir, profile, trace_format)
-                   for eid in order]
+        records = [_worker(eid, quick, trace_dir, profile) for eid in order]
     return records

@@ -2,10 +2,9 @@
 
 Observability hooks: ``run_experiment(..., trace_dir=...)`` makes every
 CONGEST simulator constructed inside the experiment stream its events to
-``trace_dir/<experiment id>-NNNN.rtb`` — compact binary by default,
-``trace_format="jsonl"`` for JSON lines — render them with ``repro
-report trace``; and ``profile=True`` surfaces the exact-solver
-wall-clock / call-count profile through
+``trace_dir/<experiment id>-NNNN.rtb`` (the compact binary trace
+format) — render them with ``repro report trace``; and ``profile=True``
+surfaces the exact-solver wall-clock / call-count profile through
 ``ExperimentRecord.measured["solver_profile"]``.
 """
 
@@ -63,8 +62,7 @@ def experiment(experiment_id: str) -> Callable[[ExperimentFn], ExperimentFn]:
 
 def run_experiment(experiment_id: str, quick: bool = True,
                    trace_dir: Optional[str] = None,
-                   profile: bool = False,
-                   trace_format: str = "binary") -> ExperimentRecord:
+                   profile: bool = False) -> ExperimentRecord:
     fn = EXPERIMENTS[experiment_id]
     if trace_dir is None and not profile:
         return fn(quick=quick)
@@ -74,8 +72,7 @@ def run_experiment(experiment_id: str, quick: bool = True,
 
     before = profile_stats() if profile else {}
     if trace_dir is not None:
-        with trace_to_directory(os.fspath(trace_dir), prefix=experiment_id,
-                                fmt=trace_format):
+        with trace_to_directory(os.fspath(trace_dir), prefix=experiment_id):
             record = fn(quick=quick)
     else:
         record = fn(quick=quick)
@@ -91,8 +88,7 @@ def run_all(quick: bool = True,
             profile: bool = False,
             jobs: int = 1,
             timeout: Optional[float] = None,
-            retries: int = 1,
-            trace_format: str = "binary") -> List[ExperimentRecord]:
+            retries: int = 1) -> List[ExperimentRecord]:
     """Run experiments and return their records in deterministic order.
 
     The order is always the request order (``only`` as given, else ids
@@ -110,16 +106,15 @@ def run_all(quick: bool = True,
         from repro.experiments import warm_pool
         records = warm_pool.run_experiments(
             ids, quick=quick, jobs=jobs, timeout=timeout,
-            retries=retries, trace_dir=trace_dir, profile=profile,
-            trace_format=trace_format)
+            retries=retries, trace_dir=trace_dir, profile=profile)
         if records is not None:
             return records
         from repro.experiments.parallel import run_parallel
         return run_parallel(ids, quick=quick, jobs=jobs, timeout=timeout,
                             retries=retries, trace_dir=trace_dir,
-                            profile=profile, trace_format=trace_format)
+                            profile=profile)
     return [run_experiment(eid, quick=quick, trace_dir=trace_dir,
-                           profile=profile, trace_format=trace_format)
+                           profile=profile)
             for eid in ids]
 
 

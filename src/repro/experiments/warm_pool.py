@@ -428,8 +428,8 @@ class WarmPool:
     # -- experiment fan-out --------------------------------------------
     def run(self, ids: Sequence[str], quick: bool, jobs: int,
             timeout: Optional[float], retries: int,
-            trace_dir: Optional[str], profile: bool,
-            trace_format: str) -> Optional[List[Any]]:
+            trace_dir: Optional[str],
+            profile: bool) -> Optional[List[Any]]:
         """Run experiments across warm lanes; records in ``ids`` order.
 
         Same record semantics as :func:`~repro.experiments.parallel.
@@ -443,7 +443,7 @@ class WarmPool:
         except Exception:
             return None
         records = run_on_lanes(lanes, order, quick, timeout, retries,
-                               trace_dir, profile, trace_format)
+                               trace_dir, profile)
         if records is not None:
             self.stats.experiments += len(records)
         return records
@@ -513,11 +513,11 @@ def pool_decisions(family, pairs: Sequence[Tuple[Bits, Bits]], jobs: int,
 
 def run_experiments(ids: Sequence[str], quick: bool = True, jobs: int = 2,
                     timeout: Optional[float] = None, retries: int = 1,
-                    trace_dir: Optional[str] = None, profile: bool = False,
-                    trace_format: str = "binary") -> Optional[List[Any]]:
+                    trace_dir: Optional[str] = None,
+                    profile: bool = False) -> Optional[List[Any]]:
     """Warm-pool twin of :func:`~repro.experiments.parallel.run_parallel`
     — ``None`` means fall back to the cold runner."""
     if not _warmable():
         return None
     return get_pool().run(ids, quick, jobs, timeout, retries, trace_dir,
-                          profile, trace_format)
+                          profile)

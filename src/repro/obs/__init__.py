@@ -8,10 +8,10 @@ Three layers:
   emits :class:`TraceEvent` records (round boundaries, every message
   with sender/receiver/bits, halts, bandwidth-check outcomes) into any
   :class:`Tracer`; :class:`NullTracer` makes the disabled path free.
-- :mod:`repro.obs.binary` — the compact binary trace format
-  (:class:`BinaryTracer` writer, mmap-backed streaming reader,
-  jsonl↔binary converter); :func:`iter_trace`/:func:`read_trace`
-  auto-detect either format by magic bytes.
+- :mod:`repro.obs.binary` — the ``.rtb`` trace format, the one
+  on-disk trace format (:class:`BinaryTracer` writer;
+  :func:`iter_trace`, the mmap-backed streaming reader, and
+  :func:`read_trace` load it back).
 - :mod:`repro.obs.metrics` — aggregation.  :class:`Metrics` builds
   per-round and per-edge histograms; :class:`CutBitCounter` counts the
   bits crossing an Alice/Bob bipartition, the Theorem 1.1 quantity.
@@ -24,7 +24,6 @@ summary; ``repro report fuzz`` renders fuzz artifacts (see
 """
 
 from repro.obs.trace import (
-    JsonlTracer,
     MultiTracer,
     NullTracer,
     RecordingTracer,
@@ -32,17 +31,13 @@ from repro.obs.trace import (
     Tracer,
     TracerBase,
     default_tracer,
-    iter_trace,
-    open_tracer,
-    read_trace,
     trace_to_directory,
 )
 from repro.obs.binary import (
     BinaryTracer,
     TraceFormatError,
-    convert_trace,
-    iter_binary_trace,
-    sniff_format,
+    iter_trace,
+    read_trace,
 )
 from repro.obs.metrics import (
     CutBitCounter,
@@ -74,17 +69,12 @@ __all__ = [
     "TracerBase",
     "NullTracer",
     "RecordingTracer",
-    "JsonlTracer",
     "BinaryTracer",
     "MultiTracer",
     "TraceFormatError",
     "default_tracer",
-    "open_tracer",
     "iter_trace",
-    "iter_binary_trace",
     "read_trace",
-    "convert_trace",
-    "sniff_format",
     "trace_to_directory",
     "Metrics",
     "RoundStats",

@@ -1,13 +1,11 @@
 """Compact binary trace format (``.rtb``) for simulator event streams.
 
-JSONL traces cost one JSON dict per message event — far too much to
-watch the scaled-up engine at work.  This module defines a versioned,
-struct-packed binary record format that is both much faster to write
-(one precompiled :mod:`struct` pack per event instead of a dict build
-plus ``json.dumps``) and much smaller on disk (a compact message record
-is 9 bytes versus ~80 bytes of JSON), plus an mmap-backed streaming
-reader that yields :class:`~repro.obs.trace.TraceEvent` records lazily
-and never materialises the full trace.
+The one on-disk trace format: a versioned, struct-packed record stream
+written with one precompiled :mod:`struct` pack per event, plus an
+mmap-backed streaming reader that yields
+:class:`~repro.obs.trace.TraceEvent` records lazily and never
+materialises the full trace.  It is compact because a message event —
+the bulk of every trace — is a 9-byte record.
 
 File layout
 -----------
@@ -69,19 +67,14 @@ from repro.obs.trace import TraceEvent, TracerBase
 
 __all__ = [
     "MAGIC",
-    "BINARY_SUFFIX",
     "BinaryTracer",
     "TraceFormatError",
-    "iter_binary_trace",
-    "convert_trace",
-    "sniff_format",
+    "iter_trace",
+    "read_trace",
 ]
 
 #: File magic; the final byte is the format version.
 MAGIC = b"RPROTRC\x01"
-
-#: Canonical file extension for binary traces.
-BINARY_SUFFIX = ".rtb"
 
 _FRAME = struct.Struct("<I")           # frame payload byte length
 _RUN_START = struct.Struct("<BIIIdI")  # code, round, n, edges, bw, alg id
@@ -299,16 +292,18 @@ def _iter_buffer(view: Any) -> Iterator[TraceEvent]:
         pos += length
 
 
-def iter_binary_trace(
+def iter_trace(
         path_or_file: Union[str, os.PathLike, IO[bytes]],
 ) -> Iterator[TraceEvent]:
-    """Lazily yield the events of a binary trace.
+    """Lazily yield the events of a ``.rtb`` trace.
 
     Paths are mmap-ed, so rendering a report from a multi-million-event
     trace touches pages on demand and never materialises the event
     list; binary-mode file objects are read into memory (they may not
     be mmap-able).  A file whose final frame was cut short — a killed
     worker — yields every event of the complete frames and stops.
+    Anything else — a text-mode file object, a file of another format —
+    raises :class:`TraceFormatError`.
     """
     if hasattr(path_or_file, "read"):
         data = path_or_file.read()
@@ -334,27 +329,10 @@ def iter_binary_trace(
         fh.close()
 
 
-def convert_trace(src: Union[str, os.PathLike],
-                  dst: Union[str, os.PathLike],
-                  fmt: Optional[str] = None) -> str:
-    """Convert a trace between the JSONL and binary formats.
+def read_trace(path_or_file: Any) -> List[TraceEvent]:
+    """Load a whole ``.rtb`` trace as a list.
 
-    The source format is auto-detected by magic bytes; the output
-    format is ``fmt`` (``"jsonl"`` or ``"binary"``) or, when ``None``,
-    inferred from ``dst``'s extension (``.jsonl``/``.json`` → JSONL,
-    anything else → binary).  Streaming on both sides: constant memory
-    regardless of trace size.  Returns ``dst``.
+    Prefer :func:`iter_trace` for large traces — it streams; this
+    materialises every event.
     """
-    from repro.obs.trace import iter_trace, open_tracer
-
-    with open_tracer(dst, fmt=fmt) as tracer:
-        for event in iter_trace(src):
-            tracer.emit(event)
-    return os.fspath(dst)
-
-
-def sniff_format(path: Union[str, os.PathLike]) -> str:
-    """``"binary"`` or ``"jsonl"``, decided by the file's magic bytes."""
-    with open(os.fspath(path), "rb") as fh:
-        head = fh.read(len(MAGIC))
-    return "binary" if head == MAGIC else "jsonl"
+    return list(iter_trace(path_or_file))

@@ -25,9 +25,9 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from repro.obs.metrics import CutBitCounter, Metrics
-from repro.obs.trace import TraceEvent, read_trace
+from repro.obs.trace import TraceEvent
 
-__all__ = ["render_report", "select_run", "read_trace"]
+__all__ = ["render_report", "select_run"]
 
 
 def _fmt_util(value: Optional[float]) -> str:

@@ -22,7 +22,8 @@ run_end     ``rounds``, ``total_messages``, ``total_bits``,
 
 ``message`` events carry ``round == 0`` for messages produced by
 ``on_start`` (they are delivered in round 1, matching the simulator's
-round accounting).
+round accounting).  On disk, events go to the ``.rtb`` format of
+:mod:`repro.obs.binary`.
 """
 
 from __future__ import annotations
@@ -32,16 +33,9 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
-    Any, Dict, IO, Iterable, Iterator, List, Optional, Sequence,
+    Any, Dict, Iterator, List, Optional, Protocol, Sequence,
+    runtime_checkable,
 )
-
-try:  # Protocol is typing-only sugar; runtime never isinstance-checks it
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - python < 3.8
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
 
 
 @dataclass(frozen=True)
@@ -129,39 +123,6 @@ class RecordingTracer(TracerBase):
         return [e for e in self.events if e.kind in want]
 
 
-class JsonlTracer(TracerBase):
-    """Streams events as JSON lines to ``path`` (or an open file).
-
-    The file is flushed on every ``run_end`` event, so traces from a
-    process killed between runs (timed-out fork-pool workers) keep
-    every completed run on disk.
-    """
-
-    def __init__(self, path_or_file: Any) -> None:
-        if hasattr(path_or_file, "write"):
-            self.path: Optional[str] = getattr(path_or_file, "name", None)
-            self._file: IO[str] = path_or_file
-            self._owns = False
-        else:
-            self.path = os.fspath(path_or_file)
-            self._file = open(self.path, "w", encoding="utf-8")
-            self._owns = True
-
-    def emit(self, event: TraceEvent) -> None:
-        self._file.write(event.to_json())
-        self._file.write("\n")
-        if event.kind == "run_end":
-            self.flush()
-
-    def flush(self) -> None:
-        self._file.flush()
-
-    def close(self) -> None:
-        self.flush()
-        if self._owns and not self._file.closed:
-            self._file.close()
-
-
 class MultiTracer(TracerBase):
     """Fans events out to several tracers (disabled ones are dropped)."""
 
@@ -183,97 +144,24 @@ class MultiTracer(TracerBase):
             t.close()
 
 
-def open_tracer(path: Any, fmt: Optional[str] = None) -> "TracerBase":
-    """Construct a file tracer for ``path``.
-
-    ``fmt`` is ``"jsonl"``, ``"binary"``, or ``None`` to infer from the
-    extension (``.jsonl``/``.json`` → JSONL, anything else → the
-    compact binary format of :mod:`repro.obs.binary`).
-    """
-    if fmt is None:
-        fmt = "jsonl" if str(path).endswith((".jsonl", ".json")) \
-            else "binary"
-    if fmt == "jsonl":
-        return JsonlTracer(path)
-    if fmt == "binary":
-        from repro.obs.binary import BinaryTracer
-        return BinaryTracer(path)
-    raise ValueError(f"unknown trace format {fmt!r}; "
-                     "expected 'jsonl' or 'binary'")
-
-
-def iter_trace(path_or_file: Any) -> Iterator[TraceEvent]:
-    """Lazily yield the events of a trace in either format.
-
-    The format is auto-detected by magic bytes: binary traces (see
-    :mod:`repro.obs.binary`) are streamed through an mmap-backed
-    reader, everything else is parsed as JSON lines.  File objects in
-    binary mode are sniffed the same way; text-mode file objects (and
-    any other iterable of lines) are treated as JSONL for backward
-    compatibility.  One pass, O(1) memory in the trace length.
-    """
-    from repro.obs.binary import MAGIC, _iter_buffer
-
-    if hasattr(path_or_file, "read"):
-        probe = path_or_file.read(0)
-        if isinstance(probe, bytes):
-            data = path_or_file.read()
-            if data[:len(MAGIC)] == MAGIC:
-                yield from _iter_buffer(memoryview(data))
-            else:
-                for ln in data.decode("utf-8").splitlines():
-                    if ln.strip():
-                        yield TraceEvent.from_json(ln)
-        else:
-            for ln in path_or_file:
-                if ln.strip():
-                    yield TraceEvent.from_json(ln)
-        return
-    path = os.fspath(path_or_file)
-    with open(path, "rb") as fh:
-        head = fh.read(len(MAGIC))
-    if head == MAGIC:
-        from repro.obs.binary import iter_binary_trace
-        yield from iter_binary_trace(path)
-        return
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln in fh:
-            if ln.strip():
-                yield TraceEvent.from_json(ln)
-
-
-def read_trace(path_or_file: Any) -> List[TraceEvent]:
-    """Load a whole trace (JSONL or binary, auto-detected) as a list.
-
-    Prefer :func:`iter_trace` for large traces — it streams; this
-    materialises every event.
-    """
-    return list(iter_trace(path_or_file))
-
-
 # ----------------------------------------------------------------------
 # Ambient default tracer: lets callers like the experiment runner turn
 # tracing on for whole code regions without threading a tracer through
 # every simulator construction site.
 # ----------------------------------------------------------------------
 class _TraceDirectory:
-    def __init__(self, directory: str, prefix: str,
-                 fmt: str = "binary") -> None:
-        if fmt not in ("jsonl", "binary"):
-            raise ValueError(f"unknown trace format {fmt!r}; "
-                             "expected 'jsonl' or 'binary'")
+    def __init__(self, directory: str, prefix: str) -> None:
         self.directory = directory
         self.prefix = prefix
-        self.fmt = fmt
         self.seq = 0
         self.tracers: List[TracerBase] = []
 
     def new_tracer(self) -> TracerBase:
+        from repro.obs.binary import BinaryTracer
         self.seq += 1
-        suffix = ".jsonl" if self.fmt == "jsonl" else ".rtb"
         path = os.path.join(self.directory,
-                            f"{self.prefix}-{self.seq:04d}{suffix}")
-        tracer = open_tracer(path, fmt=self.fmt)
+                            f"{self.prefix}-{self.seq:04d}.rtb")
+        tracer = BinaryTracer(path)
         self.tracers.append(tracer)
         return tracer
 
@@ -296,16 +184,13 @@ def default_tracer() -> Optional[Tracer]:
 
 @contextmanager
 def trace_to_directory(directory: str,
-                       prefix: str = "trace",
-                       fmt: str = "binary") -> Iterator[str]:
+                       prefix: str = "trace") -> Iterator[str]:
     """Every simulator constructed inside the ``with`` block writes its
-    events to ``directory/<prefix>-NNNN.rtb`` (compact binary, the
-    default) or ``…-NNNN.jsonl`` with ``fmt="jsonl"``.  Yields the
-    directory."""
+    events to ``directory/<prefix>-NNNN.rtb``.  Yields the directory."""
     global _ACTIVE_TRACE_DIR
     os.makedirs(directory, exist_ok=True)
     previous = _ACTIVE_TRACE_DIR
-    _ACTIVE_TRACE_DIR = _TraceDirectory(directory, prefix, fmt=fmt)
+    _ACTIVE_TRACE_DIR = _TraceDirectory(directory, prefix)
     try:
         yield directory
     finally:

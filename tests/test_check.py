@@ -220,13 +220,6 @@ class TestRunCheck:
         assert names
         assert all(n.startswith("check-seed0-w") for n in names)
 
-    def test_trace_dir_jsonl_format(self, tmp_path):
-        out = tmp_path / "traces"
-        run_check(seed=0, cases=2, family="er", do_shrink=False,
-                  trace_dir=str(out), trace_format="jsonl")
-        assert sorted(out.glob("*.jsonl")), "jsonl trace_format ignored"
-        assert not sorted(out.glob("*.rtb"))
-
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError):
             run_check(seed=0, cases=1, jobs=0)

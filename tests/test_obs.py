@@ -1,7 +1,6 @@
 """Observability layer tests: tracers, metrics, cut-bit accounting,
 profiling, and the ``repro report`` renderer."""
 
-import json
 import random
 
 import pytest
@@ -13,7 +12,7 @@ from repro.congest.model import BandwidthExceeded, CongestSimulator, NodeAlgorit
 from repro.core.mds import MdsFamily
 from repro.graphs import path_graph
 from repro.obs import (
-    JsonlTracer,
+    BinaryTracer,
     Metrics,
     MultiTracer,
     NullTracer,
@@ -40,6 +39,14 @@ def run_traced_bfs(tracer, graph=None, root_uid=0):
     outputs = sim.run(BfsFromRoot,
                       inputs={v: root_uid for v in g.vertices()})
     return sim, outputs
+
+
+def write_bfs_trace(tmp_path):
+    """One BFS-on-path_graph(3) run written to ``tmp_path/bfs.rtb``."""
+    path = tmp_path / "bfs.rtb"
+    with BinaryTracer(path) as bt:
+        run_traced_bfs(bt)
+    return path
 
 
 class TestGoldenTrace:
@@ -149,47 +156,27 @@ class TestTracerBehaviour:
         assert offending.data["bits"] > sim.bandwidth
 
 
-class TestJsonlRoundTrip:
+class TestTraceRoundTrip:
     def test_roundtrip_preserves_events(self, tmp_path):
-        path = tmp_path / "bfs.jsonl"
+        path = tmp_path / "bfs.rtb"
         rec = RecordingTracer()
-        with JsonlTracer(path) as jt:
-            run_traced_bfs(MultiTracer([rec, jt]))
+        with BinaryTracer(path) as bt:
+            run_traced_bfs(MultiTracer([rec, bt]))
         loaded = read_trace(path)
         assert loaded == rec.events
 
-    def test_lines_are_plain_json(self, tmp_path):
-        path = tmp_path / "bfs.jsonl"
-        with JsonlTracer(path) as jt:
-            run_traced_bfs(jt)
-        for line in path.read_text().splitlines():
-            flat = json.loads(line)
-            assert "kind" in flat and "round" in flat
-
     def test_report_renders_roundtripped_trace(self, tmp_path):
-        path = tmp_path / "bfs.jsonl"
-        with JsonlTracer(path) as jt:
-            run_traced_bfs(jt)
-        report = render_report(read_trace(path))
+        report = render_report(read_trace(write_bfs_trace(tmp_path)))
         assert "BfsFromRoot" in report
         assert "| 3 |" in report          # the final round row
         assert "Busiest directed edges" in report
 
     def test_trace_to_directory_ambient(self, tmp_path):
-        with trace_to_directory(str(tmp_path), prefix="amb", fmt="jsonl"):
-            run_traced_bfs(None)
-            run_traced_bfs(None)
-        files = sorted(p.name for p in tmp_path.glob("amb-*.jsonl"))
-        assert files == ["amb-0001.jsonl", "amb-0002.jsonl"]
-        events = read_trace(tmp_path / files[0])
-        assert events[0].kind == "run_start"
-        assert events[-1].kind == "run_end"
-
-    def test_trace_to_directory_defaults_to_binary(self, tmp_path):
         with trace_to_directory(str(tmp_path), prefix="amb"):
             run_traced_bfs(None)
+            run_traced_bfs(None)
         files = sorted(p.name for p in tmp_path.glob("amb-*"))
-        assert files == ["amb-0001.rtb"]
+        assert files == ["amb-0001.rtb", "amb-0002.rtb"]
         events = read_trace(tmp_path / files[0])
         assert events[0].kind == "run_start"
         assert events[-1].kind == "run_end"
@@ -276,10 +263,10 @@ class TestCutBitAccounting:
 
     def test_report_cut_column(self, tmp_path):
         fam, g = self._instance()
-        path = tmp_path / "cut.jsonl"
-        with JsonlTracer(path) as jt:
+        path = tmp_path / "cut.rtb"
+        with BinaryTracer(path) as bt:
             sim = simulate_two_party(g, fam.alice_vertices(), FloodMinId,
-                                     tracer=jt)
+                                     tracer=bt)
         probe = CongestSimulator(g)
         alice_uids = {probe.uid_of[v] for v in fam.alice_vertices()}
         report = render_report(read_trace(path), alice_uids=alice_uids)
@@ -352,27 +339,12 @@ class TestRunnerTraceDir:
         assert events[0].kind == "run_start"
         assert any(e.kind == "message" for e in events)
 
-    def test_experiment_trace_format_jsonl(self, tmp_path):
-        record = run_experiment("E-T1.1-simulation",
-                                trace_dir=str(tmp_path),
-                                trace_format="jsonl")
-        assert record.passed
-        files = sorted(tmp_path.glob("E-T1.1-simulation-*.jsonl"))
-        assert files
-        assert read_trace(files[0])[0].kind == "run_start"
-
 
 class TestReportCli:
-    def _write_trace(self, tmp_path):
-        path = tmp_path / "cli.jsonl"
-        with JsonlTracer(path) as jt:
-            run_traced_bfs(jt)
-        return path
-
     def test_report_smoke(self, tmp_path, capsys):
         from repro.cli import main
 
-        main(["report", "trace", str(self._write_trace(tmp_path))])
+        main(["report", "trace", str(write_bfs_trace(tmp_path))])
         out = capsys.readouterr().out
         assert "CONGEST trace report" in out
         assert "BfsFromRoot" in out
@@ -380,7 +352,7 @@ class TestReportCli:
     def test_report_with_cut(self, tmp_path, capsys):
         from repro.cli import main
 
-        main(["report", "trace", str(self._write_trace(tmp_path)),
+        main(["report", "trace", str(write_bfs_trace(tmp_path)),
               "--cut", "0"])
         out = capsys.readouterr().out
         assert "cut bits" in out
@@ -389,20 +361,36 @@ class TestReportCli:
         from repro.cli import main
 
         with pytest.raises(SystemExit):
-            main(["report", "trace", str(tmp_path / "nope.jsonl")])
+            main(["report", "trace", str(tmp_path / "nope.rtb")])
+
+    def test_report_refuses_other_formats(self, tmp_path):
+        from repro.cli import main
+
+        path = tmp_path / "events.txt"
+        path.write_text("".join(
+            TraceEvent("halt", 3, {"uid": uid}).to_json() + "\n"
+            for uid in range(3)))
+        with pytest.raises(SystemExit, match="not a binary trace"):
+            main(["report", "trace", str(path)])
+
+    def test_report_convert_is_unknown_view(self, tmp_path):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit, match="unknown report view"):
+            main(["report", "convert", str(write_bfs_trace(tmp_path))])
 
     def test_report_rejects_bad_cut(self, tmp_path):
         from repro.cli import main
 
         with pytest.raises(SystemExit):
-            main(["report", "trace", str(self._write_trace(tmp_path)),
+            main(["report", "trace", str(write_bfs_trace(tmp_path)),
                   "--cut", "a,b"])
 
     def test_report_requires_view_keyword(self, tmp_path):
         from repro.cli import main
 
         with pytest.raises(SystemExit, match="unknown report view"):
-            main(["report", str(self._write_trace(tmp_path))])
+            main(["report", str(write_bfs_trace(tmp_path))])
 
 
 class TestTraceEventSerialization:

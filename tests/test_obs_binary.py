@@ -21,42 +21,53 @@ from repro.core.mds import MdsFamily
 from repro.obs import (
     BinaryTracer,
     CutBitCounter,
-    JsonlTracer,
     Metrics,
     MultiTracer,
     RecordingTracer,
     TraceEvent,
     TraceFormatError,
-    convert_trace,
     cut_bits_from_events,
     iter_trace,
     read_trace,
     render_report,
     select_run,
-    sniff_format,
 )
-from repro.obs.binary import MAGIC, iter_binary_trace
+from repro.obs.binary import MAGIC
 from tests.conftest import connected_random_graph
 from tests.test_obs import run_traced_bfs
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 GOLDEN_RTB = os.path.join(GOLDEN_DIR, "bfs3.rtb")
-GOLDEN_JSONL = os.path.join(GOLDEN_DIR, "bfs3.jsonl")
+
+
+def _recorded_bfs_events():
+    rec = RecordingTracer()
+    run_traced_bfs(rec)
+    return rec.events
+
+
+def _two_run_file(tmp_path):
+    """Two identical 13-event BFS runs in one ``.rtb`` file."""
+    path = tmp_path / "two.rtb"
+    with BinaryTracer(path) as bt:
+        run_traced_bfs(bt)
+        run_traced_bfs(bt)
+    return path
 
 
 class TestGoldenBinaryTrace:
-    """The checked-in golden pair (tests/golden/bfs3.{jsonl,rtb}) was
-    written by one BFS-on-path_graph(3) run through both tracers; any
-    encoder change that moves a byte fails here and must regenerate the
-    goldens deliberately."""
+    """The checked-in golden trace (tests/golden/bfs3.rtb) was written
+    by one BFS-on-path_graph(3) run; any encoder change that moves a
+    byte fails here and must regenerate the golden deliberately."""
 
     def test_formats_decode_to_identical_events(self):
-        jsonl_events = read_trace(GOLDEN_JSONL)
-        binary_events = read_trace(GOLDEN_RTB)
-        assert jsonl_events == binary_events
-        assert len(binary_events) == 13
-        assert binary_events[0].kind == "run_start"
-        assert binary_events[-1].kind == "run_end"
+        """The golden file and a fresh in-memory recording of the same
+        run hold the same 13 events."""
+        golden = read_trace(GOLDEN_RTB)
+        assert golden == _recorded_bfs_events()
+        assert len(golden) == 13
+        assert golden[0].kind == "run_start"
+        assert golden[-1].kind == "run_end"
 
     def test_fresh_run_reproduces_golden_bytes(self):
         sink = io.BytesIO()
@@ -65,29 +76,21 @@ class TestGoldenBinaryTrace:
         with open(GOLDEN_RTB, "rb") as fh:
             assert sink.getvalue() == fh.read()
 
-    def test_reencoding_golden_jsonl_pins_bytes(self):
-        sink = io.BytesIO()
-        with BinaryTracer(sink) as bt:
-            for event in iter_trace(GOLDEN_JSONL):
-                bt.emit(event)
-        with open(GOLDEN_RTB, "rb") as fh:
-            assert sink.getvalue() == fh.read()
-
-    def test_sniff_format(self):
-        assert sniff_format(GOLDEN_RTB) == "binary"
-        assert sniff_format(GOLDEN_JSONL) == "jsonl"
-
     def test_binary_is_smaller(self):
-        assert os.path.getsize(GOLDEN_RTB) * 2 < os.path.getsize(GOLDEN_JSONL)
+        """Less than half the size of the same events as JSON text."""
+        as_json = sum(len(e.to_json()) + 1 for e in read_trace(GOLDEN_RTB))
+        assert os.path.getsize(GOLDEN_RTB) * 2 < as_json
 
     def test_summaries_equal_across_formats(self):
-        from_jsonl = Metrics.from_events(iter_trace(GOLDEN_JSONL))
-        from_binary = Metrics.from_events(iter_trace(GOLDEN_RTB))
-        assert from_jsonl.summary() == from_binary.summary()
-        cut_jsonl = cut_bits_from_events(iter_trace(GOLDEN_JSONL), {0})
-        cut_binary = cut_bits_from_events(iter_trace(GOLDEN_RTB), {0})
-        assert cut_jsonl.cut_bits == cut_binary.cut_bits
-        assert cut_jsonl.bits_by_round == cut_binary.bits_by_round
+        """Metrics and Theorem 1.1 cut bits agree between the golden
+        file and a fresh in-memory recording."""
+        recorded = _recorded_bfs_events()
+        from_file = Metrics.from_events(iter_trace(GOLDEN_RTB))
+        assert from_file.summary() == Metrics.from_events(recorded).summary()
+        cut_file = cut_bits_from_events(iter_trace(GOLDEN_RTB), {0})
+        cut_recorded = cut_bits_from_events(recorded, {0})
+        assert cut_file.cut_bits == cut_recorded.cut_bits
+        assert cut_file.bits_by_round == cut_recorded.bits_by_round
 
     def test_cut_bits_match_alice_bob_through_binary_file(self, tmp_path):
         """Theorem 1.1 accounting survives the binary encode/decode:
@@ -166,7 +169,7 @@ class TestBinaryRoundTrip:
 
     def test_text_mode_file_rejected(self):
         with pytest.raises(TraceFormatError):
-            list(iter_binary_trace(io.StringIO("x")))
+            list(iter_trace(io.StringIO("x")))
 
     def test_unknown_record_code_raises(self):
         frame = bytes([250]) * 4
@@ -176,44 +179,17 @@ class TestBinaryRoundTrip:
 
     def test_bad_magic_raises(self):
         with pytest.raises(TraceFormatError):
-            list(iter_binary_trace(io.BytesIO(b"NOTATRACE")))
+            list(iter_trace(io.BytesIO(b"NOTATRACE")))
 
     def test_magic_only_file_is_empty(self, tmp_path):
         path = tmp_path / "empty.rtb"
         path.write_bytes(MAGIC)
         assert read_trace(path) == []
 
-    def test_converter_equivalence_both_directions(self, tmp_path):
-        jsonl_out = tmp_path / "conv.jsonl"
-        binary_out = tmp_path / "conv.rtb"
-        convert_trace(GOLDEN_RTB, jsonl_out)
-        assert read_trace(jsonl_out) == read_trace(GOLDEN_RTB)
-        convert_trace(jsonl_out, binary_out)
-        with open(GOLDEN_RTB, "rb") as fh:
-            assert binary_out.read_bytes() == fh.read()
-
-    def test_open_tracer_format_inference(self, tmp_path):
-        from repro.obs import open_tracer
-
-        with open_tracer(tmp_path / "t.jsonl") as t:
-            assert isinstance(t, JsonlTracer)
-        with open_tracer(tmp_path / "t.rtb") as t:
-            assert isinstance(t, BinaryTracer)
-        with pytest.raises(ValueError):
-            open_tracer(tmp_path / "t.x", fmt="nope")
-
 
 class TestCrashRecovery:
-    def _two_run_file(self, tmp_path):
-        path = tmp_path / "two.rtb"
-        bt = BinaryTracer(path)
-        run_traced_bfs(bt)
-        run_traced_bfs(bt)
-        bt.close()
-        return path
-
     def test_truncated_final_frame_recovers_complete_frames(self, tmp_path):
-        path = self._two_run_file(tmp_path)
+        path = _two_run_file(tmp_path)
         full = read_trace(path)
         assert len(full) == 26  # two identical 13-event runs
         raw = path.read_bytes()
@@ -226,7 +202,7 @@ class TestCrashRecovery:
         assert events[-1].kind == "run_end"
 
     def test_truncated_frame_header_yields_nothing(self, tmp_path):
-        path = self._two_run_file(tmp_path)
+        path = _two_run_file(tmp_path)
         truncated = tmp_path / "header.rtb"
         truncated.write_bytes(path.read_bytes()[:len(MAGIC) + 2])
         assert read_trace(truncated) == []
@@ -292,22 +268,14 @@ class TestStreamingAggregation:
 
 
 class TestRunSelection:
-    def _two_run_file(self, tmp_path):
-        path = tmp_path / "two.rtb"
-        bt = BinaryTracer(path)
-        run_traced_bfs(bt)
-        run_traced_bfs(bt)
-        bt.close()
-        return path
-
     def test_multi_run_report_has_index(self, tmp_path):
-        report = render_report(iter_trace(self._two_run_file(tmp_path)))
+        report = render_report(iter_trace(_two_run_file(tmp_path)))
         assert "trace contains 2 runs" in report
         assert "1: BfsFromRoot (n=3, rounds=3)" in report
         assert "2: BfsFromRoot (n=3, rounds=3)" in report
 
     def test_run_selection(self, tmp_path):
-        path = self._two_run_file(tmp_path)
+        path = _two_run_file(tmp_path)
         report = render_report(iter_trace(path), run=2)
         assert "showing run 2 only" in report
         assert "trace contains" not in report
@@ -315,7 +283,7 @@ class TestRunSelection:
         assert "messages = 2," in report
 
     def test_run_out_of_range(self, tmp_path):
-        path = self._two_run_file(tmp_path)
+        path = _two_run_file(tmp_path)
         with pytest.raises(ValueError):
             render_report(iter_trace(path), run=5)
         with pytest.raises(ValueError):
@@ -347,11 +315,7 @@ class TestStudioCli:
     def test_report_trace_run_flag(self, tmp_path, capsys):
         from repro.cli import main
 
-        path = tmp_path / "two.rtb"
-        bt = BinaryTracer(path)
-        run_traced_bfs(bt)
-        run_traced_bfs(bt)
-        bt.close()
+        path = _two_run_file(tmp_path)
         main(["report", "trace", str(path), "--run", "2"])
         assert "showing run 2 only" in capsys.readouterr().out
         with pytest.raises(SystemExit):
@@ -388,14 +352,6 @@ class TestStudioCli:
 
         with pytest.raises(SystemExit):
             main(["report", "fuzz", str(tmp_path / "empty")])
-
-    def test_report_convert(self, tmp_path, capsys):
-        from repro.cli import main
-
-        dst = tmp_path / "conv.jsonl"
-        main(["report", "convert", GOLDEN_RTB, str(dst)])
-        assert "wrote" in capsys.readouterr().out
-        assert read_trace(dst) == read_trace(GOLDEN_RTB)
 
     def test_report_unknown_view(self):
         from repro.cli import main
