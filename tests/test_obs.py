@@ -29,6 +29,7 @@ from repro.obs import (
     reset_profile_stats,
     trace_to_directory,
 )
+from repro.obs.binary import MAGIC
 from repro.experiments import run_experiment
 from tests.conftest import connected_random_graph
 
@@ -178,6 +179,17 @@ class TestTraceRoundTrip:
         files = sorted(p.name for p in tmp_path.glob("amb-*"))
         assert files == ["amb-0001.rtb", "amb-0002.rtb"]
         events = read_trace(tmp_path / files[0])
+        assert events[0].kind == "run_start"
+        assert events[-1].kind == "run_end"
+
+    def test_trace_to_directory_writes_binary(self, tmp_path):
+        with trace_to_directory(str(tmp_path), prefix="amb"):
+            run_traced_bfs(None)
+        files = sorted(p.name for p in tmp_path.glob("amb-*"))
+        assert files == ["amb-0001.rtb"]
+        path = tmp_path / files[0]
+        assert path.read_bytes().startswith(MAGIC)
+        events = read_trace(path)
         assert events[0].kind == "run_start"
         assert events[-1].kind == "run_end"
 
