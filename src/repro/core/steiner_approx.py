@@ -109,23 +109,31 @@ class NodeWeightedSteinerFamily(LowerBoundGraphFamily):
             graph, self.terminals(), cap=self.YES_COST) <= self.YES_COST
 
     def make_batch_kernel(self, skeleton: Graph):
-        """The skeleton's ``bits()`` adjacency once; each pair sets the
-        2T S_i / S̄_i weights and runs the capped scan of
-        :meth:`predicate` over it.  That is sound only while the deltas
-        are weight-only and the kernel's weights are those
-        ``apply_inputs`` installs, so both are checked here on three
-        pairs through :meth:`build`: all zeros, all ones, and ones
+        """A table of the vertex sets that connect the terminals, read
+        once from the skeleton's ``bits()`` adjacency
+        (:class:`repro.solvers.batch_kernels.NodeWeightedSteinerBatchKernel`):
+        each pair looks up whether one of them costs at most 2 under its
+        2T S_i / S̄_i weights, while :meth:`predicate` runs the capped
+        scan.  The table is exact only when no three paid vertices fit
+        under 2 (α ≥ 1), the paid set is the same for every pair and the
+        terminals are free; the kernel refuses otherwise.  It is sound
+        only while the deltas are weight-only and the kernel's weights
+        are those ``apply_inputs`` installs, so both are checked here on
+        three pairs through :meth:`build`: all zeros, all ones, and ones
         against zeros (x and y apart).  The built graph must keep the
         skeleton's vertex order and adjacency, and its vertex weights
-        must equal the kernel's; otherwise there is no kernel and every
-        pair takes the per-pair path."""
+        must equal the kernel's.  Where a check fails there is no kernel
+        and every pair takes the per-pair path."""
         from repro.solvers.batch_kernels import NodeWeightedSteinerBatchKernel
         T = self.collection.T
-        kernel = NodeWeightedSteinerBatchKernel(
-            skeleton, self.terminals(),
-            x_vertices=[svert(i) for i in range(T)],
-            y_vertices=[scomp(i) for i in range(T)],
-            alpha=self.alpha, yes_cost=self.YES_COST)
+        try:
+            kernel = NodeWeightedSteinerBatchKernel(
+                skeleton, self.terminals(),
+                x_vertices=[svert(i) for i in range(T)],
+                y_vertices=[scomp(i) for i in range(T)],
+                alpha=self.alpha, yes_cost=self.YES_COST)
+        except ValueError:  # the table would not be exact
+            return None
         base = skeleton.bits()
         zeros, ones = (0,) * T, (1,) * T
         for x, y in ((zeros, zeros), (ones, ones), (ones, zeros)):
@@ -141,6 +149,10 @@ class DirectedSteinerFamily(LowerBoundGraphFamily):
     """Theorem 4.7 / Lemma 4.6 family."""
 
     cli_name = "directed-steiner"
+
+    #: Lemma 4.6's threshold: a directed Steiner tree of weight 2 iff
+    #: DISJ = FALSE
+    YES_COST = 2
 
     def __init__(self, collection: CoveringCollection,
                  alpha: int = None) -> None:  # type: ignore[assignment]
@@ -233,10 +245,13 @@ class DirectedSteinerFamily(LowerBoundGraphFamily):
         """The cover masks of both values of every bit: the skeleton's
         (read as ``predicate`` reads a graph) for a 0-bit, and those
         plus the element bits of the bit's input arcs for a 1-bit.  The
-        kernel files the 1-bit masks in one cover index and prices a
-        0-bit's set out of it, which is exact only while every 0-bit
-        mask is empty; otherwise there is no kernel.  A pair then
-        re-weights that index from its bits and builds no graph."""
+        kernel tables, once, every subset of at most two sets (cover
+        sets and fallbacks) that covers the universe, and a pair looks
+        up whether one of them costs at most 2 under its bits, while
+        :meth:`predicate` runs the set-cover search.  The table is exact
+        only while every 0-bit mask is empty and no three sets fit under
+        2 (α ≥ 1); otherwise there is no kernel.  A pair builds no graph
+        and no cover."""
         from repro.solvers.batch_kernels import DirectedSteinerBatchKernel
         base = self._graph_masks(skeleton)
         a_bits, b_bits = self._cover_sides[0][1], self._cover_sides[1][1]
@@ -253,8 +268,9 @@ class DirectedSteinerFamily(LowerBoundGraphFamily):
         try:
             return DirectedSteinerBatchKernel(
                 self.ell, sides(base[0::2], self._x_arcs, a_bits),
-                sides(base[1::2], self._y_arcs, b_bits), self._fallbacks)
-        except ValueError:  # a 0-bit mask is not empty
+                sides(base[1::2], self._y_arcs, b_bits), self._fallbacks,
+                self.YES_COST)
+        except ValueError:  # the table would not be exact
             return None
 
     def optimum(self, graph: DiGraph) -> float:
@@ -271,11 +287,11 @@ class DirectedSteinerFamily(LowerBoundGraphFamily):
 
     def predicate(self, graph: DiGraph) -> bool:
         """P: a directed Steiner tree of weight ≤ 2 exists (iff
-        DISJ = FALSE).  Decided at the threshold by
-        :func:`repro.solvers.batch_kernels.cover_within_two`, the
-        decision the batch kernel shares: only where the cover's sets
-        and weights come from differs (here the graph, there one shared
-        index re-weighted by the input bits)."""
+        DISJ = FALSE).  Decided at the threshold by the set-cover search
+        of :func:`repro.solvers.batch_kernels.cover_within_two` over the
+        graph's cover sets.  The batch kernel decides from a table of
+        covers instead, so a batched sweep rechecked against this
+        predicate compares two algorithms."""
         from repro.solvers.batch_kernels import (
             cover_within_two,
             unit_cover_solver,

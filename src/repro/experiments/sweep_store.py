@@ -243,8 +243,19 @@ class SweepStore:
                ) -> None:
         """Append ``(x, y, decision)`` entries to this writer's log with
         a single ``write``; an unwritable store degrades to memory-only
-        (the sweep memo still holds the decisions)."""
-        data = "".join(f"{_bits_str(x)}:{_bits_str(y)}:{int(bool(d))}\n"
+        (the sweep memo still holds the decisions).  Each distinct bit
+        sequence is formatted once per call: a grid's 2^K sides recur
+        across its 2^{2K} entries."""
+        strs: Dict[Tuple[int, ...], str] = {}
+
+        def fmt(bits: Sequence[int]) -> str:
+            key = tuple(bits)
+            text = strs.get(key)
+            if text is None:
+                text = strs[key] = _bits_str(key)
+            return text
+
+        data = "".join(f"{fmt(x)}:{fmt(y)}:{int(bool(d))}\n"
                        for x, y, d in entries).encode()
         if not data:
             return

@@ -36,18 +36,15 @@ input-independent out of the loop **once per skeleton**:
   domination search that the family's ``predicate`` also runs
   (:func:`repro.solvers.dominating.min_size_over_cases`), with no G′
   build and no base-graph recovery;
-- :class:`DirectedSteinerBatchKernel` files one set-cover index for the
-  whole grid: the 2T masks that 1-bits install (the arcs a 1-bit
-  installs are fixed by the covering collection, and a 0-bit installs
-  none) plus the ℓ fallbacks.  A pair re-weights it from its bits —
-  weight 1 for a set its bits install, a weight at the search budget
-  for one they do not — so it builds no graph and no index before the
-  set-cover decision that the family's ``predicate`` shares
-  (:func:`cover_within_two`);
-- :class:`NodeWeightedSteinerBatchKernel` keeps the skeleton's bitmask
-  adjacency (the node-weighted Steiner deltas are weight-only); a pair
-  fills 2T weights and runs the best-first subset scan capped at the
-  threshold, as the family's ``predicate`` does;
+- :class:`DirectedSteinerBatchKernel` and
+  :class:`NodeWeightedSteinerBatchKernel` decide Lemmas 4.6 and 4.5
+  from a certificate table read once from the skeleton: every subset of
+  at most two sets (cover sets and fallbacks) whose element masks cover
+  the universe, or of at most two paid vertices that connect the
+  terminals.  A pair is TRUE iff some tabled subset is affordable under
+  its weights, so it costs a few bit tests and no search;
+  the families' ``predicate`` keeps the set-cover search and the
+  capped subset scan, so the two are independent deciders;
 - :class:`RowChoiceBatchKernel` runs the approx-MaxIS families'
   structured solver on the input bits themselves, which are exactly
   the row pairs the solver may take together.
@@ -62,13 +59,14 @@ a grid from a few extremal solves.  Max-cut's predicate is not
 edge-monotone (0-bits add row edges, 1-bits add N-weight), so its
 kernel stays ``monotone = False`` and every pair is evaluated — still
 cheap, because only the delta term varies.  The Steiner and
-approx-MaxIS kernels are ``monotone = False`` too: every pair is solved
+approx-MaxIS kernels are ``monotone = False`` too: every pair is decided
 and none is inferred.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from itertools import combinations, product
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.graphs import Vertex
 
@@ -418,38 +416,122 @@ class ThresholdCutBatchKernel:
         return bool(np.max(self._g + acc) > self._target - 0.5)
 
 
+class _CertificateTable:
+    """The yes-side of a Section 4.4 iff lemma as a table of subsets.
+
+    ``subsets`` are the subsets of at most two candidates that certify
+    a cheap tree whatever their weights (they cover, or connect), each
+    a tuple of candidate indices.  ``costs[c]`` is ``(pos, one, zero)``:
+    the position of candidate c's input bit in ``x + y`` and its weight
+    when that bit is 1 and when it is 0, or ``(None, w, w)`` for a
+    candidate no bit re-weights.  A pair is TRUE iff some subset costs
+    at most ``cap`` under its weights.
+
+    Only subsets of at most two candidates are tabled, so the table is
+    exact only when no subset of three fits under ``cap``: every weight
+    must be at least ``cap / 2``, else :class:`ValueError`.  The
+    subsets' bit assignments that fit are filed once, as clauses of
+    ``(pos, bit)`` literals, so a pair only tests its bits against
+    them."""
+
+    def __init__(self, subsets: Sequence[Tuple[int, ...]],
+                 costs: Sequence[Tuple[Optional[int], float, float]],
+                 cap: float) -> None:
+        if any(min(one, zero) < cap / 2 for __, one, zero in costs):
+            raise ValueError("a weight below half the threshold: three "
+                             "sets could fit under it")
+        clauses = set()
+        for subset in subsets:
+            for bits in product((1, 0), repeat=len(subset)):
+                cost, clause = 0, set()
+                for c, bit in zip(subset, bits):
+                    pos, one, zero = costs[c]
+                    cost += one if bit else zero
+                    if pos is not None:
+                        clause.add((pos, bit))
+                if cost <= cap:
+                    clauses.add(tuple(sorted(clause)))
+        self.clauses = sorted(clauses)
+
+    def affordable(self, x: Bits, y: Bits) -> bool:
+        """Whether some tabled subset costs at most the cap under the
+        pair's bits."""
+        bits = tuple(x) + tuple(y)
+        return any(all(bits[pos] == bit for pos, bit in clause)
+                   for clause in self.clauses)
+
+
+def _small_subsets(n: int, certifies: Callable[[Tuple[int, ...]], bool]
+                   ) -> List[Tuple[int, ...]]:
+    """Every subset of at most two of ``range(n)`` that ``certifies``."""
+    return [subset for size in range(3)
+            for subset in combinations(range(n), size) if certifies(subset)]
+
+
 class NodeWeightedSteinerBatchKernel(_InputWeights):
-    """Theorem 4.6 / Lemma 4.5 decisions from the input bits alone.
+    """Theorem 4.6 / Lemma 4.5 decisions from a table of connectors.
 
     The node-weighted Steiner deltas are weight-only (``apply_inputs``
-    re-weights the S_i / S̄_i vertices), so the skeleton's ``bits()``
-    adjacency and terminal indices serve every pair.  A pair fills the
-    2T input weights (:meth:`weights`) and runs the capped best-first
-    scan that the family's ``predicate`` runs
-    (:func:`repro.solvers.steiner.node_weighted_steiner_masks`).  The
-    family checks the weight-only claim before it hands out a kernel
+    re-weights the S_i / S̄_i vertices), so which vertex sets connect
+    the terminals is fixed by the skeleton.  The kernel tables, once,
+    every subset of at most two paid vertices that connects the
+    terminals together with the free vertices (one bitmask BFS over
+    ``bits().adj`` each), and a pair is TRUE iff one of them costs at
+    most ``yes_cost`` under its weights: 1 for a 1-bit, α for a 0-bit
+    (:meth:`weights`).  On the paper's collection the table holds
+    exactly the T complementary pairs {S_i, S̄_i}.
+
+    The table is exact only when the paid set is the same for every
+    pair, the terminals are free and every paid weight is at least
+    ``yes_cost / 2``, so that no three paid vertices fit; otherwise the
+    constructor raises :class:`ValueError`.  The family's ``predicate``
+    keeps the capped best-first scan
+    (:func:`repro.solvers.steiner.node_weighted_steiner_masks`), and it
+    checks the weight-only claim before it hands out a kernel
     (:meth:`repro.core.steiner_approx.NodeWeightedSteinerFamily.make_batch_kernel`).
     """
 
-    monotone = False  # every pair is solved, none is inferred
+    monotone = False  # every pair is decided, none is inferred
 
     def __init__(self, skeleton, terminals: Sequence[Vertex],
                  x_vertices: Sequence[Vertex], y_vertices: Sequence[Vertex],
                  alpha: float, yes_cost: float) -> None:
         from repro.solvers._bitmask import vertex_weights
-        super().__init__(skeleton, vertex_weights(skeleton), x_vertices,
-                         y_vertices, alpha)
+        from repro.solvers.steiner import _reach
+        weights = vertex_weights(skeleton)
+        super().__init__(skeleton, weights, x_vertices, y_vertices, alpha)
         bg = skeleton.bits()
-        self._adj = bg.adj
-        self._terminals = [bg.index[v] for v in dict.fromkeys(terminals)]
-        self._yes_cost = yes_cost
+        bit_of = {i: pos for pos, i
+                  in enumerate(self._x_idx + self._y_idx)}
+        terms = [bg.index[v] for v in dict.fromkeys(terminals)]
+        if not terms or any(i in bit_of or weights[i] for i in terms):
+            raise ValueError("the terminals are not free")
+        free = 0
+        for i, w in enumerate(weights):
+            if (w == 0 and i not in bit_of) or i in terms:
+                free |= 1 << i
+        term_mask = 0
+        for i in terms:
+            term_mask |= 1 << i
+        #: the paid vertices, in index order; every one is paid in every
+        #: pair, since the table check refuses a weight of 0
+        self.paid = [i for i in range(bg.n) if not free >> i & 1]
+        costs = [(bit_of[i], 1.0, alpha) if i in bit_of
+                 else (None, weights[i], weights[i]) for i in self.paid]
+        start = 1 << terms[0]
+
+        def connects(subset):
+            allowed = free
+            for c in subset:
+                allowed |= 1 << self.paid[c]
+            return _reach(bg.adj, allowed, start) & term_mask == term_mask
+
+        #: the tabled connectors, as tuples of indices into :attr:`paid`
+        self.table = _small_subsets(len(self.paid), connects)
+        self._certificates = _CertificateTable(self.table, costs, yes_cost)
 
     def decide(self, x: Bits, y: Bits) -> bool:
-        from repro.solvers.steiner import node_weighted_steiner_masks
-        cost = node_weighted_steiner_masks(
-            self._adj, self.weights(x, y), self._terminals,
-            cap=self._yes_cost)
-        return cost <= self._yes_cost
+        return self._certificates.affordable(x, y)
 
 
 class RowChoiceBatchKernel:
@@ -497,65 +579,70 @@ def cover_within_two(solver) -> bool:
     prunes every branch that cannot beat 3 instead of proving the exact
     optimum.  A cover it returns is the cheapest one, and the ``<= 2``
     test keeps the answer exact for non-integral fallback weights too.
-    The one decision behind both ``DirectedSteinerFamily.predicate``
-    (on a :func:`unit_cover_solver`) and
-    :class:`DirectedSteinerBatchKernel`."""
+    The decision of ``DirectedSteinerFamily.predicate`` (on a
+    :func:`unit_cover_solver`); :class:`DirectedSteinerBatchKernel`
+    decides from its certificate table instead, so the two check each
+    other."""
     weight, choice = solver.solve(_WITHIN_TWO_BUDGET)
     return choice is not None and weight <= 2
 
 
 class DirectedSteinerBatchKernel:
-    """Theorem 4.7 / Lemma 4.6 decisions from the input bits alone.
+    """Theorem 4.7 / Lemma 4.6 decisions from a table of covers.
 
     The cover sets come in pairs per bit position i, S_i then S̄_i (the
     family's ``_cover_sides`` order).  ``x_masks[i]`` is the pair of
     element masks of S_i with x_i = 0 and with x_i = 1, read once from
     the skeleton and the input-arc table; likewise ``y_masks[i]`` for
-    S̄_i.  Every 0-bit mask must be empty (the family checks it), so one
-    cover index serves the whole grid: it holds the 2T 1-bit masks and
-    the fallbacks.  A pair only re-weights it (:meth:`weights`) and
-    calls :func:`cover_within_two`: no graph copy, no arc insertion, no
-    successor reads and no index build.
+    S̄_i.  Every 0-bit mask must be empty (else :class:`ValueError`), so
+    a set is in a pair's cover only when its bit is 1, at weight 1.
+
+    The kernel tables, once, every subset of at most two of the 2T
+    1-bit masks and the ℓ fallbacks whose element masks cover the
+    universe (:attr:`table`, indices into that order).  A pair is TRUE
+    iff one of them costs at most ``yes_cost``: all its sets' bits are
+    1 and the fallbacks' weights fit.  That is exact while every
+    fallback weighs at least ``yes_cost / 2``, so that no three sets
+    fit; otherwise the constructor raises :class:`ValueError`.  The
+    family's ``predicate`` keeps the set-cover search of
+    :func:`cover_within_two`.
     """
 
-    monotone = False  # every pair is solved, none is inferred
-
-    #: the weight of a set whose bit is 0: the search budget of
-    #: :func:`cover_within_two`, so no cover under it picks the set and
-    #: the search's bounds leave the set out, and integral, so integral
-    #: fallbacks keep the exact bounds
-    PRICED_OUT = float(_WITHIN_TWO_BUDGET)
+    monotone = False  # every pair is decided, none is inferred
 
     def __init__(self, ell: int, x_masks: Sequence[Tuple[int, int]],
                  y_masks: Sequence[Tuple[int, int]],
-                 fallbacks: Sequence[Tuple[int, float, int]]) -> None:
+                 fallbacks: Sequence[Tuple[int, float, int]],
+                 yes_cost: float) -> None:
+        T = len(x_masks)
         on: List[int] = []
-        for (x_off, x_on), (y_off, y_on) in zip(x_masks, y_masks):
+        costs: List[Tuple[Optional[int], float, float]] = []
+        for i, ((x_off, x_on), (y_off, y_on)) in enumerate(
+                zip(x_masks, y_masks)):
             if x_off or y_off:
                 raise ValueError("a 0-bit cover mask is not empty")
             on += [x_on, y_on]
-        self._cover = unit_cover_solver(ell, on, fallbacks)
-        self._fallback_weights = [w for __, w, __ in fallbacks]
+            # a 0-bit set covers nothing: it is in no pair's cover
+            costs += [(i, 1.0, float("inf")), (T + i, 1.0, float("inf"))]
+        self._on = on
+        masks = on + [mask for mask, __, __ in fallbacks]
+        costs += [(None, w, w) for __, w, __ in fallbacks]
+        full = (1 << ell) - 1
+
+        def covers(subset):
+            covered = 0
+            for c in subset:
+                covered |= masks[c]
+            return covered == full
+
+        self.table = _small_subsets(len(masks), covers)
+        self._certificates = _CertificateTable(self.table, costs, yes_cost)
 
     def masks(self, x: Bits, y: Bits) -> List[int]:
-        """The element mask of every cover set of G_{x,y}, in order, as
-        the shared index and the pair's weights give it: empty for a
-        priced-out set."""
-        weights = self.weights(x, y)
-        return [mask if w == 1.0 else 0 for mask, w
-                in zip(self._cover.masks, weights[:2 * len(x)])]
-
-    def weights(self, x: Bits, y: Bits) -> List[float]:
-        """The weight of every set of the shared index for G_{x,y}: 1
-        for a set the pair's bits install, :attr:`PRICED_OUT` for one
-        they do not, then the fallbacks' own."""
-        out: List[float] = []
-        priced_out = self.PRICED_OUT
-        for xb, yb in zip(x, y):
-            out.append(1.0 if xb else priced_out)
-            out.append(1.0 if yb else priced_out)
-        out.extend(self._fallback_weights)
-        return out
+        """The element mask of every cover set of G_{x,y}, in order:
+        its 1-bit mask for a 1-bit, empty for a 0-bit."""
+        bits = [b for pair in zip(x, y) for b in pair]
+        return [mask if bit else 0 for mask, bit in zip(self._on, bits)]
 
     def decide(self, x: Bits, y: Bits) -> bool:
-        return cover_within_two(self._cover.reweighted(self.weights(x, y)))
+        return self._certificates.affordable(x, y)

@@ -10,6 +10,7 @@ infeasible); the two solvers are cross-validated on small random graphs.
 from __future__ import annotations
 
 import heapq
+import math
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -178,11 +179,12 @@ def node_weighted_steiner_masks(adj: Sequence[int], weights: Sequence[float],
     distinct terminal indices.
 
     Zero-weight vertices are free and always available; the enumeration
-    ranges over the positive-weight optional vertices p_0 < … < p_{m-1}
-    (≤ ``limit_candidates`` paid vertices).  Subsets are scanned
-    best-first in cost order; the first whose vertices (with the free
-    ones and the terminals) connect every terminal is optimal, so the
-    scan stops there.  Connectivity is a bitmask BFS.
+    ranges over the positive-weight optional vertices p_0 < … < p_{m-1}.
+    Uncapped, it takes at most ``limit_candidates`` paid vertices.
+    Subsets are scanned best-first in cost order; the first whose
+    vertices (with the free ones and the terminals) connect every
+    terminal is optimal, so the scan stops there.  Connectivity is a
+    bitmask BFS.
 
     The scan walks a tree over the subsets: a subset's parent is the
     subset without its highest-index paid vertex, and its cost is the
@@ -200,10 +202,22 @@ def node_weighted_steiner_masks(adj: Sequence[int], weights: Sequence[float],
     subset costing more than ``cap`` is never pushed, so the heap pops
     the same subsets up to the cap, in the same order, and the first
     connecting one is the optimum as above; if none connects, the
-    optimum exceeds the cap and the answer is ``inf``.
+    optimum exceeds the cap and the answer is ``inf``.  The refusal then
+    comes from the cap: a subset within it has at most
+    s = ⌊cap / w_min⌋ of the m paid vertices, so the scan refuses only
+    when Σ_{i ≤ s} C(m, i) exceeds the 2^``limit_candidates`` subsets
+    the uncapped scan may take.
     """
     paid = [i for i, w in enumerate(weights) if w > 0]
-    if len(paid) > limit_candidates:
+    m = len(paid)
+    if cap == _INF or not paid:
+        refused = m > limit_candidates
+    else:
+        w_min = min(weights[i] for i in paid)
+        most = m if cap >= m * w_min else math.floor(cap / w_min)
+        refused = sum(math.comb(m, s) for s in range(most + 1)) \
+            > 1 << limit_candidates
+    if refused:
         raise ValueError("too many positive-weight vertices to enumerate")
     terms = 0
     for t in terminals:

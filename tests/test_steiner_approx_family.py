@@ -1,10 +1,12 @@
 """Section 4.4 Steiner approximation family tests (Theorems 4.6-4.7)."""
 
+import dataclasses
 import hashlib
 
 import pytest
 
 from repro.cc.functions import (
+    disjointness,
     random_disjoint_pair,
     random_input_pairs,
     random_intersecting_pair,
@@ -56,14 +58,15 @@ class TestNodeWeighted:
 
 
 class TestNodeWeightedBatchKernel:
-    """The kernel sets each pair's 2T weights on the skeleton's bitmask
-    view and runs the capped scan of ``predicate``."""
+    """The kernel looks each pair's 2T weights up in a table of the
+    vertex sets that connect the terminals; ``predicate`` runs the
+    capped scan."""
 
     @pytest.mark.parametrize("alpha", [None, 1.5, 5])
     def test_decide_batch_matches_predicate_on_k2_grid(self, collection,
                                                        alpha):
         """α = 3 (the default r + 1), α = 1.5, whose 0-bit sets fit under
-        the threshold of 2, and α = 5."""
+        the threshold of 2, and α = 5: kernel ≡ predicate ≡ ¬DISJ."""
         fam = NodeWeightedSteinerFamily(collection, alpha=alpha)
         pairs = _k2_grid()
         batched = fam.decide_batch(None, pairs)
@@ -75,8 +78,19 @@ class TestNodeWeightedBatchKernel:
             assert kernel.weights(x, y) == vertex_weights(graph), (x, y)
             expected = fam.predicate(graph)
             assert batched[(x, y)] == expected, (x, y)
+            assert expected == (not disjointness(x, y)), (x, y)
             trues += expected
         assert trues == 3367
+
+    def test_table_is_the_complementary_pairs(self, collection):
+        fam = NodeWeightedSteinerFamily(collection)
+        kernel = fam.make_batch_kernel(fam.skeleton())
+        vertices = fam.skeleton().bits().vertices
+        table = {frozenset(vertices[kernel.paid[c]] for c in subset)
+                 for subset in kernel.table}
+        assert len(kernel.table) == fam.k_bits
+        assert table == {frozenset((svert(i), scomp(i)))
+                         for i in range(fam.k_bits)}
 
     def test_capped_predicate_matches_optimum(self, collection):
         """The scan capped at 2 decides exactly ``optimum <= 2``."""
@@ -230,8 +244,9 @@ class TestDirected:
 
 
 class TestDirectedBatchKernel:
-    """The kernel reads each pair's cover masks from its bits; the
-    decision after that is the one ``predicate`` makes."""
+    """The kernel looks each pair's bits up in a table of the subsets
+    of at most two sets that cover the universe; ``predicate`` runs the
+    set-cover search."""
 
     @pytest.fixture(scope="class")
     def fam(self, collection):
@@ -247,7 +262,8 @@ class TestDirectedBatchKernel:
     def test_decide_batch_matches_predicate_on_k2_grid(self, collection,
                                                        alpha):
         """α = 3 (the default r + 1) and α = 1.5, whose non-integral
-        fallbacks take the cover search's float path."""
+        fallbacks take the cover search's float path: kernel ≡
+        predicate ≡ ¬DISJ."""
         fam = DirectedSteinerFamily(collection, alpha=alpha)
         pairs = _k2_grid()
         batched = fam.decide_batch(None, pairs)
@@ -256,8 +272,16 @@ class TestDirectedBatchKernel:
         for x, y in pairs:
             expected = fam.predicate(fam.build(x, y))
             assert batched[(x, y)] == expected, (x, y)
+            assert expected == (not disjointness(x, y)), (x, y)
             trues += expected
         assert trues == 3367
+
+    def test_table_is_the_complementary_pairs(self, fam):
+        """Sets 2i and 2i + 1 are S_i and S̄_i; no fallback is tabled,
+        as no set misses a single element."""
+        kernel = fam.make_batch_kernel(fam.skeleton())
+        assert kernel.table == [(2 * i, 2 * i + 1)
+                                for i in range(fam.k_bits)]
 
     def test_not_monotone(self, fam):
         assert fam.make_batch_kernel(fam.skeleton()).monotone is False
@@ -311,7 +335,7 @@ class TestDirectedBatchKernel:
         assert calls == []
 
     def test_one_cover_index_for_the_grid(self, collection, monkeypatch):
-        """The kernel files its sets once; a pair only re-weights them."""
+        """The kernel reads its table once; a pair builds no cover."""
         from repro.solvers import dominating
 
         fam = DirectedSteinerFamily(collection)
@@ -350,3 +374,102 @@ class _SkeletonArc(DirectedSteinerFamily):
             if j not in self.collection.sets[0]:
                 g.add_edge(svert(0), avert(j), weight=0)
         return g
+
+
+def _faulty(collection):
+    """A copy of ``collection`` whose S_1 also holds every element
+    outside S_0, so the non-complementary pair {S_0, S_1} covers the
+    universe: Lemma 4.2's r-covering property fails."""
+    universe = frozenset(range(collection.universe_size))
+    sets = list(collection.sets)
+    sets[1] = sets[1] | (universe - sets[0])
+    return dataclasses.replace(collection, sets=tuple(sets))
+
+
+@pytest.mark.parametrize("cls", [NodeWeightedSteinerFamily,
+                                 DirectedSteinerFamily])
+class TestCertificateTables:
+    """The tables are read from the skeleton, not assumed from Lemma
+    4.2: where the construction breaks, the kernel follows the graph."""
+
+    def test_construction_fault_follows_the_graph(self, collection, cls):
+        fam = cls(_faulty(collection))
+        kernel = fam.make_batch_kernel(fam.skeleton())
+        assert kernel is not None
+        assert len(kernel.table) > fam.k_bits
+        pairs = _k2_grid()
+        batched = fam.decide_batch(None, pairs)
+        wrong = set()
+        for x, y in pairs:
+            assert batched[(x, y)] == fam.predicate(fam.build(x, y)), (x, y)
+            if batched[(x, y)] != (not disjointness(x, y)):
+                wrong.add((x, y))
+        # every disjoint pair that buys S_0 and S_1 has a tree of weight
+        # 2, and no other pair is decided against DISJ's way
+        affected = {(x, y) for x, y in pairs
+                    if x[0] and x[1] and disjointness(x, y)}
+        assert affected and affected <= wrong
+        assert all(batched[p] and disjointness(*p) for p in wrong)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.75])
+    def test_alpha_below_one_gets_no_kernel(self, collection, cls, alpha):
+        """Three sets of weight α < 1 can fit under 2, past what the
+        table holds."""
+        fam = cls(collection, alpha=alpha)
+        assert fam.supports_batch()
+        assert fam.make_batch_kernel(fam.skeleton()) is None
+        pairs = _k2_grid()[::97]
+        report = sweep(fam, pairs, memo=False, batch=True)
+        assert report.batched == 0
+        plain = sweep(cls(collection, alpha=alpha), pairs, memo=False,
+                      batch=False)
+        assert report.decisions == plain.decisions
+        assert report.decisions == [fam.predicate(fam.build(x, y))
+                                    for x, y in pairs]
+
+
+class _FreeOneBits(NodeWeightedSteinerFamily):
+    """A 1-bit makes its set vertex free: the paid set changes with the
+    pair."""
+
+    def apply_inputs(self, g, x, y):
+        super().apply_inputs(g, x, y)
+        for i in range(self.collection.T):
+            if x[i]:
+                g.set_vertex_weight(svert(i), 0)
+            if y[i]:
+                g.set_vertex_weight(scomp(i), 0)
+
+
+def test_zero_weight_one_bits_get_no_kernel(collection):
+    sub = _FreeOneBits(collection)
+    assert sub.supports_batch()
+    assert sub.make_batch_kernel(sub.skeleton()) is None
+    pairs = _k2_grid()[::97]
+    report = sweep(sub, pairs, memo=False, batch=True)
+    assert report.batched == 0
+    assert report.decisions == [sub.predicate(sub.build(x, y))
+                                for x, y in pairs]
+
+
+def test_k16_boundary_through_predicate_and_kernel():
+    """K = 16 (ℓ = 32): the capped scan's refusal comes from the cap, so
+    the 32 paid vertices are scanned.  The 16 minimal intersecting
+    pairs, the all-zero pair and a maximal disjoint pair."""
+    fam = NodeWeightedSteinerFamily(
+        build_covering_collection(32, T=16, r=2, seed=0))
+    K = fam.k_bits
+    assert K == 16
+    kernel = fam.make_batch_kernel(fam.skeleton())
+    assert kernel is not None and len(kernel.table) == K
+
+    def unit(i):
+        return tuple(int(j == i) for j in range(K))
+
+    half = tuple(i % 2 for i in range(K))
+    pairs = [(unit(i), unit(i)) for i in range(K)]
+    pairs += [((0,) * K, (0,) * K), (half, tuple(1 - b for b in half))]
+    for x, y in pairs:
+        expected = not disjointness(x, y)
+        assert fam.predicate(fam.build(x, y)) == expected, (x, y)
+        assert kernel.decide(x, y) == expected, (x, y)

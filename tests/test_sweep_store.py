@@ -258,6 +258,28 @@ class TestBatchAppend:
         assert writes == [3 * len("0000:1111:1\n")]
         assert store.load_pairs(fkey) == {(x, y): d for x, y, d in entries}
 
+    def test_append_bytes_match_the_per_entry_format(self, tmp_path):
+        """Bit sequences given as lists, bools and ints, some repeated
+        in other types, log the bytes of formatting every entry on its
+        own."""
+        store = SweepStore(str(tmp_path))
+        fkey = family_key(MdsFamily(2))
+        entries = [([0, 1, 1, 0], (True, False, True, True), True),
+                   ((1, 0, 1, 1), [False, True, True, False], 0),
+                   ((True, False, True, True), (0, 1, 1, 0), 1),
+                   ([1, 0, 1, 1], [1, 0, 1, 1], False),
+                   ((0, 0, 0, 0), (False,) * 4, 1)]
+        store.append(fkey, entries)
+
+        def per_entry(bits):
+            return "".join("1" if int(b) else "0" for b in bits)
+
+        want = "".join(f"{per_entry(x)}:{per_entry(y)}:{int(bool(d))}\n"
+                       for x, y, d in entries).encode()
+        (log,) = _logs(store, fkey)
+        with open(os.path.join(store.family_dir(fkey), log), "rb") as fh:
+            assert fh.read() == want
+
     def test_kernel_grid_is_one_write(self, tmp_path, monkeypatch):
         store = SweepStore(str(tmp_path))
         fam = MdsFamily(2)
